@@ -675,7 +675,8 @@ let disasm_cmd =
 let stats_cmd =
   let doc =
     "Type check and report checker instrumentation (unifications, context \
-     reductions, placeholders). With $(b,--json), also report the phase \
+     reductions, placeholders) of the program; the prelude is checked once \
+     per process and not counted. With $(b,--json), also report the phase \
      spans of the compile — per-stage wall-clock and allocation — from \
      the metrics registry. With $(b,--trace-in), digest a flight-recorder \
      dump instead: rank the slowest requests by latency with their \
@@ -1247,6 +1248,7 @@ let serve_cmd =
       Option.iter
         (fun c -> Metrics.merge ~into:merged (Tc_scale.Cache.metrics c))
         cache;
+      Metrics.merge ~into:merged (Pipeline.snapshot_metrics ());
       write_metrics mfile merged;
       write_rtrace tfile rtrace;
       let s = summary.Tc_scale.Pool.stats in

@@ -20,6 +20,7 @@ module Fixity = Tc_syntax.Fixity
 module Class_env = Tc_types.Class_env
 module Static = Tc_types.Static
 module Scheme = Tc_types.Scheme
+module Ty = Tc_types.Ty
 module Stats = Tc_types.Stats
 module Desugar = Tc_desugar.Desugar
 module Kernel = Tc_desugar.Kernel
@@ -128,6 +129,27 @@ let infer_options (o : options) : Infer.options =
     defaulting = o.defaulting;
   }
 
+(** A checked program that compiles extend: the prelude snapshot (see
+    "Prelude snapshots" below). Built once, then only read — on any
+    domain. *)
+type base = {
+  b_env : Class_env.t;             (* after static analysis; its tables are
+                                      never written through this record *)
+  b_fixities : Fixity.env;
+  b_venv : Infer.venv;             (* zonked schemes of the top level *)
+  b_schemes : (Ident.t * Scheme.t) list;  (* top-level bindings, in order *)
+  b_core : Core.program;           (* normalized: the default-method,
+                                      instance-method and dictionary
+                                      bindings included *)
+  b_groups : Kernel.group list;    (* desugared, for the §3 tag translation *)
+  b_outer : Ident.Set.t;           (* top-level values and primitives: names
+                                      a later file may not rebind *)
+  b_globals : Ident.Set.t;         (* every top-level core binding, and the
+                                      primitives *)
+  b_diagnostics : Diagnostic.t list;  (* what checking it reported, in
+                                         issue order (warnings only) *)
+}
+
 type compiled = {
   env : Class_env.t;
   core : Core.program;
@@ -142,6 +164,7 @@ type compiled = {
      fixity table of the compiled program *)
   venv : Infer.venv;
   fixities : Fixity.env;
+  base : base;  (* the snapshot this compile extended *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -221,8 +244,6 @@ let default_signature (env : Class_env.t) (mi : Class_env.method_info) :
 (* Compilation.                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let parse_source ~file src : Ast.program = Parser.parse_program ~file src
-
 let top_decl_loc : Ast.top_decl -> Loc.t = function
   | Ast.TData d -> d.td_loc
   | Ast.TSyn s -> s.ts_loc
@@ -233,94 +254,143 @@ let top_decl_loc : Ast.top_decl -> Loc.t = function
   | Ast.TDecl (Ast.DPat (_, _, l))
   | Ast.TDecl (Ast.DFix (_, _, _, l)) -> l
 
+(** The empty snapshot: the builtin types and constructors and the
+    primitives. A compile that extends it with the prelude as its first
+    file is the reference the prelude snapshot must agree with. *)
+let empty_base () : base =
+  let prims = Ident.Set.of_list Prims.names in
+  {
+    b_env = Class_env.create ();
+    b_fixities = Fixity.builtin;
+    b_venv = Ident.Map.empty;
+    b_schemes = [];
+    b_core = { Core.p_binds = []; p_main = None };
+    b_groups = [];
+    b_outer = prims;
+    b_globals = prims;
+    b_diagnostics = [];
+  }
+
+(* What the front end made of a compile's own files. *)
+type front = {
+  f_groups : Kernel.group list;  (* desugared top-level groups, file order *)
+  f_fixities : Fixity.env;
+  f_outer : Ident.Set.t;         (* the base's outer names and these files' *)
+}
+
 (** Front end shared by both implementation strategies: parse, fixity
-    resolution, static analysis, desugaring.
+    resolution, static analysis and desugaring of each file in turn into
+    [env], which extends [base]'s. A file sees the declarations, fixities
+    and top-level values of the base and of the files before it, and its
+    own; its top level is one binding block that may not rebind an
+    earlier file's names.
 
     Without [sink] every error raises (fail-fast). With [sink] each stage
     recovers at its natural boundary and records diagnostics instead: the
     parser resynchronizes at the next top-level declaration, fixity
     resolution and static analysis skip the offending declaration, and
-    desugaring degrades to an empty program. *)
-let front ?sink ?(metrics = Metrics.disabled) ?(rt = Rtrace.disabled)
-    ~include_prelude ~file src :
-    Class_env.t * Kernel.group list * Fixity.env =
-  Inject.hit Inject.Lex;
-  let toks =
-    Span.wrap_rt rt metrics "lex" (fun () -> Tc_syntax.Lexer.tokenize ~file src)
+    desugaring degrades to an empty block. [faults] arms the fault
+    injection points. *)
+let front ?sink ~metrics ~rt ~faults ~(base : base) ~(env : Class_env.t)
+    (files : (string * string) list) : front =
+  let hit point = if faults then Inject.hit point in
+  let one (fenv, outer, groups) (file, src) =
+    hit Inject.Lex;
+    let toks =
+      Span.wrap_rt rt metrics "lex" (fun () ->
+          Tc_syntax.Lexer.tokenize ~file src)
+    in
+    let toks =
+      Span.wrap_rt rt metrics "layout" (fun () -> Tc_syntax.Layout.layout toks)
+    in
+    let prog =
+      Span.wrap_rt rt metrics "parse" (fun () ->
+          match sink with
+          | None -> Parser.parse_program_tokens toks
+          | Some sink ->
+              Parser.parse_program_tokens
+                ~recover:(Diagnostic.Sink.report sink) toks)
+    in
+    hit Inject.Parse;
+    let prog, fenv =
+      Span.wrap_rt rt metrics "fixity" (fun () ->
+          let fenv = Fixity.collect_program fenv prog in
+          match sink with
+          | None -> (List.map (Fixity.top_decl fenv) prog, fenv)
+          | Some sink ->
+              (* per-declaration recovery: a bad operator sequence loses
+                 only its own declaration *)
+              ( List.filter_map
+                  (fun d ->
+                    Diagnostic.guard ~sink ~stage:"fixity resolution"
+                      ~loc:(top_decl_loc d)
+                      ~recover:(fun () -> None)
+                      (fun () -> Some (Fixity.top_decl fenv d)))
+                  prog,
+                fenv ))
+    in
+    hit Inject.Static;
+    let { Static.value_decls; _ } =
+      Span.wrap_rt rt metrics "static" (fun () ->
+          Static.process ~env ~fail_fast:(Option.is_none sink) ~outer prog)
+    in
+    let file_groups =
+      Span.wrap_rt rt metrics "desugar" (fun () ->
+          match sink with
+          | None -> Desugar.top_decls ~outer env value_decls
+          | Some sink ->
+              Diagnostic.guard ~sink ~stage:"desugaring" ~loc:Loc.none
+                ~recover:(fun () -> [])
+                (fun () -> Desugar.top_decls ~sink ~outer env value_decls))
+    in
+    let outer =
+      List.fold_left
+        (fun s g ->
+          List.fold_left
+            (fun s (b : Kernel.bind) -> Ident.Set.add b.kb_name s)
+            s (Kernel.binds_of_group g))
+        outer file_groups
+    in
+    (fenv, outer, List.rev_append file_groups groups)
   in
-  let toks =
-    Span.wrap_rt rt metrics "layout" (fun () -> Tc_syntax.Layout.layout toks)
+  let fenv, outer, groups_rev =
+    List.fold_left one (base.b_fixities, base.b_outer, []) files
   in
-  let user_prog =
-    Span.wrap_rt rt metrics "parse" (fun () ->
-        match sink with
-        | None -> Parser.parse_program_tokens toks
-        | Some sink ->
-            Parser.parse_program_tokens
-              ~recover:(Diagnostic.Sink.report sink) toks)
-  in
-  Inject.hit Inject.Parse;
-  let prog =
-    if include_prelude then
-      Span.wrap_rt rt metrics "prelude" (fun () ->
-          parse_source ~file:"<prelude>" Tc_prelude.Prelude.source)
-      @ user_prog
-    else user_prog
-  in
-  let prog, fixities =
-    Span.wrap_rt rt metrics "fixity" (fun () ->
-        match sink with
-        | None -> Fixity.resolve_program prog
-        | Some sink ->
-            (* per-declaration recovery: a bad operator sequence loses only
-               its own declaration *)
-            let fenv = Fixity.collect_program Fixity.builtin prog in
-            let prog =
-              List.filter_map
-                (fun d ->
-                  Diagnostic.guard ~sink ~stage:"fixity resolution"
-                    ~loc:(top_decl_loc d)
-                    ~recover:(fun () -> None)
-                    (fun () -> Some (Fixity.top_decl fenv d)))
-                prog
-            in
-            (prog, fenv))
-  in
-  let env =
-    match sink with
-    | None -> Class_env.create ()
-    | Some sink -> Class_env.create ~sink ()
-  in
-  Inject.hit Inject.Static;
-  let { Static.env; value_decls } =
-    Span.wrap_rt rt metrics "static" (fun () ->
-        Static.process ~env ~fail_fast:(Option.is_none sink) prog)
-  in
-  let groups =
-    Span.wrap_rt rt metrics "desugar" (fun () ->
-        match sink with
-        | None -> Desugar.top_decls env value_decls
-        | Some sink ->
-            Diagnostic.guard ~sink ~stage:"desugaring" ~loc:Loc.none
-              ~recover:(fun () -> [])
-              (fun () -> Desugar.top_decls ~sink env value_decls))
-  in
-  (env, groups, fixities)
+  { f_groups = List.rev groups_rev; f_fixities = fenv; f_outer = outer }
 
-(** The dictionary-passing translation (both layouts). Without [sink],
-    fail-fast; with [sink], each binding group is a fault-isolation
-    boundary: a failed group's binders get {!Infer.error_scheme} (which
-    unifies with anything and never re-reports) and checking continues
-    with the remaining groups. *)
-let compile_dicts ?sink ~(opts : options) ~file (src : string) : compiled =
+let is_base_class (base : base) (ci : Class_env.class_info) =
+  match Class_env.find_class base.b_env ci.ci_name with
+  | Some ci' -> ci' == ci
+  | None -> false
+
+let is_base_instance (base : base) (inst : Class_env.inst_info) =
+  match
+    Class_env.find_instance base.b_env ~cls:inst.in_class ~tycon:inst.in_tycon
+  with
+  | Some inst' -> inst' == inst
+  | None -> false
+
+(** The one compile path: check [files], in order, on top of [base] under
+    the dictionary-passing translation (both layouts). Only what the files
+    add is processed — their bindings, the default methods of their
+    classes, the methods and dictionaries of their instances (including
+    instances of the base's classes) — and the base's normalized core is
+    prepended unchanged. Without [sink], fail-fast; with [sink], each
+    binding group is a fault-isolation boundary: a failed group's binders
+    get {!Infer.error_scheme} (which unifies with anything and never
+    re-reports) and checking continues with the remaining groups. Also
+    returns the front end's result, from which a snapshot is frozen. *)
+let extend ?sink ~faults ~(opts : options) ~(base : base)
+    (files : (string * string) list) : compiled * front =
   Stats.reset ();
   let metrics = opts.metrics in
   let rt = opts.rtrace in
-  Span.wrap_rt rt metrics "compile" @@ fun () ->
   let iopts = infer_options opts in
-  let env, groups, fixities =
-    front ?sink ~metrics ~rt ~include_prelude:opts.include_prelude ~file src
-  in
+  let env = Class_env.extend ?sink base.b_env in
+  (* the base's own diagnostics come first, as if it had been checked
+     with these files *)
+  List.iter (Diagnostic.Sink.report env.sink) base.b_diagnostics;
+  let fr = front ?sink ~metrics ~rt ~faults ~base ~env files in
   env.Class_env.trace <- opts.trace;
   let st = Infer.create_state ~opts:iopts env in
   Infer.push_scope st;
@@ -338,14 +408,18 @@ let compile_dicts ?sink ~(opts : options) ~file (src : string) : compiled =
     | None -> f ()
     | Some _ -> Infer.protect st ~stage ~loc ~recover f
   in
+  (* primitive schemes mention Bool, so they are built against this
+     compile's environment *)
   let venv0 =
     List.fold_left
       (fun m (name, scheme) -> Ident.Map.add name (Infer.Poly scheme) m)
-      Ident.Map.empty (Prims.schemes env)
+      base.b_venv (Prims.schemes env)
   in
-  Inject.hit Inject.Infer;
-  Inject.hit Inject.Oom;
-  (* user (and prelude) value bindings, in dependency order *)
+  if faults then begin
+    Inject.hit Inject.Infer;
+    Inject.hit Inject.Oom
+  end;
+  (* the files' value bindings, in dependency order *)
   let check_group (venv, gs, ss) g =
     List.iter
       (fun (b : Kernel.bind) ->
@@ -367,7 +441,7 @@ let compile_dicts ?sink ~(opts : options) ~file (src : string) : compiled =
     in
     (venv', cg :: gs, ss')
   in
-  let venv, user_groups_rev, schemes_rev =
+  let venv, groups_rev, schemes_rev =
     Span.wrap_rt rt metrics "infer" @@ fun () ->
     List.fold_left
       (fun ((venv, gs, ss) as acc) g ->
@@ -394,7 +468,18 @@ let compile_dicts ?sink ~(opts : options) ~file (src : string) : compiled =
             in
             (venv', cg :: gs, ss))
           (fun () -> check_group acc g))
-      (venv0, [], []) groups
+      (venv0, [], []) fr.f_groups
+  in
+  (* the classes and instances these files declared *)
+  let classes =
+    List.filter
+      (fun ci -> not (is_base_class base ci))
+      (Class_env.all_classes env)
+  in
+  let instances =
+    List.filter
+      (fun inst -> not (is_base_instance base inst))
+      (Class_env.all_instances env)
   in
   let default_binds, missing_default_binds, impl_binds =
     Span.wrap_rt rt metrics "methods" @@ fun () ->
@@ -418,26 +503,30 @@ let compile_dicts ?sink ~(opts : options) ~file (src : string) : compiled =
                 in
                 b))
           ci.ci_defaults)
-      (Class_env.all_classes env)
+      classes
   in
-  (* methods without a default, omitted by some instance: a stub that
-     fails at run time when actually called *)
+  (* methods without a default, omitted by a new instance (of any class):
+     a stub that fails at run time when actually called, unless the base
+     already binds one *)
   let missing_default_binds =
     List.concat_map
       (fun (ci : Class_env.class_info) ->
         List.filter_map
           (fun m ->
-            if List.mem_assoc m ci.ci_defaults then None
-            else if
-              List.exists
-                (fun (inst : Class_env.inst_info) ->
-                  Ident.equal inst.in_class ci.ci_name
-                  && List.assoc_opt m inst.in_impls = Some Class_env.Default_impl)
-                (Class_env.all_instances env)
+            let name () = Class_env.default_name ~cls:ci.ci_name ~meth:m in
+            if
+              (not (List.mem_assoc m ci.ci_defaults))
+              && List.exists
+                   (fun (inst : Class_env.inst_info) ->
+                     Ident.equal inst.in_class ci.ci_name
+                     && List.assoc_opt m inst.in_impls
+                        = Some Class_env.Default_impl)
+                   instances
+              && not (Ident.Set.mem (name ()) base.b_globals)
             then
               Some
                 {
-                  Core.b_name = Class_env.default_name ~cls:ci.ci_name ~meth:m;
+                  Core.b_name = name ();
                   b_expr =
                     Core.Lam
                       ( [ Ident.gensym "d$unused" ],
@@ -478,17 +567,20 @@ let compile_dicts ?sink ~(opts : options) ~file (src : string) : compiled =
                        in
                        b)))
           inst.in_impls)
-      (Class_env.all_instances env)
+      instances
   in
   (default_binds, missing_default_binds, impl_binds)
   in
   (* dictionary bindings (mechanical, §4) *)
-  Inject.hit Inject.Translate;
+  if faults then Inject.hit Inject.Translate;
   let dict_binds =
     Span.wrap_rt rt metrics "dicts" (fun () ->
         guarded ~stage:"dictionary construction" ~loc:Loc.none
           ~recover:(fun () -> [])
-          (fun () -> Construct.all_dict_bindings env iopts.strategy))
+          (fun () ->
+            List.map
+              (Construct.instance_dict_binding env iopts.strategy)
+              instances))
   in
   Span.wrap_rt rt metrics "resolve" (fun () ->
       match sink with
@@ -510,68 +602,300 @@ let compile_dicts ?sink ~(opts : options) ~file (src : string) : compiled =
         ~recover:(fun () -> { Core.p_binds = []; p_main = None })
         (fun () ->
           let main_id = Ident.intern "main" in
-          let has_main =
-            List.exists
-              (fun g ->
-                List.exists
-                  (fun (b : Core.bind) -> Ident.equal b.b_name main_id)
-                  (Core.binds_of_group g))
-              (List.rev user_groups_rev)
+          let groups = List.rev groups_rev in
+          let p_main =
+            if
+              List.exists
+                (fun g ->
+                  List.exists
+                    (fun (b : Core.bind) -> Ident.equal b.b_name main_id)
+                    (Core.binds_of_group g))
+                groups
+            then Some main_id
+            else None
           in
-          let program : Core.program =
+          (* the files' own core; the base's is normalized already *)
+          let own : Core.program =
             {
               p_binds =
-                List.rev user_groups_rev
+                groups
                 @ List.map
                     (fun b -> Core.Nonrec b)
                     (default_binds @ missing_default_binds @ impl_binds
                    @ dict_binds);
-              p_main = (if has_main then Some main_id else None);
+              p_main;
             }
           in
-          let program = Core.squash_program program in
-          let program = Scc.regroup program in
-          if opts.lint then Lint.check_program ~primitives:Prims.names program;
-          program)
+          let own = Scc.regroup (Core.squash_program own) in
+          if opts.lint then
+            Lint.check_program ~scope:base.b_globals ~primitives:Prims.names
+              own;
+          { own with p_binds = base.b_core.p_binds @ own.p_binds })
   in
-  let all_schemes = List.rev_map (fun (n, s, _) -> (n, s)) schemes_rev in
-  let user_schemes =
-    List.rev schemes_rev
-    |> List.filter_map (fun (n, s, f) -> if f = "<prelude>" then None else Some (n, s))
+  let own_schemes = List.rev schemes_rev in
+  let compiled =
+    {
+      env;
+      core = program;
+      schemes = base.b_schemes @ List.map (fun (n, s, _) -> (n, s)) own_schemes;
+      user_schemes =
+        List.filter_map
+          (fun (n, s, f) -> if f = "<prelude>" then None else Some (n, s))
+          own_schemes;
+      warnings = Diagnostic.Sink.warnings env.sink;
+      checker_stats = Stats.snapshot ();
+      options = opts;
+      spec_report = None;
+      venv;
+      fixities = fr.f_fixities;
+      base;
+    }
   in
+  (compiled, fr)
+
+(* ------------------------------------------------------------------ *)
+(* Prelude snapshots.                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* Freeze a checked compile into a snapshot later compiles extend. Every
+   type a snapshot holds is zonked (no [Link] left), so instantiating its
+   schemes on several domains at once never writes into it; and every
+   variable in it must be generic and quantified, since instantiation
+   shares any other variable with the instance, where a later compile
+   could unify it or lower its level. *)
+let freeze (c : compiled) (fr : front) (sink : Diagnostic.Sink.sink) : base =
+  let frozen ~(vars : Ty.tyvar list) ty =
+    let ty = Ty.zonk ty in
+    let quantified (tv : Ty.tyvar) =
+      Ty.is_generic tv && List.exists (fun (v : Ty.tyvar) -> v == tv) vars
+    in
+    if not (List.for_all quantified (Ty.free_vars ty)) then
+      failwith
+        (Fmt.str "snapshot type %a has a free unquantified variable" Ty.pp ty);
+    ty
+  in
+  let scheme (s : Scheme.t) =
+    { s with Scheme.ty = frozen ~vars:s.vars s.ty }
+  in
+  let venv =
+    Ident.Map.map
+      (function
+        | Infer.Poly s -> Infer.Poly (scheme s)
+        | Infer.Mono _ | Infer.Recursive _ ->
+            failwith "snapshot value environment has a monomorphic entry")
+      c.venv
+  in
+  let env = Class_env.extend c.env in
+  env.datacons <-
+    Ident.Map.map
+      (fun (ci : Class_env.con_info) ->
+        {
+          ci with
+          con_scheme = scheme ci.con_scheme;
+          con_args = List.map (frozen ~vars:ci.con_params) ci.con_args;
+        })
+      env.datacons;
   {
-    env;
-    core = program;
-    schemes = all_schemes;
-    user_schemes;
-    warnings = Diagnostic.Sink.warnings env.sink;
-    checker_stats = Stats.snapshot ();
-    options = opts;
-    spec_report = None;
-    venv;
-    fixities;
+    b_env = env;
+    b_fixities = c.fixities;
+    b_venv = venv;
+    b_schemes =
+      (* the same schemes, shared with the value environment *)
+      List.map
+        (fun (n, _) ->
+          match Ident.Map.find n venv with
+          | Infer.Poly s -> (n, s)
+          | _ -> assert false)
+        c.schemes;
+    b_core = c.core;
+    b_groups = c.base.b_groups @ fr.f_groups;
+    b_outer = fr.f_outer;
+    b_globals =
+      List.fold_left
+        (fun s g ->
+          List.fold_left
+            (fun s (b : Core.bind) -> Ident.Set.add b.b_name s)
+            s (Core.binds_of_group g))
+        c.base.b_globals c.core.p_binds;
+    b_diagnostics = Diagnostic.Sink.diagnostics sink;
   }
+
+(* Check the prelude on the empty snapshot and freeze the result. The
+   build reports no phase spans and arms no fault injection: it belongs to
+   the process, not to the request that happens to trigger it. *)
+let build_prelude (opts : options) : base =
+  let opts =
+    {
+      opts with
+      lint = true;
+      max_errors = 0;
+      metrics = Metrics.disabled;
+      rtrace = Rtrace.disabled;
+    }
+  in
+  let sink = Diagnostic.Sink.create () in
+  let c, fr =
+    extend ~sink ~faults:false ~opts ~base:(empty_base ())
+      [ ("<prelude>", Tc_prelude.Prelude.source) ]
+  in
+  (match Diagnostic.Sink.first_error sink with
+   | Some d ->
+       failwith ("the prelude does not check: " ^ Diagnostic.to_string d)
+   | None -> ());
+  freeze c fr sink
+
+(* The memoized snapshots, one per combination of the options a prelude
+   check depends on — layout, literal overloading, defaulting — with
+   their sizes in words. Guarded by a mutex rather than built under
+   [lazy]: pool workers race to the first compile, and forcing one lazy
+   from two domains raises [CamlinternalLazy.Undefined]. The build runs
+   with the lock held, so each combination is built exactly once. *)
+let snapshots : ((Layout.strategy * bool * bool) * base * int) list ref = ref []
+let snapshots_lock = Mutex.create ()
+let snapshot_builds = ref 0
+
+(** The snapshot a compile under [opts] extends: the empty one without
+    the prelude; a fresh, unshared build when [opts.trace] is on (so the
+    trace lists the prelude's events too); else the process's memoized
+    prelude snapshot for [opts]. *)
+let base_for (opts : options) : base =
+  if not opts.include_prelude then empty_base ()
+  else if Trace.is_on opts.trace then build_prelude opts
+  else
+    let key =
+      ((infer_options opts).Infer.strategy, opts.overloaded_literals,
+       opts.defaulting)
+    in
+    Mutex.protect snapshots_lock @@ fun () ->
+    match List.find_opt (fun (k, _, _) -> k = key) !snapshots with
+    | Some (_, b, _) -> b
+    | None ->
+        let b = build_prelude opts in
+        snapshots := (key, b, Obj.reachable_words (Obj.repr b)) :: !snapshots;
+        incr snapshot_builds;
+        b
+
+let shared_base (c : compiled) : (base * int) option =
+  Mutex.protect snapshots_lock @@ fun () ->
+  List.find_map
+    (fun (_, b, words) -> if b == c.base then Some (b, words) else None)
+    !snapshots
+
+let snapshot_metrics () : Metrics.t =
+  let builds, words =
+    Mutex.protect snapshots_lock @@ fun () ->
+    (!snapshot_builds, List.fold_left (fun n (_, _, w) -> n + w) 0 !snapshots)
+  in
+  let m = Metrics.create () in
+  Metrics.add (Metrics.counter m "prelude/snapshot_builds") builds;
+  Metrics.set (Metrics.gauge m "prelude/snapshot_words") words;
+  m
+
+(** Words reachable from [c] that it does not share with its snapshot:
+    the whole artifact when the snapshot is private (traced, unmarshaled
+    or empty), else the compile's own core, schemes, diagnostics and its
+    entries in the environments. *)
+let own_words (c : compiled) : int =
+  match shared_base c with
+  | None -> Obj.reachable_words (Obj.repr c)
+  | Some (b, _) ->
+      (* a list whose prefix is physically the snapshot's: the rest, and
+         the words of the prefix's own spine *)
+      let rec suffix l shared spine =
+        match (l, shared) with
+        | x :: l', y :: shared' when x == y -> suffix l' shared' (spine + 3)
+        | _ -> (l, spine)
+      in
+      let own_entries base m =
+        Ident.Map.filter
+          (fun k v ->
+            match Ident.Map.find_opt k base with
+            | Some v' -> v != v'
+            | None -> true)
+          m
+      in
+      let env = c.env and benv = b.b_env in
+      let env =
+        {
+          env with
+          Class_env.tycons = own_entries benv.tycons env.tycons;
+          datacons = own_entries benv.datacons env.datacons;
+          tycon_cons = own_entries benv.tycon_cons env.tycon_cons;
+          synonyms = own_entries benv.synonyms env.synonyms;
+          classes = own_entries benv.classes env.classes;
+          methods = own_entries benv.methods env.methods;
+          instances =
+            Ident.Map.filter_map
+              (fun cls insts ->
+                let own =
+                  match Ident.Map.find_opt cls benv.instances with
+                  | Some binsts -> own_entries binsts insts
+                  | None -> insts
+                in
+                if Ident.Map.is_empty own then None else Some own)
+              env.instances;
+        }
+      in
+      let groups, s1 = suffix c.core.p_binds b.b_core.p_binds 0 in
+      let schemes, s2 = suffix c.schemes b.b_schemes 0 in
+      s1 + s2
+      + Obj.reachable_words
+          (Obj.repr
+             ( env,
+               own_entries b.b_venv c.venv,
+               own_entries b.b_fixities c.fixities,
+               groups,
+               schemes,
+               c.user_schemes,
+               (c.warnings, c.checker_stats, c.options, c.spec_report) ))
+
+(* ------------------------------------------------------------------ *)
+(* Entry points.                                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* Under [Tags], after ordinary checking: the independent §3 translation.
+   Its front end extends the checked compile's snapshot again, and the
+   translation runs over the snapshot's kernel groups and the files'
+   together — a new instance changes how the prelude dispatches. (The
+   tag translation treats integer literals as monomorphic Int, as ML
+   does: code that relies on return-type overloading of literals
+   misbehaves under tags, which is part of the point of §3.) *)
+let tag_translate (checked : compiled) files : compiled =
+  let opts = checked.options in
+  Span.wrap_rt opts.rtrace opts.metrics "tags" @@ fun () ->
+  let base = checked.base in
+  let env = Class_env.extend base.b_env in
+  let fr =
+    front ~metrics:opts.metrics ~rt:opts.rtrace ~faults:true ~base ~env files
+  in
+  let core =
+    Tc_tagdispatch.Tagdispatch.translate_program env
+      (base.b_groups @ fr.f_groups)
+  in
+  if opts.lint then Lint.check_program ~primitives:Prims.names core;
+  { checked with env; core }
+
+(* The dictionary-passing check of [files] on [base] — by default the
+   snapshot for [opts], whose acquisition (a build, the first time) is the
+   [prelude] phase span. *)
+let check_files ?sink ~(opts : options) ?base files : compiled =
+  Span.wrap_rt opts.rtrace opts.metrics "compile" @@ fun () ->
+  let base =
+    match base with
+    | Some b -> b
+    | None ->
+        Span.wrap_rt opts.rtrace opts.metrics "prelude" (fun () ->
+            base_for opts)
+  in
+  fst (extend ?sink ~faults:true ~opts ~base files)
 
 let compile ?(opts = default_options) ?(file = "<input>") (src : string) :
     compiled =
+  let files = [ (file, src) ] in
+  let checked = check_files ~opts files in
   match opts.strategy with
-  | Dicts | Dicts_flat -> compile_dicts ~opts ~file src
-  | Tags ->
-      (* 1. ordinary type checking, for safety and reported types. (Checking
-         keeps overloaded literals; the tag translation then treats integer
-         literals as monomorphic Int, as ML does — code that relies on
-         return-type overloading of literals misbehaves under tags, which is
-         part of the point of §3.) *)
-      let checked = compile_dicts ~opts ~file src in
-      (* 2. independent tag-dispatch translation of the same source *)
-      Span.wrap_rt opts.rtrace opts.metrics "tags" @@ fun () ->
-      let env, groups, _ =
-        front ~metrics:opts.metrics ~rt:opts.rtrace
-          ~include_prelude:opts.include_prelude ~file src
-      in
-      let core = Tc_tagdispatch.Tagdispatch.translate_program env groups in
-      if opts.lint then Lint.check_program ~primitives:Prims.names core;
-      { checked with env; core }
+  | Dicts | Dicts_flat -> checked
+  | Tags -> tag_translate checked files
 
 (* ------------------------------------------------------------------ *)
 (* Accumulating compilation.                                           *)
@@ -589,8 +913,7 @@ type checked = {
     the error cap is [opts.max_errors]. Never raises: a fatal error
     outside any boundary (lexer, layout) and any unexpected exception end
     up in [diagnostics] too. *)
-let compile_collect ?(opts = default_options) ?(file = "<input>")
-    (src : string) : checked =
+let compile_collect_files ?(opts = default_options) ?base files : checked =
   let sink = Diagnostic.Sink.create ~max_errors:opts.max_errors () in
   let safe_report d =
     try Diagnostic.Sink.report sink d
@@ -598,25 +921,15 @@ let compile_collect ?(opts = default_options) ?(file = "<input>")
   in
   let artifact =
     match
+      let checked = check_files ~sink ~opts ?base files in
       match opts.strategy with
-      | Dicts | Dicts_flat -> compile_dicts ~sink ~opts ~file src
+      | Dicts | Dicts_flat -> checked
       | Tags ->
-          let checked = compile_dicts ~sink ~opts ~file src in
           if Diagnostic.Sink.has_errors sink then checked
           else
             Diagnostic.guard ~sink ~stage:"tag translation" ~loc:Loc.none
               ~recover:(fun () -> checked)
-              (fun () ->
-                let env, groups, _ =
-                  front ~metrics:opts.metrics ~rt:opts.rtrace
-                    ~include_prelude:opts.include_prelude ~file src
-                in
-                let core =
-                  Tc_tagdispatch.Tagdispatch.translate_program env groups
-                in
-                if opts.lint then
-                  Lint.check_program ~primitives:Prims.names core;
-                { checked with env; core })
+              (fun () -> tag_translate checked files)
     with
     | c -> if Diagnostic.Sink.has_errors sink then None else Some c
     | exception Diagnostic.Sink.Limit_reached ->
@@ -636,6 +949,9 @@ let compile_collect ?(opts = default_options) ?(file = "<input>")
         None
   in
   { diagnostics = Diagnostic.Sink.diagnostics sink; artifact }
+
+let compile_collect ?opts ?(file = "<input>") (src : string) : checked =
+  compile_collect_files ?opts [ (file, src) ]
 
 (* ------------------------------------------------------------------ *)
 (* Execution.                                                          *)

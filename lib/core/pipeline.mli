@@ -95,6 +95,13 @@ val infer_options : options -> Infer.options
     their keys so differently-specialized artifacts never collide. *)
 val spec_signature : options -> string
 
+(** A prelude snapshot: a checked program that compiles extend instead of
+    starting from nothing — its static and value environments (every
+    type zonked), fixities, normalized core, desugared kernel groups and
+    the diagnostics checking it raised. Immutable once built, and shared
+    read-only by every domain. *)
+type base
+
 type compiled = {
   env : Class_env.t;
   core : Core.program;
@@ -107,13 +114,43 @@ type compiled = {
       (** what the last [Specialise] pass did, once {!optimize} ran one *)
   venv : Infer.venv;     (** tooling: the final value environment *)
   fixities : Fixity.env; (** tooling: the program's fixity table *)
+  base : base;           (** the snapshot this compile extended *)
 }
 
 (** Compile a program under [opts.strategy]. Raises {!Diagnostic.Error} on
     any compile-time error. Under {!Tags} the program is still type checked
     (methods overloaded only in their result type are rejected in user
-    code) before the independent §3 translation. *)
+    code) before the independent §3 translation.
+
+    The program extends the process's prelude snapshot for [opts]: checked
+    once per process for each combination of layout, literal overloading
+    and defaulting, then shared; with [include_prelude] off, the
+    {!empty_base}; with [opts.trace] on, built afresh with the trace
+    attached, so the trace lists the prelude's events too. Its
+    [checker_stats] count the program's own work only. *)
 val compile : ?opts:options -> ?file:string -> string -> compiled
+
+(** Builtin types and constructors and the primitives, nothing else.
+    [compile_collect_files ~base:(empty_base ()) (prelude :: files)],
+    with the prelude source named ["<prelude>"], checks the prelude along
+    with the files, and must mean exactly what the snapshot path does. *)
+val empty_base : unit -> base
+
+(** Process-wide snapshot instruments, as a fresh registry: the counter
+    [prelude/snapshot_builds] (memoized snapshots built so far) and the
+    gauge [prelude/snapshot_words] (their total reachable size). *)
+val snapshot_metrics : unit -> Tc_obs.Metrics.t
+
+(** The memoized snapshot [c] extended, with its size in words, when [c]
+    shares one (not after unmarshaling, nor for a traced or prelude-less
+    compile). *)
+val shared_base : compiled -> (base * int) option
+
+(** Words reachable from [c] that it does not share with its snapshot:
+    everything when {!shared_base} is [None], else the compile's own core,
+    schemes and diagnostics and its own entries in the environments —
+    what a cache entry holding [c] actually keeps alive. *)
+val own_words : compiled -> int
 
 (** The outcome of an accumulating compile: every diagnostic recorded (in
     issue order — sort with {!Diagnostic.sort} for display), and the
@@ -134,6 +171,15 @@ type checked = {
     "internal error in <stage>" diagnostic of severity [Bug]. At most
     [opts.max_errors] errors are recorded. Never raises. *)
 val compile_collect : ?opts:options -> ?file:string -> string -> checked
+
+(** {!compile_collect} over [(file name, text)] sources, in order, on top
+    of [base] (by default the prelude snapshot for [opts], as for
+    {!compile}). A file sees the declarations, fixities and top-level
+    values of the base and of the files before it; its top level may not
+    rebind them, nor may its classes take their names for methods.
+    [compile_collect ~file src] is [compile_collect_files [ (file, src) ]]. *)
+val compile_collect_files :
+  ?opts:options -> ?base:base -> (string * string) list -> checked
 
 type backend = [ `Tree | `Vm ]
 

@@ -343,6 +343,11 @@ let stats_json t =
         let m = view () in
         [ ("scale", tally (Metrics.counters m @ Metrics.gauges m)) ]
   in
+  (* the process-wide prelude snapshots every compile extends *)
+  let prelude =
+    let m = Pipeline.snapshot_metrics () in
+    tally (Metrics.counters m @ Metrics.gauges m)
+  in
   Json.Obj
     ([
        ("requests", Json.Int s.requests);
@@ -355,24 +360,26 @@ let stats_json t =
        ("by_op", tally s.by_op);
        ("by_class", tally s.by_class);
        ("counters", counters_json t.totals);
+       ("prelude", prelude);
      ]
     @ scale_fields)
 
 let do_stats t ~id = ok_response t ~id ~op:"stats" [ ("stats", stats_json t) ]
 
-(* The registry the stats/metrics ops report: the server's own, plus a
-   merged-in copy of the [extra_metrics] view when configured (the scale
-   layer surfaces pool and cache counters this way). The extra registry
-   must not contain serve/* instruments, or the requests-vs-latency
-   invariant of the combined snapshot would break. *)
+(* The registry the stats/metrics ops report: the server's own, the
+   process's prelude snapshot instruments, and a merged-in copy of the
+   [extra_metrics] view when configured (the scale layer surfaces pool
+   and cache counters this way). The extra registry must not contain
+   serve/* instruments, or the requests-vs-latency invariant of the
+   combined snapshot would break. *)
 let reported_metrics t =
-  match t.config.extra_metrics with
-  | None -> t.metrics
-  | Some view ->
-      let m = Metrics.create () in
-      Metrics.merge ~into:m t.metrics;
-      Metrics.merge ~into:m (view ());
-      m
+  let m = Metrics.create () in
+  Metrics.merge ~into:m t.metrics;
+  Metrics.merge ~into:m (Pipeline.snapshot_metrics ());
+  Option.iter
+    (fun view -> Metrics.merge ~into:m (view ()))
+    t.config.extra_metrics;
+  m
 
 (* metrics: the whole registry as one deterministic snapshot; [stable]
    redacts machine-dependent quantities for golden comparison. The

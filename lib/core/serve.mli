@@ -21,7 +21,10 @@
     bumped together after the response is built, so in any snapshot the
     per-op latency counts sum exactly to the request counter. Requests
     compile with the same registry, so pipeline phase spans accumulate
-    across requests. The [metrics] op returns the snapshot; with
+    across requests. The [metrics] op returns the snapshot, with the
+    process's prelude snapshot instruments ([prelude/snapshot_builds],
+    [prelude/snapshot_words]) merged in, and the [stats] op reports them
+    under [prelude]; with
     [snapshot_every] > 0 the loop also emits a spontaneous
     [{"event": "metrics-snapshot", ...}] line every N requests.
 

@@ -60,8 +60,11 @@ let check_expr ~(globals : Ident.Set.t) (e : expr) : unit =
 
 (** Check a whole program given the names bound by the runtime (primitives
     and data constructors are checked structurally elsewhere). *)
-let check_program ~(primitives : Ident.t list) (p : program) : unit =
-  let globals = ref (Ident.Set.of_list primitives) in
+let check_program ?(scope = Ident.Set.empty) ~(primitives : Ident.t list)
+    (p : program) : unit =
+  let globals =
+    ref (List.fold_left (fun s x -> Ident.Set.add x s) scope primitives)
+  in
   List.iter
     (fun g ->
       (match g with

@@ -10,5 +10,8 @@ exception Lint of error
 
 val check_expr : globals:Ident.Set.t -> Core.expr -> unit
 
-(** Check a whole program, given the ambient primitive names. *)
-val check_program : primitives:Ident.t list -> Core.program -> unit
+(** Check a whole program, given the ambient primitive names. [scope]
+    (empty by default) names further globals the program may refer to:
+    the bindings of the snapshot a compile extends. *)
+val check_program :
+  ?scope:Ident.Set.t -> primitives:Ident.t list -> Core.program -> unit

@@ -296,7 +296,8 @@ and fun_bind_expr env (fb : Ast.fun_bind) : Kernel.expr =
 (* Binding blocks: signatures, pattern-binding expansion, SCCs.        *)
 (* ------------------------------------------------------------------ *)
 
-and decls_to_groups ?sink env (ds : Ast.decl list) : Kernel.group list =
+and decls_to_groups ?sink ?(outer = Ident.Set.empty) env (ds : Ast.decl list)
+    : Kernel.group list =
   (* per-item recovery boundary: with [sink], a bad signature or binding
      loses only itself (references to it desugar as free variables and are
      reported at their use sites); without, the error propagates *)
@@ -325,6 +326,11 @@ and decls_to_groups ?sink env (ds : Ast.decl list) : Kernel.group list =
   let binds : Kernel.bind list ref = ref [] in
   let bound : Loc.t Ident.Tbl.t = Ident.Tbl.create 8 in
   let add_bind ~loc name e ~restricted_without_sig =
+    if Ident.Set.mem name outer then
+      err ~loc
+        "'%a' is already defined (by the prelude, or as a primitive) and \
+         cannot be redefined"
+        Ident.pp name;
     if Ident.Tbl.mem bound name then
       err ~loc "'%a' is bound more than once in the same block" Ident.pp name;
     Ident.Tbl.add bound name loc;
@@ -476,5 +482,5 @@ and scc_groups (binds : Kernel.bind list) : Kernel.group list =
     (List.rev !components)
 
 (** Desugar top-level value declarations (signatures and bindings). *)
-let top_decls ?sink env (ds : Ast.decl list) : Kernel.group list =
-  decls_to_groups ?sink env ds
+let top_decls ?sink ?outer env (ds : Ast.decl list) : Kernel.group list =
+  decls_to_groups ?sink ?outer env ds

@@ -153,7 +153,3 @@ let instance_dict_expr env strategy (inst : Class_env.inst_info) : Core.expr =
 let instance_dict_binding env strategy inst : Core.bind =
   { Core.b_name = inst.Class_env.in_dict;
     b_expr = instance_dict_expr env strategy inst }
-
-(** Dictionary bindings for every instance in the environment. *)
-let all_dict_bindings env strategy : Core.bind list =
-  List.map (instance_dict_binding env strategy) (Class_env.all_instances env)

@@ -19,6 +19,3 @@ val instance_dict_expr :
 
 val instance_dict_binding :
   Class_env.t -> Layout.strategy -> Class_env.inst_info -> Core.bind
-
-(** Dictionary bindings for every instance in the environment. *)
-val all_dict_bindings : Class_env.t -> Layout.strategy -> Core.bind list

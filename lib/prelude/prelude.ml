@@ -6,9 +6,10 @@
     together with instances for the primitive and built-in types and the
     usual list/function library.
 
-    It is compiled together with every user program, so it exercises the
-    whole pipeline: classes, superclasses, defaults, derived instances,
-    overloaded literals, signatures, and pattern-match compilation. *)
+    It is checked once per process into the snapshot every user program
+    extends (see [Pipeline]), and exercises the whole pipeline: classes,
+    superclasses, defaults, derived instances, overloaded literals,
+    signatures, and pattern-match compilation. *)
 
 let source = {prelude|
 -- Booleans ----------------------------------------------------------

@@ -6,17 +6,18 @@
     contend only when they land on the same stripe, not on one global
     mutex. The telemetry registry has its own lock (counter bumps from
     any stripe serialize there, but those are single increments, not
-    table scans). Lock order: a stripe lock may be held while taking
+    table scans), and so does the list of charged prelude snapshots.
+    Lock order: a stripe lock may be held while taking the snapshot or
     the registry lock, never the reverse, and no two stripe locks are
     ever held together — occupancy gauges read the other stripes'
     fields unlocked (a benign race: an int field read can be stale but
     never torn, and gauges are advisory).
 
-    The byte budget divides evenly across stripes, so eviction is a
-    stripe-local LRU scan: a global LRU would need every stripe's lock
-    at once. The split can evict a key the global LRU would have kept
-    (its stripe is hot while another is cold), which only costs a
-    recompile, never correctness.
+    What the shared snapshots leave of the byte budget divides evenly
+    across stripes, so eviction is a stripe-local LRU scan: a global LRU
+    would need every stripe's lock at once. The split can evict a key
+    the global LRU would have kept (its stripe is hot while another is
+    cold), which only costs a recompile, never correctness.
 
     Compiles always run {e outside} any lock — a slow compile must not
     stall other workers' hits — so two workers racing on the same
@@ -35,7 +36,8 @@ type value =
 
 type entry = {
   e_value : value;
-  e_bytes : int;          (* estimated reachable size, at insert *)
+  e_bytes : int;          (* estimated size of its own part, at insert *)
+  e_base : Pipeline.base option;  (* the shared snapshot it extends *)
   mutable e_tick : int;   (* LRU clock value of the last touch *)
   mutable e_hits : int;   (* per-entry, drives sampled verification *)
 }
@@ -52,9 +54,19 @@ type stripe = {
    with low collision probability. *)
 let n_stripes = 16
 
+(* A shared prelude snapshot the entries extend, charged to the cache
+   once while any entry holds it. *)
+type charged = {
+  c_base : Pipeline.base;
+  c_bytes : int;
+  mutable c_refs : int;  (* entries holding it *)
+}
+
 type t = {
   stripes : stripe array;
-  stripe_max_bytes : int;  (* byte budget per stripe; 0 = unbounded *)
+  max_bytes : int;  (* total byte budget; 0 = unbounded *)
+  mutable bases : charged list;  (* guarded by [bases_lock] *)
+  bases_lock : Mutex.t;
   verify_every : int;
   reg : Metrics.t;
   reg_lock : Mutex.t;
@@ -99,8 +111,9 @@ let create ?(max_bytes = 64 * 1024 * 1024) ?(verify_every = 0) ?dir () =
               tick = 0;
               total_bytes = 0;
             });
-      stripe_max_bytes =
-        (if max_bytes > 0 then max 1 (max_bytes / n_stripes) else 0);
+      max_bytes = max 0 max_bytes;
+      bases = [];
+      bases_lock = Mutex.create ();
       verify_every;
       reg = Metrics.create ();
       reg_lock = Mutex.create ();
@@ -139,10 +152,14 @@ let close t =
    a moment later anyway. Must be called with NO stripe lock held
    (gauge writes take [reg_lock]; holding a stripe lock here would be
    fine for ordering but the callers don't need to). *)
+let base_bytes t =
+  Mutex.protect t.bases_lock @@ fun () ->
+  List.fold_left (fun n c -> n + c.c_bytes) 0 t.bases
+
 let occupancy t =
   Array.fold_left
     (fun (n, b) s -> (n + Hashtbl.length s.table, b + s.total_bytes))
-    (0, 0) t.stripes
+    (0, base_bytes t) t.stripes
 
 let set_occupancy t =
   let n, b = occupancy t in
@@ -348,16 +365,64 @@ let fingerprint_value = function
 
 (* ---- the table ---- *)
 
-let size_of (v : value) : int =
-  Obj.reachable_words (Obj.repr v) * (Sys.word_size / 8)
+(* An entry's own size in bytes, and the shared snapshot it extends with
+   that snapshot's size: walking the snapshot on every insert would cost
+   more than the rest of the entry, and would charge every entry for
+   memory they all share. *)
+let size_of (v : value) : int * (Pipeline.base * int) option =
+  let bytes words = words * (Sys.word_size / 8) in
+  let artifact c =
+    (bytes (Pipeline.own_words c),
+     Option.map (fun (b, w) -> (b, bytes w)) (Pipeline.shared_base c))
+  in
+  match v with
+  | Artifact c -> artifact c
+  | Checked ck -> (
+      let rest =
+        bytes (Obj.reachable_words (Obj.repr ck.Pipeline.diagnostics))
+      in
+      match ck.Pipeline.artifact with
+      | None -> (rest, None)
+      | Some c ->
+          let own, base = artifact c in
+          (rest + own, base))
+
+(* Charge [base] once, however many entries extend it: the first entry
+   holding it adds its size, the last one to go takes it away. *)
+let charge t = function
+  | None -> ()
+  | Some (b, bytes) ->
+      Mutex.protect t.bases_lock @@ fun () ->
+      match List.find_opt (fun c -> c.c_base == b) t.bases with
+      | Some c -> c.c_refs <- c.c_refs + 1
+      | None ->
+          t.bases <- { c_base = b; c_bytes = bytes; c_refs = 1 } :: t.bases
+
+let uncharge t = function
+  | None -> ()
+  | Some b ->
+      Mutex.protect t.bases_lock @@ fun () ->
+      match List.find_opt (fun c -> c.c_base == b) t.bases with
+      | Some c ->
+          c.c_refs <- c.c_refs - 1;
+          if c.c_refs = 0 then
+            t.bases <- List.filter (fun c' -> c' != c) t.bases
+      | None -> ()
+
+(* A stripe's share of what the budget leaves after the shared
+   snapshots; 0 = unbounded. *)
+let stripe_budget t =
+  if t.max_bytes = 0 then 0
+  else max 1 ((t.max_bytes - base_bytes t) / n_stripes)
 
 (* Evict this stripe's least-recently-used entries until its share of
    the byte budget holds. Linear scan for the minimum tick: stripes are
    small (tens to hundreds of entries) and eviction is off the hit
    path. Caller holds the stripe lock. *)
 let evict_over_budget t (s : stripe) =
-  if t.stripe_max_bytes > 0 then
-    while s.total_bytes > t.stripe_max_bytes && Hashtbl.length s.table > 0 do
+  let budget = stripe_budget t in
+  if budget > 0 then
+    while s.total_bytes > budget && Hashtbl.length s.table > 0 do
       let victim =
         Hashtbl.fold
           (fun k e acc ->
@@ -371,6 +436,7 @@ let evict_over_budget t (s : stripe) =
       | Some (k, e) ->
           Hashtbl.remove s.table k;
           s.total_bytes <- s.total_bytes - e.e_bytes;
+          uncharge t e.e_base;
           count t "evictions"
     done
 
@@ -395,14 +461,21 @@ let lookup t k =
    worker inserted the same key meanwhile, keep theirs. *)
 let insert t k v =
   let v = strip_value v in
-  let sz = size_of v in
+  let sz, base = size_of v in
   let s = stripe_of t k in
   locked s.lock (fun () ->
       if not (Hashtbl.mem s.table k) then begin
         s.tick <- s.tick + 1;
         Hashtbl.add s.table k
-          { e_value = v; e_bytes = sz; e_tick = s.tick; e_hits = 0 };
+          {
+            e_value = v;
+            e_bytes = sz;
+            e_base = Option.map fst base;
+            e_tick = s.tick;
+            e_hits = 0;
+          };
         s.total_bytes <- s.total_bytes + sz;
+        charge t base;
         count t "inserts";
         evict_over_budget t s
       end);
@@ -415,7 +488,8 @@ let drop t k =
       | None -> ()
       | Some e ->
           Hashtbl.remove s.table k;
-          s.total_bytes <- s.total_bytes - e.e_bytes);
+          s.total_bytes <- s.total_bytes - e.e_bytes;
+          uncharge t e.e_base);
   set_occupancy t
 
 (* The common shape of both paths: [compile ()] must produce the same

@@ -39,9 +39,12 @@
       propagates and leaves no entry, so error responses always reflect
       a fresh compile.
     - Bounded LRU: entries are evicted least-recently-used-first once
-      the byte budget (estimated reachable size of stored artifacts) is
-      exceeded. The budget divides evenly across the stripes (below),
-      and eviction is stripe-local — a hot stripe can evict an entry a
+      the byte budget is exceeded. An entry is charged for what it holds
+      itself ({!Typeclasses.Pipeline.own_words}); the prelude snapshot
+      its artifact extends is charged once, however many entries share
+      it, for as long as any of them is cached. What the snapshots leave
+      of the budget divides evenly across the stripes (below), and
+      eviction is stripe-local — a hot stripe can evict an entry a
       global LRU would have kept, costing a recompile, never
       correctness.
     - Verification mode: with [verify_every = n > 0], every [n]-th hit
@@ -133,7 +136,8 @@ val check :
 
 val entries : t -> int
 val bytes : t -> int
-(** Current occupancy (also exported as gauges). *)
+(** Current occupancy (also exported as gauges): bytes count every
+    entry's own part plus each shared snapshot once. *)
 
 val fingerprint : Pipeline.compiled -> string
 (** The gensym-invariant digest verification mode compares: sorted

@@ -1,5 +1,5 @@
 (** Monotonic counters for minting unique integers. Distinct supplies are
-    independent. *)
+    independent; each is safe to draw from on several domains at once. *)
 
 type t
 

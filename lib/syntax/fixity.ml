@@ -3,8 +3,10 @@
     The parser leaves infix expressions as flat sequences ([EOpSeq]); this
     pass rebuilds them into left/right-nested applications once all [infixl]/
     [infixr]/[infix] declarations have been collected. Fixity declarations
-    are treated as global (local re-declarations apply program-wide), which
-    matches how every realistic program uses them. *)
+    are treated as global to their file (local re-declarations apply
+    file-wide), which matches how every realistic program uses them; a
+    file is resolved with the fixities of the files before it (the
+    prelude's) plus its own. *)
 
 open Tc_support
 open Ast

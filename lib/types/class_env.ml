@@ -143,6 +143,12 @@ let create ?(sink = Diagnostic.Sink.create ()) () =
     trace = Tc_obs.Trace.none;
   }
 
+(** A fresh environment extending [env]: every table is a persistent map,
+    so this is a record copy, and what is added through the copy never
+    reaches [env]. The copy gets its own diagnostic sink and no trace. *)
+let extend ?(sink = Diagnostic.Sink.create ()) env =
+  { env with sink; trace = Tc_obs.Trace.none }
+
 (** The constructor of the [n]-tuple, registered on first use. *)
 let tuple_con env n : con_info =
   if n < 2 then invalid_arg "Class_env.tuple_con";

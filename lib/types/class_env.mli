@@ -70,6 +70,12 @@ type t = {
     (nil, cons, unit). *)
 val create : ?sink:Diagnostic.Sink.sink -> unit -> t
 
+(** A fresh environment extending [env] in O(1): the tables are
+    persistent maps, so this copies the record, and additions made
+    through the copy never reach [env]. The copy reports into [sink]
+    (a new one by default) and has tracing off. *)
+val extend : ?sink:Diagnostic.Sink.sink -> t -> t
+
 (** The constructor of the [n]-tuple, registered on first use. *)
 val tuple_con : t -> int -> con_info
 

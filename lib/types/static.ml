@@ -41,7 +41,12 @@ let check_distinct ~loc what params =
       else Hashtbl.add seen (Ident.text p) ())
     params
 
-let register_tycons (env : Class_env.t) (g : decl_guard) (prog : Ast.program) =
+(* Returns the data declarations this pass registered, by name and
+   location: the later passes skip a declaration that lost to an earlier
+   one of the same name, instead of cascading into its constructors. *)
+let register_tycons (env : Class_env.t) (g : decl_guard) (prog : Ast.program)
+    : (Ident.t, Loc.t) Hashtbl.t =
+  let registered = Hashtbl.create 16 in
   List.iter
     (function
       | Ast.TData d ->
@@ -54,7 +59,8 @@ let register_tycons (env : Class_env.t) (g : decl_guard) (prog : Ast.program) =
               env.tycons <-
                 Ident.Map.add d.td_name
                   (Tycon.make d.td_name (List.length d.td_params))
-                  env.tycons)
+                  env.tycons;
+              Hashtbl.replace registered d.td_name d.td_loc)
       | Ast.TSyn s ->
           g ~loc:s.ts_loc (fun () ->
               if Class_env.find_tycon env s.ts_name <> None
@@ -65,7 +71,11 @@ let register_tycons (env : Class_env.t) (g : decl_guard) (prog : Ast.program) =
               env.synonyms <-
                 Ident.Map.add s.ts_name (s.ts_params, s.ts_body) env.synonyms)
       | _ -> ())
-    prog
+    prog;
+  registered
+
+let registered_here registered (d : Ast.data_decl) =
+  Hashtbl.find_opt registered d.td_name = Some d.td_loc
 
 let check_synonym_cycles (env : Class_env.t) (g : decl_guard) =
   let rec styp_syns acc (t : Ast.styp) =
@@ -97,16 +107,13 @@ let check_synonym_cycles (env : Class_env.t) (g : decl_guard) =
 (* Pass 2: data constructors.                                          *)
 (* ------------------------------------------------------------------ *)
 
-let register_datacons (env : Class_env.t) (g : decl_guard) (prog : Ast.program) =
+let register_datacons (env : Class_env.t) (g : decl_guard) registered
+    (prog : Ast.program) =
   List.iter
     (function
       | Ast.TData d -> (
           match Class_env.find_tycon env d.td_name with
-          | None ->
-              (* only possible when pass 1 already reported an error for
-                 this declaration in accumulating mode — skip it *)
-              ()
-          | Some tc ->
+          | Some tc when registered_here registered d ->
               g ~loc:d.td_loc @@ fun () ->
           let params =
             List.map (fun _ -> Ty.fresh_var ~level:Ty.generic_level ()) d.td_params
@@ -154,7 +161,11 @@ let register_datacons (env : Class_env.t) (g : decl_guard) (prog : Ast.program) 
           env.tycon_cons <-
             Ident.Map.add d.td_name
               (List.map (fun (c : Ast.con_decl) -> c.cd_name) d.td_cons)
-              env.tycon_cons)
+              env.tycon_cons
+          | _ ->
+              (* pass 1 reported this declaration (a duplicate, or a bad
+                 one in accumulating mode) — skip it *)
+              ())
       | _ -> ())
     prog
 
@@ -162,7 +173,8 @@ let register_datacons (env : Class_env.t) (g : decl_guard) (prog : Ast.program) 
 (* Pass 3: classes.                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let register_classes (env : Class_env.t) (g : decl_guard) (prog : Ast.program) =
+let register_classes (env : Class_env.t) (g : decl_guard) ~outer
+    (prog : Ast.program) =
   (* 3a: skeletons, so superclass references can be forward. *)
   List.iter
     (function
@@ -209,10 +221,16 @@ let register_classes (env : Class_env.t) (g : decl_guard) (prog : Ast.program) =
       if List.exists (Ident.equal ci.ci_name) (Class_env.supers_closure env ci.ci_name)
       then err ~loc:ci.ci_loc "superclass cycle involving '%a'" Ident.pp ci.ci_name)
     env.classes;
-  (* 3c: methods and defaults. *)
+  (* 3c: methods and defaults, for the declarations 3a registered (a
+     duplicate must not overwrite the class it lost to) *)
+  let registered (c : Ast.class_decl) =
+    match Class_env.find_class env c.tc_name with
+    | Some ci -> ci.ci_loc = c.tc_loc
+    | None -> false
+  in
   List.iter
     (function
-      | Ast.TClass c when Class_env.find_class env c.tc_name <> None ->
+      | Ast.TClass c when registered c ->
           g ~loc:c.tc_loc @@ fun () ->
           let grouped = Ast.group_decls c.tc_body in
           let method_names = ref [] in
@@ -222,6 +240,11 @@ let register_classes (env : Class_env.t) (g : decl_guard) (prog : Ast.program) =
                 (fun m ->
                   if Class_env.find_method env m <> None then
                     err ~loc "method '%a' is declared in more than one class"
+                      Ident.pp m;
+                  if Ident.Set.mem m outer then
+                    err ~loc
+                      "method '%a' would redefine a name already defined (by \
+                       the prelude, or as a primitive)"
                       Ident.pp m;
                   (* the signature must mention the class variable *)
                   let rec mentions (t : Ast.styp) =
@@ -500,8 +523,8 @@ let check_superclass_coverage (env : Class_env.t) (g : decl_guard) =
 (* Driver.                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let process ?(env = Class_env.create ()) ?(fail_fast = true) (prog : Ast.program)
-    : result =
+let process ?(env = Class_env.create ()) ?(fail_fast = true)
+    ?(outer = Ident.Set.empty) (prog : Ast.program) : result =
   let g : decl_guard =
    fun ~loc f ->
     if fail_fast then f ()
@@ -510,10 +533,10 @@ let process ?(env = Class_env.create ()) ?(fail_fast = true) (prog : Ast.program
         ~recover:(fun () -> ())
         f
   in
-  register_tycons env g prog;
+  let registered = register_tycons env g prog in
   check_synonym_cycles env g;
-  register_datacons env g prog;
-  register_classes env g prog;
+  register_datacons env g registered prog;
+  register_classes env g ~outer prog;
   (* explicit instances first, then derived ones *)
   List.iter
     (function
@@ -522,7 +545,7 @@ let process ?(env = Class_env.create ()) ?(fail_fast = true) (prog : Ast.program
     prog;
   List.iter
     (function
-      | Ast.TData d ->
+      | Ast.TData d when registered_here registered d ->
           List.iter
             (fun cls ->
               g ~loc:d.td_loc (fun () ->

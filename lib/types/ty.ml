@@ -74,6 +74,15 @@ let rec prune (t : t) : t =
       r
   | _ -> t
 
+(** [t] with every link followed, rebuilt: the copy holds no [Link], so
+    pruning or printing it never writes. Types shared between domains
+    must be zonked, or [prune]'s path compression would write into
+    them from several domains at once. *)
+let rec zonk (t : t) : t =
+  match prune t with
+  | TVar _ as v -> v
+  | TCon (tc, args) -> TCon (tc, List.map zonk args)
+
 (** The unbound payload of a pruned [TVar]; fails on links. *)
 let unbound_exn tv =
   match tv.tv_repr with

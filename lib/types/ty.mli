@@ -48,6 +48,10 @@ end
 (** Follow links to the representative, with path compression. *)
 val prune : t -> t
 
+(** A copy with every link followed, so reading it never writes (the
+    form in which types are shared between domains). *)
+val zonk : t -> t
+
 (** The unbound payload of a variable; fails if it is a link. *)
 val unbound_exn : tyvar -> unbound
 

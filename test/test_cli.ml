@@ -449,19 +449,23 @@ let tests =
                   try Sys.remove mfile with Sys_error _ -> ()
                 in
                 Fun.protect ~finally:cleanup @@ fun () ->
-                let serve extra =
+                let serve ?(first = "") extra =
                   Sys.command
                     (Printf.sprintf
-                       "printf '%s\\n' | %s serve --cache-dir %s %s \
+                       "printf '%s%s\\n' | %s serve --cache-dir %s %s \
                         >/dev/null 2>&1"
+                       first
                        "{\"op\":\"run\",\"src\":\"main = 1 + 1\"}"
                        (Filename.quote mhc) (Filename.quote dir) extra)
                 in
                 Alcotest.(check int) "first server exits clean" 0 (serve "");
-                (* a different process, same directory: starts warm *)
+                (* a different process, same directory: starts warm. It
+                   compiles a new program first, so both processes build
+                   a prelude snapshot *)
                 Alcotest.(check int) "second server exits clean" 0
-                  (serve (Printf.sprintf "--metrics %s"
-                            (Filename.quote mfile)));
+                  (serve
+                     ~first:"{\"op\":\"run\",\"src\":\"main = 2 + 2\"}\\n"
+                     (Printf.sprintf "--metrics %s" (Filename.quote mfile)));
                 let metrics =
                   let ic = open_in_bin mfile in
                   Fun.protect
@@ -472,6 +476,26 @@ let tests =
                 Alcotest.(check bool) "restart hit the disk tier" true
                   (Helpers.contains
                      ~needle:"\"scale/cache/persist/hits\": 1" metrics);
+                Alcotest.(check bool) "the second process built a snapshot"
+                  true
+                  (Helpers.contains
+                     ~needle:"\"prelude/snapshot_builds\": 1" metrics);
+                let adopted =
+                  match Tc_obs.Json.parse metrics with
+                  | Ok j -> (
+                      match
+                        Option.bind (Tc_obs.Json.member "gauges" j)
+                          (Tc_obs.Json.member
+                             "scale/cache/persist/adopted_idents")
+                      with
+                      | Some (Tc_obs.Json.Int n) -> n
+                      | _ -> 0)
+                  | Error e -> Alcotest.failf "metrics not JSON: %s" e
+                in
+                Alcotest.(check bool) "the saved intern table was adopted"
+                  true (adopted > 0);
+                Alcotest.(check bool) "the directory was not wiped" false
+                  (Helpers.contains ~needle:"persist/wiped" metrics);
                 (* stats --json surfaces the directory summary *)
                 let code, out =
                   run_mhc
@@ -479,10 +503,42 @@ let tests =
                       path ]
                 in
                 Alcotest.(check int) "stats exit" 0 code;
-                Alcotest.(check bool) "one valid entry reported" true
-                  (Helpers.contains ~needle:"\"entries\": 1" out);
+                Alcotest.(check bool) "both programs' entries reported" true
+                  (Helpers.contains ~needle:"\"entries\": 2" out);
                 Alcotest.(check bool) "nothing corrupt" true
                   (Helpers.contains ~needle:"\"corrupt\": 0" out)));
+        case "serve --workers 4 builds one snapshot per option combination"
+          (fun () ->
+            let mfile = Filename.temp_file "mhc_snapshots" ".json" in
+            Fun.protect ~finally:(fun () -> Sys.remove mfile) @@ fun () ->
+            let reqs =
+              List.concat_map
+                (fun i ->
+                  List.map
+                    (fun strategy ->
+                      Printf.sprintf
+                        "{\"op\":\"run\",\"strategy\":\"%s\",\"src\":\"main = %d\"}"
+                        strategy i)
+                    [ "dict"; "dict-flat"; "tags" ])
+                (List.init 8 Fun.id)
+            in
+            let code =
+              Sys.command
+                (Printf.sprintf
+                   "printf '%s\\n' | %s serve --workers 4 --metrics %s \
+                    >/dev/null 2>&1"
+                   (String.concat "\\n" reqs)
+                   (Filename.quote mhc) (Filename.quote mfile))
+            in
+            Alcotest.(check int) "exit" 0 code;
+            let metrics = In_channel.with_open_bin mfile In_channel.input_all in
+            (* dict and tags check on the nested layout, dict-flat on the
+               flat one: two combinations, two builds *)
+            Alcotest.(check bool) "exactly two builds" true
+              (Helpers.contains ~needle:"\"prelude/snapshot_builds\": 2"
+                 metrics);
+            Alcotest.(check bool) "snapshot size reported" true
+              (Helpers.contains ~needle:"\"prelude/snapshot_words\"" metrics));
         case "serve --listen rejects IPv6 literals with a clear diagnostic"
           (fun () ->
             List.iter

@@ -464,6 +464,20 @@ let persist_cases =
         Cache.close a;
         (* a fresh cache over the same directory: the restarted server *)
         let b = Cache.create ~dir () in
+        (* both processes check against a prelude snapshot: the restarted
+           cache must still adopt the saved intern table, keep the
+           directory, and serve from it *)
+        Alcotest.(check bool) "intern table adopted" true
+          (List.assoc_opt "scale/cache/persist/adopted_idents"
+             (Metrics.gauges (Cache.metrics b))
+           |> Option.value ~default:0 > 0);
+        Alcotest.(check int) "directory kept" 0
+          (cache_counter b "persist/wiped");
+        ignore
+          (Cache.compile_run b ~opts:default_opts ~passes:[]
+             ~src:"main = 7 * 6");
+        Alcotest.(check int) "a new program compiles on the snapshot" 1
+          (cache_counter b "misses");
         let config =
           {
             Serve.default_config with
