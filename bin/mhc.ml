@@ -1184,46 +1184,24 @@ let serve_cmd =
              ~max_bytes:(max 0 cache_mb * 1024 * 1024)
              ~verify_every:cache_verify ?dir:cache_dir ())
     in
-    let hooks =
-      let cached =
-        match cache with
-        | None -> Serve.no_hooks
-        | Some c ->
-            {
-              Serve.no_hooks with
-              Serve.compile =
-                Some
-                  (fun ~opts ~passes ~src ->
-                    Tc_scale.Cache.compile_run c ~opts ~passes ~src);
-              check = Some (fun ~opts ~src -> Tc_scale.Cache.check c ~opts ~src);
-            }
-      in
-      match spec_profile with
-      | None -> cached
-      | Some path ->
-          (* The specialise seam composes after the compile/cache seam:
-             cache hits get re-specialized against the loaded profile
-             (the cache stores unspecialized artifacts under a key that
-             excludes this server-side profile). *)
-          let specialise = spec_options_of_profile (Some path) in
-          let passes = spec_default_passes ~spec_profile [] in
-          {
-            cached with
-            Serve.specialise =
-              Some
-                (fun c ->
-                  Pipeline.optimize passes
-                    {
-                      c with
-                      Pipeline.options =
-                        { c.Pipeline.options with Pipeline.specialise };
-                    });
-          }
+    (* The server's spec profile is part of [base_opts], so the cache key
+       ([Pipeline.spec_signature]) covers it and the cache stores the
+       specialized artifact: the specializer runs once per compile, not
+       on every hit. Passes default as in [mhc run --spec-profile]. *)
+    let compile ~opts ~passes ~src =
+      let passes = spec_default_passes ~spec_profile passes in
+      match cache with
+      | Some c -> Tc_scale.Cache.compile_run c ~opts ~passes ~src
+      | None ->
+          Pipeline.optimize passes (Pipeline.compile ~opts ~file:"<serve>" src)
     in
     let config =
       {
         Serve.default_config with
-        Serve.base_opts = build_opts strategy no_prelude mono;
+        Serve.base_opts =
+          build_opts
+            ~specialise:(spec_options_of_profile spec_profile)
+            strategy no_prelude mono;
         default_budget = budget_of ~fuel:0 ~timeout;
         retries;
         backoff_ms;
@@ -1237,7 +1215,12 @@ let serve_cmd =
             (fun c () -> Tc_scale.Cache.metrics_view c)
             cache;
         rtrace;
-        hooks;
+        hooks =
+          {
+            Serve.no_hooks with
+            compile = Some compile;
+            check = Option.map Tc_scale.Cache.check cache;
+          };
       }
     in
     (* Shared postlude: fold the cache registry into the summary's,

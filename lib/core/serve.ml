@@ -11,9 +11,10 @@ module Counters = Tc_eval.Counters
 
 (* The seams where external layers plug into the request loop without a
    dependency cycle: Tc_scale's compile cache replaces [compile]/[check];
-   [specialise] post-processes every run's artifact (the CLI installs a
-   profile-guided Pipeline.optimize here), composing with a cache in
-   front of it because it runs on whatever the compile seam returned. *)
+   [specialise] post-processes every run's artifact after the compile
+   seam. [mhc serve] does not use [specialise] (its profile is in the
+   cache key, so the cache holds specialized artifacts); the traced
+   stand-in in perfbench/tracer still sets it. *)
 type hooks = {
   compile :
     (opts:Pipeline.options ->

@@ -89,9 +89,10 @@ type hooks = {
       (** likewise replaces [Pipeline.compile_collect] for [check] and
           [compile] ops *)
   specialise : (Pipeline.compiled -> Pipeline.compiled) option;
-      (** post-processes every [run] artifact {e after} the compile seam
-          — the CLI installs a profile-guided [Pipeline.optimize] here,
-          so specialization composes with a compile cache in front *)
+      (** post-processes every [run] artifact {e after} the compile seam,
+          on hits too. Unused by [mhc serve], which puts its spec profile
+          in [base_opts] so the compile cache stores the specialized
+          artifact; kept for the traced stand-in in [perfbench/tracer]. *)
 }
 
 (** All three seams empty. *)

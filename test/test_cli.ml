@@ -32,6 +32,71 @@ let with_program src (f : string -> unit) =
 
 let case = Helpers.case
 
+module Json = Tc_obs.Json
+module Pipeline = Typeclasses.Pipeline
+
+(** Pipe [requests] (one JSON object each) through [mhc serve args];
+    returns the exit code and the response lines. *)
+let serve_lines args (requests : Json.t list) : int * string list =
+  let input = Filename.temp_file "serve" ".in" in
+  let output = Filename.temp_file "serve" ".out" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove input; Sys.remove output)
+    (fun () ->
+      Out_channel.with_open_bin input (fun oc ->
+          List.iter
+            (fun r -> output_string oc (Json.to_line r ^ "\n"))
+            requests);
+      let code =
+        Sys.command
+          (Printf.sprintf "%s serve %s < %s > %s 2>/dev/null"
+             (Filename.quote mhc)
+             (String.concat " " (List.map Filename.quote args))
+             (Filename.quote input) (Filename.quote output))
+      in
+      let text = In_channel.with_open_bin output In_channel.input_all in
+      (code, List.filter (( <> ) "") (String.split_on_char '\n' text)))
+
+let json_field name line =
+  match Json.parse line with
+  | Ok j -> Json.member name j
+  | Error e -> Alcotest.failf "response is not JSON (%s): %s" e line
+
+(** The counter [name] in a [--metrics] file, 0 when absent. *)
+let metrics_counter file name =
+  match
+    Json.parse (In_channel.with_open_bin file In_channel.input_all)
+  with
+  | Ok j -> (
+      match Option.bind (Json.member "counters" j) (Json.member name) with
+      | Some (Json.Int n) -> n
+      | _ -> 0)
+  | Error e -> Alcotest.failf "metrics not JSON: %s" e
+
+(* A program the specializer clones when profiled, and a spec profile of
+   it written to a temp file. The profile is taken in process under the
+   file name serve compiles with, so its site descriptors match there. *)
+let my_sum n =
+  Printf.sprintf
+    "mySum :: Num a => a -> a\n\
+     mySum n = if n == 0 then 0 else n + mySum (n - 1)\n\
+     main = mySum (%d :: Int)\n"
+    n
+
+let with_spec_profile src (f : string -> Tc_obs.Profile.spec -> unit) =
+  let c = Pipeline.compile ~file:"<serve>" src in
+  let sp =
+    Tc_obs.Profile.spec_of_report
+      (Option.get (Pipeline.exec ~profile:true c).Pipeline.profile)
+  in
+  let path = Filename.temp_file "spec" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc ->
+          output_string oc (Json.to_string (Tc_obs.Profile.spec_json sp)));
+      f path sp)
+
 let demo = "double :: Num a => a -> a\ndouble x = x + x\nmain = double 21\n"
 
 let tests =
@@ -404,6 +469,131 @@ let tests =
                     Alcotest.(check int) "exit" 0 code;
                     Alcotest.(check bool) "answered with the result" true
                       (Helpers.contains ~needle:"\"value\":\"42\"" text))));
+        case "serve --spec-profile runs a request's opt under the profile"
+          (fun () ->
+            (* no [opt] means the spec pipeline; ["opt": X] runs X alone
+               under the profile, as [mhc run --spec-profile -O X] does.
+               Each request is sent twice: a miss, then a cache hit. *)
+            let src = my_sum 40 in
+            with_program src @@ fun path ->
+            with_spec_profile src @@ fun spec sp ->
+            let levels = [ None; Some "simplify"; Some "spec" ] in
+            let request opt =
+              Json.Obj
+                (("op", Json.Str "run") :: ("src", Json.Str src)
+                :: (match opt with
+                   | None -> []
+                   | Some x -> [ ("opt", Json.Str x) ]))
+            in
+            let code, lines =
+              serve_lines [ "--spec-profile"; spec ]
+                (List.concat_map (fun o -> [ request o; request o ]) levels)
+            in
+            Alcotest.(check int) "serve exit" 0 code;
+            Alcotest.(check int) "one response per request" 6
+              (List.length lines);
+            let selections =
+              List.mapi
+                (fun i opt ->
+                  let name = Option.value ~default:"(no opt)" opt in
+                  let miss = List.nth lines (2 * i) in
+                  Alcotest.(check string) (name ^ ": the hit answers alike")
+                    miss
+                    (List.nth lines ((2 * i) + 1));
+                  let code, out =
+                    run_mhc
+                      ([ "run"; "--spec-profile"; spec ]
+                      @ (match opt with None -> [] | Some x -> [ "-O"; x ])
+                      @ [ path ])
+                  in
+                  Alcotest.(check int) (name ^ ": run exit") 0 code;
+                  Alcotest.(check (option string))
+                    (name ^ ": value is mhc run's stdout")
+                    (Some out)
+                    (match json_field "value" miss with
+                    | Some (Json.Str v) -> Some (v ^ "\n")
+                    | _ -> None);
+                  let passes =
+                    Option.get
+                      (Tc_opt.Opt.of_string
+                         (Option.value ~default:"spec" opt))
+                  in
+                  let opts =
+                    {
+                      Pipeline.default_options with
+                      Pipeline.specialise =
+                        { Pipeline.default_spec with spec_profile = Some sp };
+                    }
+                  in
+                  let direct =
+                    Pipeline.exec
+                      (Pipeline.optimize passes
+                         (Pipeline.compile ~opts ~file:"<serve>" src))
+                  in
+                  let pairs = Tc_eval.Counters.pairs direct.Pipeline.counters in
+                  Alcotest.(check (list (pair string int)))
+                    (name ^ ": counters are the direct pipeline's")
+                    pairs
+                    (match json_field "counters" miss with
+                    | Some (Json.Obj fs) ->
+                        List.map
+                          (function
+                            | k, Json.Int v -> (k, v)
+                            | k, _ -> (k, -1))
+                          fs
+                    | _ -> []);
+                  List.assoc "selections" pairs)
+                levels
+            in
+            (* simplify alone keeps the dispatch the spec pipeline removes:
+               serve no longer appends the spec passes to a request's opt *)
+            Alcotest.(check bool) "simplify is not specialized" true
+              (List.nth selections 1 > List.nth selections 2));
+        case "serve --cache-dir keys specialized entries by profile"
+          (fun () ->
+            (* profiles A and B differ in their hit counts, so in their
+               digests: a restart under B must miss A's specialized entry
+               on disk, and a restart under A must still find it *)
+            let src = my_sum 40 in
+            with_spec_profile src @@ fun spec_a _ ->
+            with_spec_profile (my_sum 30) @@ fun spec_b _ ->
+            let dir = Filename.temp_file "mhc_cachedir" "" in
+            Sys.remove dir;
+            Sys.mkdir dir 0o755;
+            let mfile = Filename.temp_file "mhc_cachedir" ".json" in
+            let cleanup () =
+              Array.iter
+                (fun f -> Sys.remove (Filename.concat dir f))
+                (Sys.readdir dir);
+              Sys.rmdir dir;
+              Sys.remove mfile
+            in
+            Fun.protect ~finally:cleanup @@ fun () ->
+            let serve spec =
+              let code, lines =
+                serve_lines
+                  [ "--cache-dir"; dir; "--spec-profile"; spec;
+                    "--metrics"; mfile ]
+                  [ Json.Obj [ ("op", Json.Str "run"); ("src", Json.Str src) ] ]
+              in
+              Alcotest.(check int) "serve exit" 0 code;
+              Alcotest.(check (option string)) "the right answer"
+                (Some "820")
+                (match lines with
+                | [ l ] -> (
+                    match json_field "value" l with
+                    | Some (Json.Str v) -> Some v
+                    | _ -> None)
+                | _ -> None);
+              ( metrics_counter mfile "scale/cache/persist/hits",
+                metrics_counter mfile "scale/cache/persist/misses" )
+            in
+            Alcotest.(check (pair int int)) "profile A: a cold miss" (0, 1)
+              (serve spec_a);
+            Alcotest.(check (pair int int))
+              "restart under B: a miss, not A's entry" (0, 1) (serve spec_b);
+            Alcotest.(check (pair int int)) "restart under A: a hit" (1, 0)
+              (serve spec_a));
         case "serve answers over stdin and drains at EOF" (fun () ->
             with_program demo (fun _ ->
                 let out = Filename.temp_file "serve" ".out" in

@@ -171,6 +171,63 @@ let cache_cases =
           Cache.fingerprint (Pipeline.compile ~file:"t.mhs" demo)
         in
         Alcotest.(check string) "stable fingerprint" (fp ()) (fp ()));
+    case "a spec-profile hit returns the specialized artifact" (fun () ->
+        (* the key carries the profile digest and budgets, so the cache
+           can hold the post-specialization artifact: a hit must not run
+           the specializer again, and a verify recompile must agree *)
+        let src =
+          "mySum :: Num a => a -> a\n\
+           mySum n = if n == 0 then 0 else n + mySum (n - 1)\n\
+           main = mySum (40 :: Int)\n"
+        in
+        let profile =
+          (* profiled under the cache's file name: site descriptors carry
+             source locations *)
+          let c = Pipeline.compile ~file:"<serve>" src in
+          Tc_obs.Profile.spec_of_report
+            (Option.get (Pipeline.exec ~profile:true c).Pipeline.profile)
+        in
+        let passes = Option.get (Tc_opt.Opt.of_string "spec") in
+        let run ~verify_every =
+          let c = Cache.create ~verify_every () in
+          let m = Metrics.create () in
+          let opts =
+            {
+              default_opts with
+              Pipeline.specialise =
+                { Pipeline.default_spec with spec_profile = Some profile };
+              metrics = m;
+            }
+          in
+          let a = Cache.compile_run c ~opts ~passes ~src in
+          let b = Cache.compile_run c ~opts ~passes ~src in
+          Alcotest.(check int) "second call is a hit" 1
+            (cache_counter c "hits");
+          Alcotest.(check bool) "the first compile specialized" true
+            (match a.Pipeline.spec_report with
+            | Some r -> r.Tc_opt.Specialise.sr_clones > 0
+            | None -> false);
+          Alcotest.(check bool) "the hit carries the same report" true
+            (b.Pipeline.spec_report = a.Pipeline.spec_report);
+          let optimize_spans =
+            List.fold_left
+              (fun n (s : Metrics.span_stat) ->
+                if s.Metrics.sp_name = "optimize" then n + s.Metrics.sp_count
+                else n)
+              0 (Metrics.spans m)
+          in
+          let clones = (Option.get a.Pipeline.spec_report).sr_clones in
+          (c, optimize_spans, counter_of m "opt/spec/clones", clones)
+        in
+        let _, spans, counted, clones = run ~verify_every:0 in
+        Alcotest.(check int) "one optimize span for two calls" 1 spans;
+        Alcotest.(check int) "one batch of opt/spec/clones" clones counted;
+        let c, spans, counted, clones = run ~verify_every:1 in
+        Alcotest.(check int) "the verify recompile re-specializes" 2 spans;
+        Alcotest.(check int) "two batches of opt/spec/clones" (2 * clones)
+          counted;
+        Alcotest.(check int) "verified" 1 (cache_counter c "verified");
+        Alcotest.(check int) "no mismatch" 0 (cache_counter c "verify_fail"));
     case "compile errors propagate and are never cached" (fun () ->
         let c = Cache.create () in
         let bad = "main = notInScope" in
