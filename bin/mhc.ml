@@ -1234,11 +1234,11 @@ let serve_cmd =
       Metrics.merge ~into:merged (Pipeline.snapshot_metrics ());
       write_metrics mfile merged;
       write_rtrace tfile rtrace;
-      let s = summary.Tc_scale.Pool.stats in
+      let requests = Serve.requests merged and failed = Serve.failed merged in
       Fmt.epr
         "serve: %d requests, %d ok, %d failed, %d retried (%d worker%s, %d \
          restart%s)@."
-        s.Serve.requests s.Serve.ok s.Serve.failed s.Serve.retried
+        requests (requests - failed) failed (Serve.retries merged)
         summary.Tc_scale.Pool.workers
         (if summary.Tc_scale.Pool.workers = 1 then "" else "s")
         summary.Tc_scale.Pool.restarts

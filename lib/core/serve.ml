@@ -9,6 +9,26 @@ module Diagnostic = Tc_support.Diagnostic
 module Eval = Tc_eval.Eval
 module Counters = Tc_eval.Counters
 
+(* What a check/compile response shows of an accumulating compile, as
+   plain data: [schemes] is [None] iff no artifact was produced. *)
+type check_answer = {
+  diagnostics : Diagnostic.t list;
+  schemes : (string * string) list option;
+}
+
+let check_answer_of ({ diagnostics; artifact } : Pipeline.checked) =
+  {
+    diagnostics;
+    schemes =
+      Option.map
+        (fun (c : Pipeline.compiled) ->
+          List.map
+            (fun (n, s) ->
+              (Tc_support.Ident.text n, Tc_types.Scheme.to_string s))
+            c.user_schemes)
+        artifact;
+  }
+
 (* The seams where external layers plug into the request loop without a
    dependency cycle: Tc_scale's compile cache replaces [compile]/[check];
    [specialise] post-processes every run's artifact after the compile
@@ -22,7 +42,7 @@ type hooks = {
      src:string ->
      Pipeline.compiled)
     option;
-  check : (opts:Pipeline.options -> src:string -> Pipeline.checked) option;
+  check : (opts:Pipeline.options -> src:string -> check_answer) option;
   specialise : (Pipeline.compiled -> Pipeline.compiled) option;
 }
 
@@ -61,19 +81,8 @@ let default_config =
     hooks = no_hooks;
   }
 
-type stats = {
-  mutable requests : int;
-  mutable responses : int;
-  mutable ok : int;
-  mutable failed : int;
-  mutable retried : int;
-  mutable by_op : (string * int) list;
-  mutable by_class : (string * int) list;
-}
-
 type t = {
   config : config;
-  stats : stats;
   totals : Counters.t;
   metrics : Metrics.t;  (* always live: latency histograms + pipeline spans *)
   started : float;      (* config.clock at creation, for uptime *)
@@ -85,28 +94,13 @@ type t = {
 let create ?(config = default_config) () =
   {
     config;
-    stats =
-      {
-        requests = 0;
-        responses = 0;
-        ok = 0;
-        failed = 0;
-        retried = 0;
-        by_op = [];
-        by_class = [];
-      };
     totals = Counters.create ();
     metrics = Metrics.create ();
     started = config.clock ();
     cur_trace = 0;
   }
 
-let stats t = t.stats
 let metrics t = t.metrics
-
-let bump assoc key =
-  let n = match List.assoc_opt key assoc with Some n -> n | None -> 0 in
-  (key, n + 1) :: List.remove_assoc key assoc
 
 (* ---- request decoding ---- *)
 
@@ -182,16 +176,12 @@ let response t ~id ~op fields =
     @ [ ("op", Json.Str op) ]
     @ (if t.cur_trace <> 0 then [ ("trace", Json.Int t.cur_trace) ] else [])
   in
-  t.stats.responses <- t.stats.responses + 1;
   Json.to_line (Json.Obj (base @ fields))
 
 let ok_response t ~id ~op fields =
-  t.stats.ok <- t.stats.ok + 1;
   response t ~id ~op (("ok", Json.Bool true) :: fields)
 
 let fail_response t ~id ~op ~cls message =
-  t.stats.failed <- t.stats.failed + 1;
-  t.stats.by_class <- bump t.stats.by_class cls;
   response t ~id ~op
     [
       ("ok", Json.Bool false);
@@ -253,28 +243,21 @@ let diagnostics_fields (ds : Diagnostic.t list) =
 let do_check t ~id ~op req =
   let src = require_src req in
   let opts = opts_for t req in
-  let { Pipeline.diagnostics; artifact } =
+  let { diagnostics; schemes } =
     match t.config.hooks.check with
     | Some hook -> hook ~opts ~src
-    | None -> Pipeline.compile_collect ~opts ~file:"<serve>" src
+    | None ->
+        check_answer_of (Pipeline.compile_collect ~opts ~file:"<serve>" src)
   in
   let extra =
-    match (op, artifact) with
-    | "compile", Some c ->
-        [
-          ( "schemes",
-            Json.Obj
-              (List.map
-                 (fun (n, s) ->
-                   ( Tc_support.Ident.text n,
-                     Json.Str (Tc_types.Scheme.to_string s) ))
-                 c.Pipeline.user_schemes) );
-        ]
+    match (op, schemes) with
+    | "compile", Some ss ->
+        [ ("schemes", Json.Obj (List.map (fun (n, s) -> (n, Json.Str s)) ss)) ]
     | _ -> []
   in
   ok_response t ~id ~op
     (diagnostics_fields diagnostics
-    @ [ ("artifact", Json.Bool (artifact <> None)) ]
+    @ [ ("artifact", Json.Bool (schemes <> None)) ]
     @ extra)
 
 let do_run t ~id req =
@@ -307,33 +290,57 @@ let do_run t ~id req =
 
 let latency_prefix = "serve/latency/"
 
-(* All per-op latency histograms merged into one: total request count with
-   overall p50/p99 microsecond latency. Merging is exact (elementwise), so
-   the summary equals observing every request into a single histogram. *)
-let latency_summary t : Json.t =
-  let scratch = Metrics.create () in
-  let acc = Metrics.histogram scratch "acc" in
+(* ---- reading the serve instruments back ---- *)
+
+(* Histogram counts under [prefix], keyed by the rest of the name. *)
+let counts_under prefix m =
+  let n = String.length prefix in
+  List.filter_map
+    (fun (name, h) ->
+      if String.starts_with ~prefix name then
+        Some (String.sub name n (String.length name - n), Metrics.hist_count h)
+      else None)
+    (Metrics.histograms m)
+
+let counter_in m name =
+  Option.value ~default:0 (List.assoc_opt name (Metrics.counters m))
+
+let requests m = counter_in m "serve/requests"
+let retries m = counter_in m "serve/retries"
+let failures m = counts_under "serve/failures/" m
+let failed m = List.fold_left (fun n (_, k) -> n + k) 0 (failures m)
+
+(* All per-op latency histograms merged into one. Merging is exact
+   (elementwise), so this equals observing every request into a single
+   histogram. *)
+let latency_total m =
+  let acc = Metrics.histogram (Metrics.create ()) "acc" in
   List.iter
     (fun (name, h) ->
       if String.starts_with ~prefix:latency_prefix name then
         Metrics.merge_hist ~into:acc h)
-    (Metrics.histograms t.metrics);
-  Json.Obj
-    [
-      ("count", Json.Int (Metrics.hist_count acc));
-      ("p50_us", Json.Int (Metrics.quantile acc 0.5));
-      ("p99_us", Json.Int (Metrics.quantile acc 0.99));
-    ]
+    (Metrics.histograms m);
+  acc
 
 let uptime_ms t =
   int_of_float ((t.config.clock () -. t.started) *. 1000.)
 
+(* The stats op's body, derived from the registry. The registry holds
+   finished requests only, so the stats request being handled counts in
+   [requests] and [by_op] but not yet in [responses] or [ok]. *)
 let stats_json t =
-  let s = t.stats in
+  let m = t.metrics in
+  let answered = requests m and failed = failed m in
   let tally assoc =
     Json.Obj
       (List.sort compare (List.map (fun (k, v) -> (k, Json.Int v)) assoc))
   in
+  let by_op =
+    let ops = counts_under latency_prefix m in
+    let n = Option.value ~default:0 (List.assoc_opt "stats" ops) in
+    ("stats", n + 1) :: List.remove_assoc "stats" ops
+  in
+  let latency = latency_total m in
   (* scale-layer counters and gauges (pool restarts, queue depth,
      persistent-cache hits, ...) folded into the stats op whenever the
      config exposes an extra registry *)
@@ -351,15 +358,21 @@ let stats_json t =
   in
   Json.Obj
     ([
-       ("requests", Json.Int s.requests);
-       ("responses", Json.Int s.responses);
-       ("ok", Json.Int s.ok);
-       ("failed", Json.Int s.failed);
-       ("retried", Json.Int s.retried);
+       ("requests", Json.Int (answered + 1));
+       ("responses", Json.Int answered);
+       ("ok", Json.Int (answered - failed));
+       ("failed", Json.Int failed);
+       ("retried", Json.Int (retries m));
        ("uptime_ms", Json.Int (uptime_ms t));
-       ("latency", latency_summary t);
-       ("by_op", tally s.by_op);
-       ("by_class", tally s.by_class);
+       ( "latency",
+         Json.Obj
+           [
+             ("count", Json.Int (Metrics.hist_count latency));
+             ("p50_us", Json.Int (Metrics.quantile latency 0.5));
+             ("p99_us", Json.Int (Metrics.quantile latency 0.99));
+           ] );
+       ("by_op", tally by_op);
+       ("by_class", tally (failures m));
        ("counters", counters_json t.totals);
        ("prelude", prelude);
      ]
@@ -413,11 +426,26 @@ let with_retries t f =
     match f () with
     | v -> v
     | exception Inject.Transient _ when attempt < t.config.retries ->
-        t.stats.retried <- t.stats.retried + 1;
+        (* created on the first retry, so retry-free snapshots lack it *)
+        Metrics.incr (Metrics.counter t.metrics "serve/retries");
         t.config.sleep (backoff /. 1000.);
         go (attempt + 1) (backoff *. 2.)
   in
   go 0 t.config.backoff_ms
+
+(* The one bookkeeping point per answered request: the [serve/requests]
+   counter and the op's latency histogram are bumped together, and a
+   failure also observes its latency under its class. Every count the
+   stats op and the pool summary report derives from these. *)
+let account t ~op ~cls us =
+  Metrics.incr (Metrics.counter t.metrics "serve/requests");
+  Metrics.observe (Metrics.histogram t.metrics (latency_prefix ^ op)) us;
+  Option.iter
+    (fun cls ->
+      Metrics.observe
+        (Metrics.histogram t.metrics ("serve/failures/" ^ cls))
+        us)
+    cls
 
 let handle_line ?(queued_us = 0) ?trace_id t line =
   let t0 = t.config.clock () in
@@ -431,24 +459,13 @@ let handle_line ?(queued_us = 0) ?trace_id t line =
   let traced = Rtrace.sampled rt trace in
   let ts0 = if traced then Mono.now_ns () else 0 in
   if traced then Rtrace.set_current rt trace;
-  (* One bookkeeping point per request, after the response is built: the
-     [serve/requests] counter and the op latency histogram are bumped
-     together, so in any registry snapshot — including one taken by a
-     [metrics] request mid-stream — the per-op latency counts sum exactly
-     to the request counter. Failures additionally observe their latency
-     under the failure class. The request's root trace event
-     ([request/<op>]) is recorded here too, after the phase events it
-     encloses. *)
+  (* Accounted once, after the response is built, so in any registry
+     snapshot — including one taken by a [metrics] request mid-stream —
+     the per-op latency counts sum exactly to the request counter. The
+     request's root trace event ([request/<op>]) is recorded here too,
+     after the phase events it encloses. *)
   let finish ~op ~cls resp =
-    let us = int_of_float ((t.config.clock () -. t0) *. 1e6) in
-    Metrics.incr (Metrics.counter t.metrics "serve/requests");
-    Metrics.observe (Metrics.histogram t.metrics (latency_prefix ^ op)) us;
-    (match cls with
-     | None -> ()
-     | Some cls ->
-         Metrics.observe
-           (Metrics.histogram t.metrics ("serve/failures/" ^ cls))
-           us);
+    account t ~op ~cls (int_of_float ((t.config.clock () -. t0) *. 1e6));
     if traced then begin
       Rtrace.clear_current rt;
       Rtrace.record_as rt ~trace ~name:("request/" ^ op) ~ts_ns:ts0
@@ -457,14 +474,12 @@ let handle_line ?(queued_us = 0) ?trace_id t line =
     t.cur_trace <- 0;
     resp
   in
-  t.stats.requests <- t.stats.requests + 1;
   let cap = t.config.max_line_bytes in
   if cap > 0 && String.length line > cap then begin
     (* Degenerate input: don't even hand it to the JSON parser. The
        [bounded_next] reader truncates such lines to [cap + 1] bytes, so
        this test still fires after truncation without the server ever
        buffering the full line. *)
-    t.stats.by_op <- bump t.stats.by_op "oversized";
     finish ~op:"oversized" ~cls:(Some "bad-request")
       (fail_response t ~id:None ~op:"oversized" ~cls:"bad-request"
          (Printf.sprintf "request line exceeds %d bytes" cap))
@@ -472,7 +487,6 @@ let handle_line ?(queued_us = 0) ?trace_id t line =
   else
   match Json.parse line with
   | Error m ->
-      t.stats.by_op <- bump t.stats.by_op "invalid";
       finish ~op:"invalid" ~cls:(Some "bad-request")
         (fail_response t ~id:None ~op:"invalid" ~cls:"bad-request"
            ("invalid JSON: " ^ m))
@@ -481,7 +495,6 @@ let handle_line ?(queued_us = 0) ?trace_id t line =
       let op =
         match str_field req "op" with Some s -> s | None -> "missing"
       in
-      t.stats.by_op <- bump t.stats.by_op op;
       (* Deadline-based shedding: a request that already aged past its
          deadline while queued (the pool passes [queued_us]) is rejected
          here, before any compile work — answering late is worse than
@@ -536,13 +549,10 @@ let handle_line ?(queued_us = 0) ?trace_id t line =
    reached [handle_line]: the pool supervisor answers for a request
    whose worker died mid-flight ([worker-crash]) and the coordinator
    rejects requests at admission when the queue has been full past the
-   grace window ([shed]). Accounting mirrors [handle_line]'s [finish]
-   exactly — stats request/response/by_op/by_class bumps plus the
-   requests counter, the per-op latency histogram (latency 0: the
-   request did no work here) and the failure-class histogram — so the
-   merged-registry invariant (per-op latency counts summing exactly to
-   [serve/requests]) keeps holding when synthetic responses are
-   counted. *)
+   grace window ([shed]). It is accounted like any answered request,
+   with latency 0 (the request did no work here), so the merged-registry
+   invariant (per-op latency counts summing exactly to [serve/requests])
+   keeps holding when synthetic responses are counted. *)
 let synthetic_failure ?trace_id t ~cls ~message line =
   let id, op =
     match Json.parse line with
@@ -554,12 +564,8 @@ let synthetic_failure ?trace_id t ~cls ~message line =
   let rt = t.config.rtrace in
   let trace = match trace_id with Some tr -> tr | None -> Rtrace.mint rt in
   t.cur_trace <- trace;
-  t.stats.requests <- t.stats.requests + 1;
-  t.stats.by_op <- bump t.stats.by_op op;
   let resp = fail_response t ~id ~op ~cls message in
-  Metrics.incr (Metrics.counter t.metrics "serve/requests");
-  Metrics.observe (Metrics.histogram t.metrics (latency_prefix ^ op)) 0;
-  Metrics.observe (Metrics.histogram t.metrics ("serve/failures/" ^ cls)) 0;
+  account t ~op ~cls:(Some cls) 0;
   (* a zero-duration root event, so shed/crashed requests still show up
      (with their op) in the dump and the slowest-N digest's input *)
   if Rtrace.sampled rt trace then
@@ -582,7 +588,7 @@ let snapshot_event_line ~after_requests m =
        ])
 
 let snapshot_line t =
-  snapshot_event_line ~after_requests:t.stats.requests t.metrics
+  snapshot_event_line ~after_requests:(requests t.metrics) t.metrics
 
 (* A line reader with bounded buffering: bytes past [max_bytes] are
    discarded as they stream in, keeping exactly one extra byte so
@@ -633,9 +639,9 @@ let run ?(config = default_config) ?server ?(stop = fun () -> false)
       | None -> ()
       | Some line ->
           emit (handle_line t line);
-          if every > 0 && t.stats.requests mod every = 0 then
+          if every > 0 && requests t.metrics mod every = 0 then
             emit_oob (snapshot_line t);
           loop ()
   in
   loop ();
-  t.stats
+  t.metrics

@@ -19,7 +19,9 @@
     ([serve/latency/<op>]), a histogram per failure class
     ([serve/failures/<class>]) and the [serve/requests] counter, all
     bumped together after the response is built, so in any snapshot the
-    per-op latency counts sum exactly to the request counter. Requests
+    per-op latency counts sum exactly to the request counter. Transient
+    retries count in [serve/retries]. The [stats] op is derived from
+    these instruments; the server keeps no other tally. Requests
     compile with the same registry, so pipeline phase spans accumulate
     across requests. The [metrics] op returns the snapshot, with the
     process's prelude snapshot instruments ([prelude/snapshot_builds],
@@ -72,6 +74,18 @@
 module Budget = Tc_resilience.Budget
 module Json = Tc_obs.Json
 
+(** What a [check]/[compile] response shows of an accumulating compile,
+    as plain data: no closures, sinks or compiled program, so it can be
+    cached, marshaled and compared as it is. *)
+type check_answer = {
+  diagnostics : Tc_support.Diagnostic.t list;  (** in issue order *)
+  schemes : (string * string) list option;
+      (** [None] iff no artifact was produced; otherwise the user
+          bindings' [(name, rendered scheme)] pairs in binding order *)
+}
+
+val check_answer_of : Pipeline.checked -> check_answer
+
 (** The seams where external layers plug into the request loop without a
     dependency cycle. All three default to [None] (plain pipeline
     calls). *)
@@ -85,9 +99,10 @@ type hooks = {
       (** replaces [Pipeline.compile] + [Pipeline.optimize] for the [run]
           op — where {!Tc_scale}'s compile cache plugs in. Must preserve
           per-request semantics: raise what [compile] would raise. *)
-  check : (opts:Pipeline.options -> src:string -> Pipeline.checked) option;
-      (** likewise replaces [Pipeline.compile_collect] for [check] and
-          [compile] ops *)
+  check : (opts:Pipeline.options -> src:string -> check_answer) option;
+      (** replaces [check_answer_of (Pipeline.compile_collect ...)] for
+          the [check] and [compile] ops, which render their responses
+          from the answer alone. Must never raise. *)
   specialise : (Pipeline.compiled -> Pipeline.compiled) option;
       (** post-processes every [run] artifact {e after} the compile seam,
           on hits too. Unused by [mhc serve], which puts its spec profile
@@ -147,21 +162,9 @@ type config = {
     request deadline, no extra metrics, always ready, {!no_hooks}. *)
 val default_config : config
 
-(** Cumulative server statistics, also exposed as the [stats] op. *)
-type stats = {
-  mutable requests : int;   (** requests read (including malformed) *)
-  mutable responses : int;  (** responses written *)
-  mutable ok : int;
-  mutable failed : int;
-  mutable retried : int;    (** transient retries performed *)
-  mutable by_op : (string * int) list;     (** op name -> count *)
-  mutable by_class : (string * int) list;  (** failure class -> count *)
-}
-
 type t
 
 val create : ?config:config -> unit -> t
-val stats : t -> stats
 
 val metrics : t -> Tc_obs.Metrics.t
 (** The server's (always live) registry: request latency histograms,
@@ -170,7 +173,30 @@ val metrics : t -> Tc_obs.Metrics.t
 val uptime_ms : t -> int
 (** Milliseconds since [create], by the config clock. *)
 
-val stats_json : t -> Json.t
+(** {2 Reading the serve instruments}
+
+    Every count the [stats] op, the pool summary and the [mhc serve]
+    recap report is derived from the serve instruments of a registry —
+    one server's {!metrics} or a pool's merged summary. *)
+
+val requests : Tc_obs.Metrics.t -> int
+(** [serve/requests]: requests answered, synthetic failures included. *)
+
+val failures : Tc_obs.Metrics.t -> (string * int) list
+(** Failed requests per class, from the [serve/failures/<class>]
+    histogram counts, sorted by class. *)
+
+val failed : Tc_obs.Metrics.t -> int
+(** The sum of {!failures}; [requests m - failed m] answered ok. *)
+
+val retries : Tc_obs.Metrics.t -> int
+(** [serve/retries]: transient retries performed. The counter is created
+    on the first retry, so a retry-free registry does not list it. *)
+
+val latency_total : Tc_obs.Metrics.t -> Tc_obs.Metrics.histogram
+(** Every [serve/latency/<op>] histogram merged into one (exactly, so it
+    equals observing every request into a single histogram). Its count
+    equals {!requests} in any snapshot: the serve telemetry invariant. *)
 
 (** Handle one request line, returning the response line (no trailing
     newline). Never raises. Lines longer than [config.max_line_bytes]
@@ -195,10 +221,10 @@ val classify : exn -> string * string
     ([cls = "worker-crash"]) and the coordinator refuses admission
     under sustained overload ([cls = "shed"]). [line] is parsed only
     for [id]/[op] echo (malformed lines answer under op ["invalid"]).
-    Bookkeeping mirrors {!handle_line} — stats and the
-    requests/latency/failure instruments all bump, with latency 0 — so
-    the per-op latency counts still sum exactly to [serve/requests] in
-    any (merged) snapshot counting synthetic responses. [trace_id] as in
+    Bookkeeping mirrors {!handle_line} — the requests/latency/failure
+    instruments all bump, with latency 0 — so the per-op latency counts
+    still sum exactly to [serve/requests] in any (merged) snapshot
+    counting synthetic responses. [trace_id] as in
     {!handle_line}; sampled synthetic requests record a zero-duration
     root event. *)
 val synthetic_failure :
@@ -221,11 +247,10 @@ val snapshot_event_line : after_requests:int -> Tc_obs.Metrics.t -> string
 
 (** Drive the loop: read lines from [next] until it returns [None] (or
     [stop] returns [true] — checked between requests, for signal-driven
-    drain), passing each response line to [emit]. Returns the final
-    statistics. Never raises. [server] reuses a caller-created server
-    (whose config then governs the loop) so the caller can read its
-    {!metrics} after the loop drains; by default a fresh one is created
-    from [config]. Spontaneous snapshot lines ([snapshot_every] > 0) go
+    drain), passing each response line to [emit]. Returns the server's
+    registry ({!metrics}). Never raises. [server] reuses a
+    caller-created server (whose config then governs the loop); by
+    default a fresh one is created from [config]. Spontaneous snapshot lines ([snapshot_every] > 0) go
     to [emit_oob] (default: [emit]) — a response-routing front end
     supplies a broadcast there so snapshots never consume a response's
     routing slot. *)
@@ -237,4 +262,4 @@ val run :
   next:(unit -> string option) ->
   emit:(string -> unit) ->
   unit ->
-  stats
+  Tc_obs.Metrics.t

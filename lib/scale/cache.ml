@@ -25,19 +25,20 @@
     (first-writer-wins) and only one copy is retained. *)
 
 module Pipeline = Typeclasses.Pipeline
+module Serve = Typeclasses.Serve
 module Metrics = Tc_obs.Metrics
 module Ident = Tc_support.Ident
-module Diagnostic = Tc_support.Diagnostic
 module Core = Tc_core_ir.Core
+module Trace = Tc_obs.Trace
 
 type value =
   | Artifact of Pipeline.compiled   (* run path: post-optimization *)
-  | Checked of Pipeline.checked     (* check path: diagnostics + artifact *)
+  | Checked of Serve.check_answer   (* check path: plain data *)
 
 type entry = {
   e_value : value;
   e_bytes : int;          (* estimated size of its own part, at insert *)
-  e_base : Pipeline.base option;  (* the shared snapshot it extends *)
+  e_base : Pipeline.base option;  (* the shared snapshot an artifact extends *)
   mutable e_tick : int;   (* LRU clock value of the last touch *)
   mutable e_hits : int;   (* per-entry, drives sampled verification *)
 }
@@ -204,78 +205,38 @@ let key kind ~(opts : Pipeline.options) ~src =
    metrics registry (the registry alone would drag a server's whole
    instrument table into every size estimate), and a hit must report
    downstream phases (exec spans) to the *caller's* sinks, not the
-   inserter's. So: strip on insert, splice on every return. *)
-let strip_compiled (c : Pipeline.compiled) : Pipeline.compiled =
+   inserter's. So the run path stores [with_sinks no_sinks c] and
+   returns [with_sinks opts c]. Check answers are plain data. *)
+let with_sinks (o : Pipeline.options) (c : Pipeline.compiled) =
   {
     c with
     Pipeline.options =
       {
         c.Pipeline.options with
-        Pipeline.metrics = Metrics.disabled;
-        trace = Tc_obs.Trace.none;
-        rtrace = Tc_obs.Rtrace.disabled;
+        Pipeline.metrics = o.Pipeline.metrics;
+        trace = o.Pipeline.trace;
+        rtrace = o.Pipeline.rtrace;
       };
   }
 
-let splice_compiled (opts : Pipeline.options) (c : Pipeline.compiled) :
-    Pipeline.compiled =
-  {
-    c with
-    Pipeline.options =
-      {
-        c.Pipeline.options with
-        Pipeline.metrics = opts.Pipeline.metrics;
-        trace = opts.Pipeline.trace;
-        rtrace = opts.Pipeline.rtrace;
-      };
-  }
-
-let strip_value = function
-  | Artifact c -> Artifact (strip_compiled c)
-  | Checked ck ->
-      Checked
-        {
-          ck with
-          Pipeline.artifact = Option.map strip_compiled ck.Pipeline.artifact;
-        }
-
-let splice_value opts = function
-  | Artifact c -> Artifact (splice_compiled opts c)
-  | Checked ck ->
-      Checked
-        {
-          ck with
-          Pipeline.artifact =
-            Option.map (splice_compiled opts) ck.Pipeline.artifact;
-        }
+(* every sink off *)
+let no_sinks = Pipeline.default_options
 
 (* ---- the disk tier ---- *)
 
-(* Marshaled artifacts must be closure-free. [strip_value] already
-   clears the options' sinks; the type environment additionally carries
-   its own trace sink on a mutable field, cleared here on a copy (the
-   caller's env must keep its sink). [Diagnostic.Sink], [Stats.t] and
-   everything else reachable is plain data. Marshaling WITHOUT
-   [Closures] is the safety net: a closure sneaking into the artifact
-   raises here and the entry simply isn't persisted, rather than
-   producing bytes no other process could trust. *)
-let persist_strip_compiled (c : Pipeline.compiled) : Pipeline.compiled =
-  let c = strip_compiled c in
-  {
-    c with
-    Pipeline.env =
-      { c.Pipeline.env with Tc_types.Class_env.trace = Tc_obs.Trace.none };
-  }
-
-let persist_strip_value = function
-  | Artifact c -> Artifact (persist_strip_compiled c)
-  | Checked ck ->
-      Checked
-        {
-          ck with
-          Pipeline.artifact =
-            Option.map persist_strip_compiled ck.Pipeline.artifact;
-        }
+(* Marshaled values must be closure-free. A stored artifact's options
+   carry no sinks; its type environment additionally carries its own
+   trace sink on a mutable field, cleared here on a copy (the stored
+   env keeps its sink). [Diagnostic.Sink], [Stats.t] and everything else
+   reachable is plain data. Marshaling WITHOUT [Closures] is the safety
+   net: a closure sneaking into the artifact raises here and the entry
+   simply isn't persisted, rather than producing bytes no other process
+   could trust. *)
+let persist_strip = function
+  | Artifact c ->
+      let env = { c.Pipeline.env with Tc_types.Class_env.trace = Trace.none } in
+      Artifact { c with Pipeline.env }
+  | Checked _ as v -> v
 
 (* Disk IO runs outside the cache lock (like compiles); only the counter
    bumps take it. *)
@@ -309,7 +270,7 @@ let persist_write t k (v : value) =
   match t.persist with
   | None -> ()
   | Some p -> (
-      match Marshal.to_string (persist_strip_value v) [] with
+      match Marshal.to_string (persist_strip v) [] with
       | payload -> (
           match Persist.write p ~key:k ~payload with
           | `Written | `Torn ->
@@ -347,45 +308,27 @@ let fingerprint (c : Pipeline.compiled) : string =
     binds
     (List.length c.Pipeline.warnings)
 
-let fingerprint_value = function
-  | Artifact c -> "artifact:" ^ fingerprint c
-  | Checked ck ->
-      let count sev =
-        List.length
-          (List.filter
-             (fun (d : Diagnostic.t) -> d.Diagnostic.severity = sev)
-             ck.Pipeline.diagnostics)
-      in
-      Printf.sprintf "checked:errors=%d;warnings=%d;ice=%d;%s"
-        (count Diagnostic.Error) (count Diagnostic.Warning)
-        (count Diagnostic.Bug)
-        (match ck.Pipeline.artifact with
-        | None -> "-"
-        | Some c -> fingerprint c)
+(* A check answer is compared as it is: its diagnostics and rendered
+   schemes are exactly what the response shows. *)
+let agrees a b =
+  match (a, b) with
+  | Artifact x, Artifact y -> String.equal (fingerprint x) (fingerprint y)
+  | Checked x, Checked y -> x = y
+  | _ -> false
 
 (* ---- the table ---- *)
 
-(* An entry's own size in bytes, and the shared snapshot it extends with
-   that snapshot's size: walking the snapshot on every insert would cost
-   more than the rest of the entry, and would charge every entry for
-   memory they all share. *)
+(* An entry's own size in bytes, and the shared snapshot an artifact
+   extends with that snapshot's size: walking the snapshot on every insert
+   would cost more than the rest of the entry, and would charge every
+   entry for memory they all share. A check answer extends nothing. *)
 let size_of (v : value) : int * (Pipeline.base * int) option =
   let bytes words = words * (Sys.word_size / 8) in
-  let artifact c =
-    (bytes (Pipeline.own_words c),
-     Option.map (fun (b, w) -> (b, bytes w)) (Pipeline.shared_base c))
-  in
   match v with
-  | Artifact c -> artifact c
-  | Checked ck -> (
-      let rest =
-        bytes (Obj.reachable_words (Obj.repr ck.Pipeline.diagnostics))
-      in
-      match ck.Pipeline.artifact with
-      | None -> (rest, None)
-      | Some c ->
-          let own, base = artifact c in
-          (rest + own, base))
+  | Artifact c ->
+      ( bytes (Pipeline.own_words c),
+        Option.map (fun (b, w) -> (b, bytes w)) (Pipeline.shared_base c) )
+  | Checked _ -> (bytes (Obj.reachable_words (Obj.repr v)), None)
 
 (* Charge [base] once, however many entries extend it: the first entry
    holding it adds its size, the last one to go takes it away. *)
@@ -460,7 +403,6 @@ let lookup t k =
 (* Insert after an out-of-lock compile. First-writer-wins: if a racing
    worker inserted the same key meanwhile, keep theirs. *)
 let insert t k v =
-  let v = strip_value v in
   let sz, base = size_of v in
   let s = stripe_of t k in
   locked s.lock (fun () ->
@@ -493,8 +435,8 @@ let drop t k =
   set_occupancy t
 
 (* The common shape of both paths: [compile ()] must produce the same
-   [value] constructor the key's entries hold. *)
-let memo t ~k ~opts ~(compile : unit -> value) : value =
+   [value] constructor the key's entries hold, ready to store. *)
+let memo t ~k ~(compile : unit -> value) : value =
   match lookup t k with
   | None -> (
       (* memory miss: consult the disk tier before paying for a compile.
@@ -504,22 +446,22 @@ let memo t ~k ~opts ~(compile : unit -> value) : value =
       match persist_read t k with
       | Some v ->
           insert t k v;
-          splice_value opts v
+          v
       | None ->
           let v = compile () in
           insert t k v;
           persist_write t k v;
-          splice_value opts v)
+          v)
   | Some (v, verify) ->
-      if not verify then splice_value opts v
+      if not verify then v
       else begin
-        (* Sampled verification: recompile and compare fingerprints. On
-           mismatch the cache self-heals — drop the stale entry (both
-           tiers), answer with (and re-cache) the fresh compile. *)
+        (* Sampled verification: recompile and compare. On mismatch the
+           cache self-heals — drop the stale entry (both tiers), answer
+           with (and re-cache) the fresh compile. *)
         let fresh = compile () in
-        if String.equal (fingerprint_value fresh) (fingerprint_value v) then begin
+        if agrees fresh v then begin
           count t "verified";
-          splice_value opts v
+          v
         end
         else begin
           count t "verify_fail";
@@ -527,25 +469,27 @@ let memo t ~k ~opts ~(compile : unit -> value) : value =
           persist_remove t k;
           insert t k fresh;
           persist_write t k fresh;
-          splice_value opts fresh
+          fresh
         end
       end
 
 let compile_run t ~(opts : Pipeline.options) ~passes ~src =
   let k = key (`Run passes) ~opts ~src in
   let compile () =
-    Artifact
-      (Pipeline.optimize passes (Pipeline.compile ~opts ~file:"<serve>" src))
+    let c = Pipeline.compile ~opts ~file:"<serve>" src in
+    Artifact (with_sinks no_sinks (Pipeline.optimize passes c))
   in
-  match memo t ~k ~opts ~compile with
-  | Artifact c -> c
+  match memo t ~k ~compile with
+  | Artifact c -> with_sinks opts c
   | Checked _ -> assert false (* run keys only ever hold [Artifact] *)
 
 let check t ~(opts : Pipeline.options) ~src =
   let k = key `Check ~opts ~src in
   let compile () =
-    Checked (Pipeline.compile_collect ~opts ~file:"<serve>" src)
+    Checked
+      (Serve.check_answer_of
+         (Pipeline.compile_collect ~opts ~file:"<serve>" src))
   in
-  match memo t ~k ~opts ~compile with
-  | Checked ck -> ck
+  match memo t ~k ~compile with
+  | Checked a -> a
   | Artifact _ -> assert false

@@ -14,8 +14,9 @@
 
     The key is an MD5 digest over a canonical rendering of:
 
-    - a kind tag ([run:]/[check:]), because the two paths produce
-      different artifact types from the same source;
+    - a kind tag ([run:]/[check:]), because the two paths store
+      different values for the same source: an optimized artifact, or a
+      {!Typeclasses.Serve.check_answer};
     - the output-relevant option fields — strategy,
       [overloaded_literals], [defaulting], [include_prelude], [lint],
       and (for the accumulating check path only) [max_errors];
@@ -27,10 +28,11 @@
     - the source text itself.
 
     [trace] and [metrics] are deliberately {e excluded}: they change
-    what is observed, never what is produced. Cached artifacts are
-    stored with both stripped and returned with the caller's sinks
-    spliced back in, so a hit reports to the requesting server's
-    registry and never retains another registry alive.
+    what is observed, never what is produced. Run artifacts are stored
+    with both stripped and returned with the caller's sinks spliced back
+    in, so a hit reports to the requesting server's registry and never
+    retains another registry alive. A check answer is plain data —
+    diagnostics and rendered schemes — and holds no sinks to strip.
 
     {2 Semantics}
 
@@ -39,20 +41,23 @@
       propagates and leaves no entry, so error responses always reflect
       a fresh compile.
     - Bounded LRU: entries are evicted least-recently-used-first once
-      the byte budget is exceeded. An entry is charged for what it holds
-      itself ({!Typeclasses.Pipeline.own_words}); the prelude snapshot
-      its artifact extends is charged once, however many entries share
-      it, for as long as any of them is cached. What the snapshots leave
+      the byte budget is exceeded. A run entry is charged for what its
+      artifact holds itself ({!Typeclasses.Pipeline.own_words}); the
+      prelude snapshot the artifact extends is charged once, however
+      many entries share it, for as long as any of them is cached. A
+      check entry is charged the words its answer reaches, and charges
+      no snapshot. What the snapshots leave
       of the budget divides evenly across the stripes (below), and
       eviction is stripe-local — a hot stripe can evict an entry a
       global LRU would have kept, costing a recompile, never
       correctness.
     - Verification mode: with [verify_every = n > 0], every [n]-th hit
-      on an entry recompiles from source and compares a
-      gensym-invariant fingerprint (sorted user schemes, core
-      bind/group counts, diagnostic tallies) against the cached
-      artifact. A mismatch drops the entry, counts
-      [scale/cache/verify_fail], and answers with the fresh compile.
+      on an entry recompiles from source and compares the result with
+      the cached value: a run artifact by a gensym-invariant
+      {!fingerprint}, a check answer by equality (its diagnostics and
+      rendered schemes, exactly what the response shows). A mismatch
+      drops the entry, counts [scale/cache/verify_fail], and answers
+      with the fresh compile.
     - Thread-safe and striped: the entry table is sharded into 16
       independently-locked stripes (a key's stripe chosen by its hash),
       so workers hitting distinct keys contend only on hash collisions,
@@ -129,15 +134,15 @@ val compile_run :
     entirely. Shape-compatible with the [Serve.hooks.compile] seam. *)
 
 val check :
-  t -> opts:Pipeline.options -> src:string -> Pipeline.checked
+  t -> opts:Pipeline.options -> src:string -> Typeclasses.Serve.check_answer
 (** The accumulating-path compile: cached equivalent of
-    [Pipeline.compile_collect]. Never raises. Shape-compatible with the
-    [Serve.hooks.check] seam. *)
+    [Serve.check_answer_of (Pipeline.compile_collect ...)]. Never raises.
+    Shape-compatible with the [Serve.hooks.check] seam. *)
 
 val entries : t -> int
 val bytes : t -> int
 (** Current occupancy (also exported as gauges): bytes count every
-    entry's own part plus each shared snapshot once. *)
+    entry's own part plus each snapshot a run artifact shares, once. *)
 
 val fingerprint : Pipeline.compiled -> string
 (** The gensym-invariant digest verification mode compares: sorted

@@ -52,27 +52,10 @@ let request ~op ~variant =
          ("src", Json.Str (source ~variant));
        ])
 
-let latency_prefix = "serve/latency/"
-
 (* Total latency observations vs. the request counter — the serve
    telemetry invariant, on any registry (including a merged one). *)
-let latency_totals (m : Metrics.t) =
-  let scratch = Metrics.create () in
-  let acc = Metrics.histogram scratch "acc" in
-  List.iter
-    (fun (name, h) ->
-      if String.starts_with ~prefix:latency_prefix name then
-        Metrics.merge_hist ~into:acc h)
-    (Metrics.histograms m);
-  acc
-
 let invariant_holds (m : Metrics.t) =
-  let requests =
-    match List.assoc_opt "serve/requests" (Metrics.counters m) with
-    | Some n -> n
-    | None -> 0
-  in
-  Metrics.hist_count (latency_totals m) = requests
+  Metrics.hist_count (Serve.latency_total m) = Serve.requests m
 
 let run_phase ~label ~workers ~config ~clock (lines : string array) =
   let i = ref 0 in
@@ -87,7 +70,8 @@ let run_phase ~label ~workers ~config ~clock (lines : string array) =
   let t0 = clock () in
   let summary = Pool.run ~workers ~config ~next ~emit:(fun _ -> ()) () in
   let dt = clock () -. t0 in
-  let acc = latency_totals summary.Pool.metrics in
+  let m = summary.Pool.metrics in
+  let acc = Serve.latency_total m in
   let n = Array.length lines in
   ( {
       ph_label = label;
@@ -96,8 +80,8 @@ let run_phase ~label ~workers ~config ~clock (lines : string array) =
       ph_rps = (if dt > 0. then float_of_int n /. dt else 0.);
       ph_p50_us = Metrics.quantile acc 0.5;
       ph_p99_us = Metrics.quantile acc 0.99;
-      ph_ok = summary.Pool.stats.Serve.ok;
-      ph_failed = summary.Pool.stats.Serve.failed;
+      ph_ok = Serve.requests m - Serve.failed m;
+      ph_failed = Serve.failed m;
     },
     summary )
 
@@ -150,9 +134,8 @@ let run ?(clients = 4) ?(requests = 64) ?(workers = 1) ?(op = `Run)
      can bound the shed rate and crash count of a whole run *)
   let by_class cls =
     let of_summary (s : Pool.summary) =
-      match List.assoc_opt cls s.Pool.stats.Serve.by_class with
-      | Some n -> n
-      | None -> 0
+      Option.value ~default:0
+        (List.assoc_opt cls (Serve.failures s.Pool.metrics))
     in
     of_summary cold_summary + of_summary hot_summary
   in
@@ -304,7 +287,7 @@ let snapshot_invariant_ok snap =
           let latency =
             List.fold_left
               (fun acc (name, h) ->
-                if String.starts_with ~prefix:latency_prefix name then
+                if String.starts_with ~prefix:"serve/latency/" name then
                   acc
                   + (match Json.member "count" h with
                     | Some (Json.Int n) -> n

@@ -12,8 +12,8 @@
     exception — the wedge that used to hang the coordinator forever on
     the dead worker's sequence number — now posts a synthetic
     [worker-crash] response for the in-flight request (order
-    preserved), folds the dead incarnation's stats/registry into the
-    pool accumulators, and respawns a replacement domain after an
+    preserved), folds the dead incarnation's registry into the pool
+    accumulator, and respawns a replacement domain after an
     exponential backoff, up to [max_restarts] across the pool's
     lifetime. When the budget is spent, the worker count just shrinks;
     if the {e last} worker dies over budget, it stays behind as a
@@ -28,46 +28,12 @@ module Rtrace = Tc_obs.Rtrace
 module Mono = Tc_support.Mono
 module Inject = Tc_resilience.Inject
 
-type summary = {
-  stats : Serve.stats;
-  metrics : Metrics.t;
-  workers : int;
-  restarts : int;
-}
+type summary = { metrics : Metrics.t; workers : int; restarts : int }
 
-let empty_stats () : Serve.stats =
-  {
-    Serve.requests = 0;
-    responses = 0;
-    ok = 0;
-    failed = 0;
-    retried = 0;
-    by_op = [];
-    by_class = [];
-  }
-
-let merge_assoc into src =
-  List.fold_left
-    (fun acc (k, v) ->
-      let n = match List.assoc_opt k acc with Some n -> n | None -> 0 in
-      (k, n + v) :: List.remove_assoc k acc)
-    into src
-
-let merge_stats ~(into : Serve.stats) (s : Serve.stats) =
-  into.Serve.requests <- into.Serve.requests + s.Serve.requests;
-  into.responses <- into.responses + s.Serve.responses;
-  into.ok <- into.ok + s.Serve.ok;
-  into.failed <- into.failed + s.Serve.failed;
-  into.retried <- into.retried + s.Serve.retried;
-  into.by_op <- merge_assoc into.by_op s.Serve.by_op;
-  into.by_class <- merge_assoc into.by_class s.Serve.by_class
-
+(* The loop's fresh server is done with its registry when [run] returns. *)
 let sequential ~config ?stop ?emit_oob ~next ~emit () =
-  let server = Serve.create ~config () in
-  let stats = Serve.run ~server ?stop ?emit_oob ~next ~emit () in
-  let merged = Metrics.create () in
-  Metrics.merge ~into:merged (Serve.metrics server);
-  { stats; metrics = merged; workers = 1; restarts = 0 }
+  let metrics = Serve.run ~config ?stop ?emit_oob ~next ~emit () in
+  { metrics; workers = 1; restarts = 0 }
 
 let parallel ~workers ~config ~queue_depth ~max_restarts ~restart_backoff_ms
     ~shed_grace_ms ~on_lame_duck ~stop ~snapshot_every ~emit_oob ~next ~emit
@@ -102,18 +68,16 @@ let parallel ~workers ~config ~queue_depth ~max_restarts ~restart_backoff_ms
      deep the queue is *now*, not just the high-water mark *)
   let depth_now_gauge = Metrics.gauge pool_reg "scale/pool/queue_depth_now" in
   let shed_ctr = Metrics.counter pool_reg "scale/pool/shed" in
-  let acc_stats = empty_stats () in
   let acc_metrics = Metrics.create () in
   let restarts = ref 0 in
   let live = ref workers in
   let replacements : unit Domain.t list ref = ref [] in
 
-  (* Fold a (finished or dead) incarnation's private stats and registry
-     into the accumulators — a crashed worker's partial counts are part
-     of the pool's story, not lost with its domain. *)
+  (* Fold a (finished or dead) incarnation's private registry into the
+     accumulator — a crashed worker's partial counts are part of the
+     pool's story, not lost with its domain. *)
   let merge_server server =
     Mutex.lock lock;
-    merge_stats ~into:acc_stats (Serve.stats server);
     Metrics.merge ~into:acc_metrics (Serve.metrics server);
     Mutex.unlock lock
   in
@@ -455,7 +419,7 @@ let parallel ~workers ~config ~queue_depth ~max_restarts ~restart_backoff_ms
   let merged = Metrics.create () in
   Metrics.merge ~into:merged acc_metrics;
   Metrics.merge ~into:merged pool_reg;
-  { stats = acc_stats; metrics = merged; workers; restarts = !restarts }
+  { metrics = merged; workers; restarts = !restarts }
 
 let run ?(workers = 1) ?(config = Serve.default_config) ?(queue_depth = 64)
     ?(max_restarts = 8) ?(restart_backoff_ms = 1.) ?(shed_grace_ms = -1.)

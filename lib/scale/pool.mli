@@ -8,8 +8,7 @@
     the coordinator is blocked in [next], so a closed-loop client (one
     that awaits each response before sending the next request, the TCP
     front end's normal case) never deadlocks; each worker owns a private
-    {!Typeclasses.Serve.t} — its own stats, latency registry and
-    evaluator state — so request handling needs no locking beyond the
+    {!Typeclasses.Serve.t} — its own registry and evaluator state — so request handling needs no locking beyond the
     bounded work queue, and per-request isolation and budget enforcement
     are exactly the sequential server's. Responses are re-sequenced
     through a reorder buffer, so output order equals input order
@@ -23,8 +22,8 @@
     survives it: the in-flight request is answered with a synthetic
     [worker-crash] response at its own sequence number (every request
     gets exactly one response, in order — the coordinator never hangs on
-    a dead worker), the dead incarnation's stats and metrics registry
-    are still merged into the pool totals, and a replacement domain is
+    a dead worker), the dead incarnation's metrics registry is still
+    merged into the pool totals, and a replacement domain is
     spawned after an exponential backoff ([restart_backoff_ms],
     doubling, capped at 64x), up to [max_restarts] restarts over the
     pool's lifetime. Past the budget the pool shrinks; if the last
@@ -83,19 +82,18 @@
       domain-safe).
 
     With [workers <= 1] this is exactly [Serve.run] (same loop, same
-    snapshot behaviour), just with the summary's merged-registry
-    shape. *)
+    snapshot behaviour), and the summary's registry is that server's. *)
 
 module Serve = Typeclasses.Serve
 
 type summary = {
-  stats : Serve.stats;
-      (** all workers' stats summed — including crashed incarnations'
-          partial counts and the coordinator's admission sheds *)
   metrics : Tc_obs.Metrics.t;
-      (** all workers' registries plus the pool registry
-          ([scale/pool/restarts], [scale/pool/queue_depth],
-          [scale/pool/shed]) merged into one fresh registry *)
+      (** all workers' registries — crashed incarnations' partial counts
+          and the coordinator's admission sheds included — plus the pool
+          registry ([scale/pool/restarts], [scale/pool/queue_depth],
+          [scale/pool/shed]) merged into one fresh registry (with one
+          worker, the server's own). Read the request tallies with
+          {!Typeclasses.Serve.requests} and its siblings. *)
   workers : int;  (** domains initially spawned to handle requests *)
   restarts : int; (** worker domains respawned after a crash *)
 }

@@ -8,4 +8,5 @@ let () =
     @ Test_check.tests @ Test_cli.tests
     @ Test_differential.tests @ Test_vm.tests @ Test_obs.tests
     @ Test_resilience.tests @ Test_metrics.tests @ Test_rtrace.tests
-    @ Test_scale.tests @ Test_net.tests @ Test_snapshot.tests)
+    @ Test_scale.tests @ Test_check_cache.tests @ Test_net.tests
+    @ Test_snapshot.tests)

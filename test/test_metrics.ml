@@ -450,10 +450,10 @@ let serve_cases =
               Some x
         in
         let emitted = ref [] in
-        let stats =
+        let m =
           Serve.run ~server ~next ~emit:(fun l -> emitted := l :: !emitted) ()
         in
-        Alcotest.(check int) "five responses" 5 stats.Serve.responses;
+        Alcotest.(check int) "five responses" 5 (Serve.requests m);
         let events =
           List.filter
             (fun l -> Json.member "event" (decode l) <> None)

@@ -109,7 +109,8 @@ let e2e_cases =
         Alcotest.(check bool) "run ok" true (contains ~needle:"\"ok\":true" b);
         Alcotest.(check bool) "run second" true (contains ~needle:"\"id\":2" b);
         Alcotest.(check bool) "run answered 42" true (contains ~needle:"42" b);
-        Alcotest.(check int) "two requests" 2 summary.Pool.stats.Serve.requests;
+        Alcotest.(check int) "two requests" 2
+          (Serve.requests summary.Pool.metrics);
         Alcotest.(check int) "one conn accepted" 1
           (counter_of summary.Pool.metrics "net/accepted");
         Alcotest.(check bool) "invariant holds with net/* merged in" true
@@ -135,7 +136,7 @@ let e2e_cases =
         in
         Alcotest.(check int) "every round trip answered in turn" 5 n;
         Alcotest.(check int) "pool saw all five" 5
-          summary.Pool.stats.Serve.requests;
+          (Serve.requests summary.Pool.metrics);
         Alcotest.(check bool) "invariant holds" true
           (Loadgen.invariant_holds summary.Pool.metrics));
     case "health and ready probes answer over the socket" (fun () ->
@@ -287,7 +288,7 @@ let e2e_cases =
               (contains ~needle:"\"ok\":" snap))
           snapshots;
         Alcotest.(check int) "three requests" 3
-          summary.Pool.stats.Serve.requests;
+          (Serve.requests summary.Pool.metrics);
         Alcotest.(check bool) "invariant holds" true
           (Loadgen.invariant_holds summary.Pool.metrics));
   ]
@@ -371,9 +372,9 @@ let supervision_cases =
           (contains ~needle:"\"id\":1" mine);
         (* pool accounting never loses the orphaned request *)
         Alcotest.(check int) "both requests processed" 2
-          summary.Pool.stats.Serve.requests;
+          (Serve.requests summary.Pool.metrics);
         Alcotest.(check int) "both responses accounted" 2
-          summary.Pool.stats.Serve.responses;
+          (Serve.requests summary.Pool.metrics);
         Alcotest.(check bool) "invariant holds" true
           (Loadgen.invariant_holds summary.Pool.metrics));
     case "drain finishes requests already read, then exits" (fun () ->
@@ -392,7 +393,7 @@ let supervision_cases =
         Alcotest.(check bool) "in-flight response still delivered" true
           (contains ~needle:"\"id\":1" resp);
         Alcotest.(check int) "request counted" 1
-          summary.Pool.stats.Serve.requests;
+          (Serve.requests summary.Pool.metrics);
         Alcotest.(check bool) "clean drain never fires the deadline" false
           !deadline_fired);
     case "binding a busy port raises Bind_error; port 0 is ephemeral"

@@ -312,7 +312,7 @@ let serve_cases =
     case "graceful drain on EOF returns the tally" (fun () ->
         let inputs = ref [ run_req clean_src; {|{"op":"ping"}|} ] in
         let outputs = ref [] in
-        let stats =
+        let m =
           Serve.run ~config:test_config
             ~next:(fun () ->
               match !inputs with
@@ -324,18 +324,18 @@ let serve_cases =
             ()
         in
         Alcotest.(check int) "responses" 2 (List.length !outputs);
-        Alcotest.(check int) "stats.requests" 2 stats.Serve.requests;
-        Alcotest.(check int) "stats.ok" 2 stats.Serve.ok);
+        Alcotest.(check int) "requests" 2 (Serve.requests m);
+        Alcotest.(check int) "ok" 2 (Serve.requests m - Serve.failed m));
     case "stop flag drains between requests" (fun () ->
         let served = ref 0 in
-        let stats =
+        let m =
           Serve.run ~config:test_config
             ~stop:(fun () -> !served >= 2)
             ~next:(fun () -> Some {|{"op":"ping"}|})
             ~emit:(fun _ -> incr served)
             ()
         in
-        Alcotest.(check int) "stopped after two" 2 stats.Serve.responses);
+        Alcotest.(check int) "stopped after two" 2 (Serve.requests m));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -408,7 +408,8 @@ let retry_cases =
             let t = Serve.create ~config () in
             let resp = decode (Serve.handle_line t (run_req clean_src)) in
             Alcotest.(check bool) "eventually ok" true (is_ok resp);
-            Alcotest.(check int) "retried twice" 2 (Serve.stats t).Serve.retried;
+            Alcotest.(check int) "retried twice" 2
+              (Serve.retries (Serve.metrics t));
             (* exponential: 10ms then 20ms *)
             Alcotest.(check (list (float 0.0001)))
               "backoff doubles" [ 0.01; 0.02 ]
@@ -457,7 +458,7 @@ let soak_cases =
         in
         let n = 2400 in
         let sent = ref 0 and received = ref 0 in
-        let stats =
+        let m =
           Serve.run ~config:test_config
             ~next:(fun () ->
               if !sent >= n then None
@@ -471,10 +472,10 @@ let soak_cases =
             ()
         in
         Alcotest.(check int) "every request answered" n !received;
-        Alcotest.(check int) "stats agree" n stats.Serve.responses;
-        Alcotest.(check int) "requests counted" n stats.Serve.requests;
-        Alcotest.(check bool) "some succeeded" true (stats.Serve.ok > 0);
-        Alcotest.(check bool) "some failed" true (stats.Serve.failed > 0));
+        Alcotest.(check int) "requests counted" n (Serve.requests m);
+        Alcotest.(check bool) "some succeeded" true
+          (Serve.requests m - Serve.failed m > 0);
+        Alcotest.(check bool) "some failed" true (Serve.failed m > 0));
     case "soak: sporadic chaos-injected eval faults never kill the loop"
       (fun () ->
         with_plan
@@ -536,7 +537,7 @@ let prop_cases =
         (* divergent program: must fail, and must fail classified *)
         (not (is_ok resp))
         && List.mem (error_class resp) [ "resource" ]
-        && (Serve.stats t).Serve.responses = 1);
+        && Serve.requests (Serve.metrics t) = 1);
   ]
 
 (* ------------------------------------------------------------------ *)

@@ -373,7 +373,7 @@ let propagation_cases =
             ()
         in
         Alcotest.(check int) "all answered" 8
-          summary.Pool.stats.Serve.responses;
+          (Serve.requests summary.Pool.metrics);
         let traces = List.map (fun l -> trace_of (decode l)) !out in
         Alcotest.(check int) "8 distinct trace IDs" 8
           (List.length (List.sort_uniq compare traces));

@@ -247,7 +247,7 @@ let cache_cases =
         let ck1 = Cache.check c ~opts:default_opts ~src:bad in
         let ck2 = Cache.check c ~opts:default_opts ~src:bad in
         Alcotest.(check bool) "no artifact" true
-          (ck1.Pipeline.artifact = None && ck2.Pipeline.artifact = None);
+          (ck1.Serve.schemes = None && ck2.Serve.schemes = None);
         Alcotest.(check int) "check hit" 1 (cache_counter c "hits"));
   ]
 
@@ -300,8 +300,10 @@ let response_class line =
           Option.bind (Json.member "class" e) Json.to_str)
   | Error _ -> None
 
-let class_count (s : Serve.stats) cls =
-  match List.assoc_opt cls s.Serve.by_class with Some n -> n | None -> 0
+let class_count (m : Metrics.t) cls =
+  Option.value ~default:0 (List.assoc_opt cls (Serve.failures m))
+
+let ok_count (m : Metrics.t) = Serve.requests m - Serve.failed m
 
 let pool_cases =
   [
@@ -317,8 +319,8 @@ let pool_cases =
         let n = 10 in
         let summary, _ = run_pool ~workers:3 (pool_requests n) in
         Alcotest.(check int) "stats merged across workers" n
-          summary.Pool.stats.Serve.requests;
-        Alcotest.(check int) "all ok" n summary.Pool.stats.Serve.ok;
+          (Serve.requests summary.Pool.metrics);
+        Alcotest.(check int) "all ok" n (ok_count summary.Pool.metrics);
         Alcotest.(check int) "merged request counter" n
           (counter_of summary.Pool.metrics "serve/requests");
         Alcotest.(check bool) "latency counts sum to serve/requests" true
@@ -371,11 +373,11 @@ let supervision_cases =
           (counter_of summary.Pool.metrics "scale/pool/restarts");
         (* the dead incarnations' accounting still reaches the totals *)
         Alcotest.(check int) "crashes tallied by class" 3
-          (class_count summary.Pool.stats "worker-crash");
+          (class_count summary.Pool.metrics "worker-crash");
         Alcotest.(check int) "stats count every request" n
-          summary.Pool.stats.Serve.requests;
+          (Serve.requests summary.Pool.metrics);
         Alcotest.(check int) "the rest succeeded" (n - 3)
-          summary.Pool.stats.Serve.ok;
+          (ok_count summary.Pool.metrics);
         Alcotest.(check int) "merged request counter" n
           (counter_of summary.Pool.metrics "serve/requests");
         Alcotest.(check bool)
@@ -428,7 +430,7 @@ let supervision_cases =
         Alcotest.(check bool) "every response shed" true
           (List.for_all (fun l -> response_class l = Some "shed") out);
         Alcotest.(check int) "shed tallied by class" n
-          (class_count summary.Pool.stats "shed");
+          (class_count summary.Pool.metrics "shed");
         Alcotest.(check bool) "shed responses keep the invariant" true
           (Loadgen.invariant_holds summary.Pool.metrics));
     case "a request's own deadline_ms field overrides the default"
@@ -470,7 +472,7 @@ let supervision_cases =
             (List.filter (fun l -> response_class l = Some "shed") out)
         in
         Alcotest.(check int) "stats agree with responses" shed_responses
-          (class_count summary.Pool.stats "shed");
+          (class_count summary.Pool.metrics "shed");
         Alcotest.(check int) "pool counter agrees" shed_responses
           (counter_of summary.Pool.metrics "scale/pool/shed");
         Alcotest.(check bool) "invariant holds" true
