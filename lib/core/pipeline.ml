@@ -285,14 +285,15 @@ type front = {
     own; its top level is one binding block that may not rebind an
     earlier file's names.
 
-    Without [sink] every error raises (fail-fast). With [sink] each stage
-    recovers at its natural boundary and records diagnostics instead: the
+    Each stage reports to [env]'s sink at its natural boundary: the
     parser resynchronizes at the next top-level declaration, fixity
     resolution and static analysis skip the offending declaration, and
-    desugaring degrades to an empty block. [faults] arms the fault
-    injection points. *)
-let front ?sink ~metrics ~rt ~faults ~(base : base) ~(env : Class_env.t)
+    desugaring skips the offending binding or degrades to an empty
+    block. A raising sink makes the first error raise instead. [faults]
+    arms the fault injection points. *)
+let front ~metrics ~rt ~faults ~(base : base) ~(env : Class_env.t)
     (files : (string * string) list) : front =
+  let sink = env.Class_env.sink in
   let hit point = if faults then Inject.hit point in
   let one (fenv, outer, groups) (file, src) =
     hit Inject.Lex;
@@ -305,43 +306,33 @@ let front ?sink ~metrics ~rt ~faults ~(base : base) ~(env : Class_env.t)
     in
     let prog =
       Span.wrap_rt rt metrics "parse" (fun () ->
-          match sink with
-          | None -> Parser.parse_program_tokens toks
-          | Some sink ->
-              Parser.parse_program_tokens
-                ~recover:(Diagnostic.Sink.report sink) toks)
+          Parser.parse_program_tokens ~sink toks)
     in
     hit Inject.Parse;
     let prog, fenv =
       Span.wrap_rt rt metrics "fixity" (fun () ->
           let fenv = Fixity.collect_program fenv prog in
-          match sink with
-          | None -> (List.map (Fixity.top_decl fenv) prog, fenv)
-          | Some sink ->
-              (* per-declaration recovery: a bad operator sequence loses
-                 only its own declaration *)
-              ( List.filter_map
-                  (fun d ->
-                    Diagnostic.guard ~sink ~stage:"fixity resolution"
-                      ~loc:(top_decl_loc d)
-                      ~recover:(fun () -> None)
-                      (fun () -> Some (Fixity.top_decl fenv d)))
-                  prog,
-                fenv ))
+          (* per-declaration recovery: a bad operator sequence loses only
+             its own declaration *)
+          ( List.filter_map
+              (fun d ->
+                Diagnostic.guard ~sink ~stage:"fixity resolution"
+                  ~loc:(top_decl_loc d)
+                  ~recover:(fun () -> None)
+                  (fun () -> Some (Fixity.top_decl fenv d)))
+              prog,
+            fenv ))
     in
     hit Inject.Static;
     let { Static.value_decls; _ } =
       Span.wrap_rt rt metrics "static" (fun () ->
-          Static.process ~env ~fail_fast:(Option.is_none sink) ~outer prog)
+          Static.process ~env ~outer prog)
     in
     let file_groups =
       Span.wrap_rt rt metrics "desugar" (fun () ->
-          match sink with
-          | None -> Desugar.top_decls ~outer env value_decls
-          | Some sink ->
-              Diagnostic.guard ~sink ~stage:"desugaring" ~loc:Loc.none
-                ~recover:(fun () -> [])
-                (fun () -> Desugar.top_decls ~sink ~outer env value_decls))
+          Diagnostic.guard ~sink ~stage:"desugaring" ~loc:Loc.none
+            ~recover:(fun () -> [])
+            (fun () -> Desugar.top_decls ~sink ~outer env value_decls))
     in
     let outer =
       List.fold_left
@@ -375,22 +366,23 @@ let is_base_instance (base : base) (inst : Class_env.inst_info) =
     add is processed — their bindings, the default methods of their
     classes, the methods and dictionaries of their instances (including
     instances of the base's classes) — and the base's normalized core is
-    prepended unchanged. Without [sink], fail-fast; with [sink], each
-    binding group is a fault-isolation boundary: a failed group's binders
-    get {!Infer.error_scheme} (which unifies with anything and never
-    re-reports) and checking continues with the remaining groups. Also
-    returns the front end's result, from which a snapshot is frozen. *)
-let extend ?sink ~faults ~(opts : options) ~(base : base)
+    prepended unchanged. Diagnostics go to [sink]. Each binding group is
+    a fault-isolation boundary: with a recovering sink, a failed group's
+    binders get {!Infer.error_scheme} (which unifies with anything and
+    never re-reports) and checking continues with the remaining groups;
+    with a raising sink, the first error raises. Also returns the front
+    end's result, from which a snapshot is frozen. *)
+let extend ~sink ~faults ~(opts : options) ~(base : base)
     (files : (string * string) list) : compiled * front =
   Stats.reset ();
   let metrics = opts.metrics in
   let rt = opts.rtrace in
   let iopts = infer_options opts in
-  let env = Class_env.extend ?sink base.b_env in
+  let env = Class_env.extend ~sink base.b_env in
   (* the base's own diagnostics come first, as if it had been checked
      with these files *)
   List.iter (Diagnostic.Sink.report env.sink) base.b_diagnostics;
-  let fr = front ?sink ~metrics ~rt ~faults ~base ~env files in
+  let fr = front ~metrics ~rt ~faults ~base ~env files in
   env.Class_env.trace <- opts.trace;
   let st = Infer.create_state ~opts:iopts env in
   Infer.push_scope st;
@@ -402,11 +394,6 @@ let extend ?sink ~faults ~(opts : options) ~(base : base)
         Core.Lit
           (Tc_syntax.Ast.LString
              (Printf.sprintf "erroneous binding '%s'" (Ident.text name))) )
-  in
-  let guarded ~stage ~loc ~recover f =
-    match sink with
-    | None -> f ()
-    | Some _ -> Infer.protect st ~stage ~loc ~recover f
   in
   (* primitive schemes mention Bool, so they are built against this
      compile's environment *)
@@ -449,7 +436,7 @@ let extend ?sink ~faults ~(opts : options) ~(base : base)
         let loc =
           match binds with b :: _ -> b.Kernel.kb_loc | [] -> Loc.none
         in
-        guarded ~stage:"type inference" ~loc
+        Infer.protect st ~stage:"type inference" ~loc
           ~recover:(fun () ->
             let venv' =
               List.fold_left
@@ -490,7 +477,7 @@ let extend ?sink ~faults ~(opts : options) ~(base : base)
         List.map
           (fun (m, (fb : Ast.fun_bind)) ->
             let name = Class_env.default_name ~cls:ci.ci_name ~meth:m in
-            guarded ~stage:"default method checking" ~loc:fb.fb_loc
+            Infer.protect st ~stage:"default method checking" ~loc:fb.fb_loc
               ~recover:(fun () ->
                 { Core.b_name = name; b_expr = stub_expr name })
               (fun () ->
@@ -552,7 +539,8 @@ let extend ?sink ~faults ~(opts : options) ~(base : base)
             | Class_env.Default_impl -> None
             | Class_env.User_impl impl_name ->
                 Some
-                  (guarded ~stage:"instance method checking" ~loc:inst.in_loc
+                  (Infer.protect st ~stage:"instance method checking"
+                     ~loc:inst.in_loc
                      ~recover:(fun () ->
                        { Core.b_name = impl_name;
                          b_expr = stub_expr impl_name })
@@ -575,30 +563,22 @@ let extend ?sink ~faults ~(opts : options) ~(base : base)
   if faults then Inject.hit Inject.Translate;
   let dict_binds =
     Span.wrap_rt rt metrics "dicts" (fun () ->
-        guarded ~stage:"dictionary construction" ~loc:Loc.none
+        Infer.protect st ~stage:"dictionary construction" ~loc:Loc.none
           ~recover:(fun () -> [])
           (fun () ->
             List.map
               (Construct.instance_dict_binding env iopts.strategy)
               instances))
   in
-  Span.wrap_rt rt metrics "resolve" (fun () ->
-      match sink with
-      | None -> Infer.final_resolve st
-      | Some _ -> Infer.final_resolve ~isolate:true st);
-  let failed =
-    match sink with
-    | Some sink -> Diagnostic.Sink.has_errors sink
-    | None -> false
-  in
+  Span.wrap_rt rt metrics "resolve" (fun () -> Infer.final_resolve st);
   let program : Core.program =
-    if failed then
+    if Diagnostic.Sink.has_errors sink then
       (* diagnostics were recorded; the caller discards the artifact, so
          skip the mechanical back half rather than run it over stubs *)
       { p_binds = []; p_main = None }
     else
       Span.wrap_rt rt metrics "normalize" @@ fun () ->
-      guarded ~stage:"core normalization" ~loc:Loc.none
+      Infer.protect st ~stage:"core normalization" ~loc:Loc.none
         ~recover:(fun () -> { Core.p_binds = []; p_main = None })
         (fun () ->
           let main_id = Ident.intern "main" in
@@ -864,6 +844,8 @@ let tag_translate (checked : compiled) files : compiled =
   let opts = checked.options in
   Span.wrap_rt opts.rtrace opts.metrics "tags" @@ fun () ->
   let base = checked.base in
+  (* its own raising sink: the check already reported this front end's
+     warnings *)
   let env = Class_env.extend base.b_env in
   let fr =
     front ~metrics:opts.metrics ~rt:opts.rtrace ~faults:true ~base ~env files
@@ -875,27 +857,34 @@ let tag_translate (checked : compiled) files : compiled =
   if opts.lint then Lint.check_program ~primitives:Prims.names core;
   { checked with env; core }
 
-(* The dictionary-passing check of [files] on [base] — by default the
-   snapshot for [opts], whose acquisition (a build, the first time) is the
-   [prelude] phase span. *)
-let check_files ?sink ~(opts : options) ?base files : compiled =
-  Span.wrap_rt opts.rtrace opts.metrics "compile" @@ fun () ->
-  let base =
-    match base with
-    | Some b -> b
-    | None ->
-        Span.wrap_rt opts.rtrace opts.metrics "prelude" (fun () ->
-            base_for opts)
+(* The one compile path: the dictionary-passing check of [files] on [base] —
+   by default the snapshot for [opts], whose acquisition (a build, the
+   first time) is the [prelude] phase span — then, under [Tags] and only
+   when no error was recorded, the §3 translation. *)
+let check_files ~sink ~(opts : options) ?base files : compiled =
+  let checked =
+    Span.wrap_rt opts.rtrace opts.metrics "compile" @@ fun () ->
+    let base =
+      match base with
+      | Some b -> b
+      | None ->
+          Span.wrap_rt opts.rtrace opts.metrics "prelude" (fun () ->
+              base_for opts)
+    in
+    fst (extend ~sink ~faults:true ~opts ~base files)
   in
-  fst (extend ?sink ~faults:true ~opts ~base files)
+  match opts.strategy with
+  | Dicts | Dicts_flat -> checked
+  | Tags ->
+      if Diagnostic.Sink.has_errors sink then checked
+      else
+        Diagnostic.guard ~sink ~stage:"tag translation" ~loc:Loc.none
+          ~recover:(fun () -> checked)
+          (fun () -> tag_translate checked files)
 
 let compile ?(opts = default_options) ?(file = "<input>") (src : string) :
     compiled =
-  let files = [ (file, src) ] in
-  let checked = check_files ~opts files in
-  match opts.strategy with
-  | Dicts | Dicts_flat -> checked
-  | Tags -> tag_translate checked files
+  check_files ~sink:(Diagnostic.Sink.raising ()) ~opts [ (file, src) ]
 
 (* ------------------------------------------------------------------ *)
 (* Accumulating compilation.                                           *)
@@ -907,12 +896,13 @@ type checked = {
 }
 
 (** Compile, collecting every diagnostic instead of raising on the first
-    error. Recovery boundaries: top-level declaration (parser, fixity,
-    static analysis), binding group / signature binding (inference),
-    placeholder (final resolution), plus an ICE guard around every stage;
-    the error cap is [opts.max_errors]. Never raises: a fatal error
-    outside any boundary (lexer, layout) and any unexpected exception end
-    up in [diagnostics] too. *)
+    error: {!compile}'s path on a recovering sink. Recovery
+    boundaries: top-level declaration (parser, fixity, static analysis),
+    binding group / signature binding (inference), placeholder (final
+    resolution), plus an ICE guard around every stage; the error cap is
+    [opts.max_errors]. Never raises: a fatal error outside any boundary
+    (lexer, layout) and any unexpected exception end up in [diagnostics]
+    too. *)
 let compile_collect_files ?(opts = default_options) ?base files : checked =
   let sink = Diagnostic.Sink.create ~max_errors:opts.max_errors () in
   let safe_report d =
@@ -920,17 +910,7 @@ let compile_collect_files ?(opts = default_options) ?base files : checked =
     with Diagnostic.Sink.Limit_reached -> ()
   in
   let artifact =
-    match
-      let checked = check_files ~sink ~opts ?base files in
-      match opts.strategy with
-      | Dicts | Dicts_flat -> checked
-      | Tags ->
-          if Diagnostic.Sink.has_errors sink then checked
-          else
-            Diagnostic.guard ~sink ~stage:"tag translation" ~loc:Loc.none
-              ~recover:(fun () -> checked)
-              (fun () -> tag_translate checked files)
-    with
+    match check_files ~sink ~opts ?base files with
     | c -> if Diagnostic.Sink.has_errors sink then None else Some c
     | exception Diagnostic.Sink.Limit_reached ->
         safe_report

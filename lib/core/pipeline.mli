@@ -118,9 +118,15 @@ type compiled = {
 }
 
 (** Compile a program under [opts.strategy]. Raises {!Diagnostic.Error} on
-    any compile-time error. Under {!Tags} the program is still type checked
-    (methods overloaded only in their result type are rejected in user
-    code) before the independent §3 translation.
+    the first compile-time error. Under {!Tags} the program is still type
+    checked (methods overloaded only in their result type are rejected in
+    user code) before the independent §3 translation.
+
+    This is {!compile_collect}'s path, with its recovery boundaries,
+    run on a raising {!Diagnostic.Sink}: the error raised is the first
+    one {!compile_collect} records, in issue order (only an unlocated one
+    differs, gaining its declaration's location when collected), and
+    every other exception passes through unwrapped.
 
     The program extends the process's prelude snapshot for [opts]: checked
     once per process for each combination of layout, literal overloading
@@ -169,7 +175,9 @@ type checked = {
     each unresolved placeholder reports independently — and every stage is
     wrapped in an ICE guard that turns an unexpected exception into an
     "internal error in <stage>" diagnostic of severity [Bug]. At most
-    [opts.max_errors] errors are recorded. Never raises. *)
+    [opts.max_errors] errors are recorded. Never raises. It is
+    {!compile}'s path on a recovering sink, so it yields an artifact
+    exactly when {!compile} succeeds. *)
 val compile_collect : ?opts:options -> ?file:string -> string -> checked
 
 (** {!compile_collect} over [(file name, text)] sources, in order, on top

@@ -92,7 +92,7 @@ let rec expr (env : Class_env.t) (e : Ast.expr) : Kernel.expr =
       check_linear pats;
       lambda env ~loc pats (expr env body) ~what:"lambda"
   | Ast.ELet (ds, body) ->
-      let groups = decls_to_groups env ds in
+      let groups = nested_groups env ds in
       List.fold_right (fun g acc -> Kernel.KLet (g, acc)) groups (expr env body)
   | Ast.EIf (c, t, f) -> Kernel.KIf (expr env c, expr env t, expr env f)
   | Ast.ECase (scrut, alts) ->
@@ -202,7 +202,7 @@ and rhs_body env (r : Ast.rhs) : fail:Kernel.expr -> Kernel.expr =
   match r.rhs_where with
   | [] -> inner
   | ds ->
-      let groups = decls_to_groups env ds in
+      let groups = nested_groups env ds in
       List.fold_right (fun g acc -> Kernel.KLet (g, acc)) groups inner
 
 (* ------------------------------------------------------------------ *)
@@ -296,18 +296,14 @@ and fun_bind_expr env (fb : Ast.fun_bind) : Kernel.expr =
 (* Binding blocks: signatures, pattern-binding expansion, SCCs.        *)
 (* ------------------------------------------------------------------ *)
 
-and decls_to_groups ?sink ?(outer = Ident.Set.empty) env (ds : Ast.decl list)
+and decls_to_groups ~sink ?(outer = Ident.Set.empty) env (ds : Ast.decl list)
     : Kernel.group list =
-  (* per-item recovery boundary: with [sink], a bad signature or binding
-     loses only itself (references to it desugar as free variables and are
-     reported at their use sites); without, the error propagates *)
+  (* per-item recovery boundary: with a recovering [sink], a bad signature
+     or binding loses only itself (references to it desugar as free
+     variables and are reported at their use sites); with a raising one,
+     the error propagates *)
   let g ~loc f =
-    match sink with
-    | None -> f ()
-    | Some sink ->
-        Diagnostic.guard ~sink ~stage:"desugaring" ~loc
-          ~recover:(fun () -> ())
-          f
+    Diagnostic.guard ~sink ~stage:"desugaring" ~loc ~recover:(fun () -> ()) f
   in
   let grouped = Ast.group_decls ds in
   (* signatures *)
@@ -481,6 +477,11 @@ and scc_groups (binds : Kernel.bind list) : Kernel.group list =
       | vs -> Kernel.KRec (List.map (fun v -> arr.(v)) vs))
     (List.rev !components)
 
+(* A [let] or [where] block: no recovery inside it, so an error loses the
+   enclosing top-level binding. *)
+and nested_groups env ds =
+  decls_to_groups ~sink:(Diagnostic.Sink.raising ()) env ds
+
 (** Desugar top-level value declarations (signatures and bindings). *)
-let top_decls ?sink ?outer env (ds : Ast.decl list) : Kernel.group list =
-  decls_to_groups ?sink ?outer env ds
+let top_decls ~sink ?outer env (ds : Ast.decl list) : Kernel.group list =
+  decls_to_groups ~sink ?outer env ds

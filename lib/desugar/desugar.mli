@@ -16,24 +16,16 @@ val expr : Class_env.t -> Ast.expr -> Kernel.expr
     expression; used for instance methods and class defaults. *)
 val fun_bind_expr : Class_env.t -> Ast.fun_bind -> Kernel.expr
 
-(** Desugar a block of declarations into binding groups in dependency
-    order. With [sink], each top-level signature group and binding is a
-    fault-isolation boundary: a declaration that fails to desugar is
-    reported and dropped, and the rest of the block still desugars.
-    Binding a name in [outer] is an error. *)
-val decls_to_groups :
-  ?sink:Tc_support.Diagnostic.Sink.sink ->
-  ?outer:Tc_support.Ident.Set.t ->
-  Class_env.t ->
-  Ast.decl list ->
-  Kernel.group list
-
-(** Desugar top-level value declarations. The block is one file's top
-    level: a binding may refer to the names in [outer] (those bound by
-    earlier files and the primitives; empty by default) but may not
-    rebind them. *)
+(** Desugar top-level value declarations into binding groups in
+    dependency order. The block is one file's top level: a binding may
+    refer to the names in [outer] (those bound by earlier files and the
+    primitives; empty by default) but may not rebind them. Each signature
+    group and binding is a recovery boundary on [sink]: with a recovering
+    sink, a declaration that fails to desugar is reported and dropped,
+    and the rest of the block still desugars; with a raising sink, the
+    first error raises. *)
 val top_decls :
-  ?sink:Tc_support.Diagnostic.Sink.sink ->
+  sink:Tc_support.Diagnostic.Sink.sink ->
   ?outer:Tc_support.Ident.Set.t ->
   Class_env.t ->
   Ast.decl list ->

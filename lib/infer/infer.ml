@@ -788,7 +788,7 @@ and check_signature_binding st (venv : venv) ~(name : Ident.t)
 (** Resolve everything deferred to the top level (restricted bindings,
     ambiguous literals, ...), applying defaulting. Call once after the whole
     program has been checked. *)
-let final_resolve ?(isolate = false) st =
+let final_resolve st =
   let pending = pop_scope st in
   let resolve1 ph =
     match ph.ph_kind with
@@ -807,14 +807,12 @@ let final_resolve ?(isolate = false) st =
   in
   List.iter
     (fun ph ->
-      if isolate then
-        (* each unresolved placeholder (ambiguity, missing instance) is an
-           independent diagnostic; the erroneous core is discarded anyway *)
-        Diagnostic.guard ~sink:st.sink ~stage:"placeholder resolution"
-          ~loc:ph.ph_loc
-          ~recover:(fun () -> ())
-          (fun () -> resolve1 ph)
-      else resolve1 ph)
+      (* each unresolved placeholder (ambiguity, missing instance) is an
+         independent diagnostic; the erroneous core is discarded anyway *)
+      Diagnostic.guard ~sink:st.sink ~stage:"placeholder resolution"
+        ~loc:ph.ph_loc
+        ~recover:(fun () -> ())
+        (fun () -> resolve1 ph))
     pending
 
 (* ------------------------------------------------------------------ *)
@@ -834,27 +832,30 @@ let error_scheme () : Scheme.t =
     placeholder-scope stack are restored (scopes opened by [f] are
     dropped; placeholders [f] added to surviving scopes — including
     deferrals into enclosing scopes — are removed, since they belong to
-    the discarded translation). *)
+    the discarded translation). A raising sink never recovers, so [f]
+    just runs, with no snapshot taken. *)
 let protect st ~stage ~loc ~(recover : unit -> 'a) (f : unit -> 'a) : 'a =
-  let level = st.level in
-  let scopes = st.scopes in
-  let lens = List.map (fun r -> List.length !r) scopes in
-  let rollback () =
-    st.level <- level;
-    st.scopes <- scopes;
-    (* placeholders are prepended, so drop the newest from each scope *)
-    List.iter2
-      (fun r n ->
-        let rec drop k xs =
-          if k <= 0 then xs
-          else match xs with [] -> [] | _ :: t -> drop (k - 1) t
-        in
-        let extra = List.length !r - n in
-        if extra > 0 then r := drop extra !r)
-      scopes lens
-  in
-  Diagnostic.guard ~sink:st.sink ~stage ~loc
-    ~recover:(fun () ->
-      rollback ();
-      recover ())
-    f
+  if Diagnostic.Sink.raises st.sink then f ()
+  else
+    let level = st.level in
+    let scopes = st.scopes in
+    let lens = List.map (fun r -> List.length !r) scopes in
+    let rollback () =
+      st.level <- level;
+      st.scopes <- scopes;
+      (* placeholders are prepended, so drop the newest from each scope *)
+      List.iter2
+        (fun r n ->
+          let rec drop k xs =
+            if k <= 0 then xs
+            else match xs with [] -> [] | _ :: t -> drop (k - 1) t
+          in
+          let extra = List.length !r - n in
+          if extra > 0 then r := drop extra !r)
+        scopes lens
+    in
+    Diagnostic.guard ~sink:st.sink ~stage ~loc
+      ~recover:(fun () ->
+        rollback ();
+        recover ())
+      f

@@ -71,11 +71,12 @@ val check_signature_binding :
   Core.bind * Scheme.t
 
 (** Resolve everything deferred to the top level (restricted bindings,
-    ambiguous literals), applying defaulting. With [~isolate:true], each
-    placeholder that fails to resolve (ambiguity, missing instance)
-    records its own diagnostic in the sink and resolution continues with
-    the remaining placeholders. *)
-val final_resolve : ?isolate:bool -> state -> unit
+    ambiguous literals), applying defaulting. Each placeholder is a
+    recovery boundary on the state's sink: with a recovering sink, one
+    that fails to resolve (ambiguity, missing instance) records its own
+    diagnostic and resolution continues with the remaining placeholders;
+    with a raising sink, the first failure raises. *)
+val final_resolve : state -> unit
 
 (** The scheme assigned to binders of a failed binding group:
     [forall a. a]. Unifies with anything, carries no context, and so
@@ -87,7 +88,9 @@ val error_scheme : unit -> Scheme.t
     as an ICE), record the diagnostic in the state's sink, restore the
     checker's level and placeholder-scope stack to their state before the
     call, and return [recover ()]. The per-binding-group fault-isolation
-    boundary. *)
+    boundary. On a raising sink it just runs [f], as
+    {!Tc_support.Diagnostic.guard} does, and takes no snapshot of the
+    checker state. *)
 val protect :
   state ->
   stage:string ->

@@ -1,7 +1,7 @@
 (** Per-request tracing: a sampled flight recorder.
 
     Where {!Metrics} aggregates (p99 rose), [Rtrace] attributes: every
-    {!Span.wrap} site emits a timestamped event — phase name, start,
+    {!Span.wrap_rt} site emits a timestamped event — phase name, start,
     duration, allocated words — tagged with the {e trace ID} minted for
     the request at ingress, so a single slow request can be read back as
     a timeline across queueing, compile phases, execution and emit.
@@ -21,9 +21,9 @@
 
     Recording charges events to an ambient {e current} trace ID kept
     per domain ({!set_current}/{!clear_current}); a worker sets it
-    before handling a request and clears it after, so [Span.wrap] sites
-    deep in the pipeline need no explicit ID plumbing. An unsampled (or
-    unset) current ID makes {!record} a no-op.
+    before handling a request and clears it after, so [Span.wrap_rt]
+    sites deep in the pipeline need no explicit ID plumbing. An unsampled
+    (or unset) current ID makes {!record} a no-op.
 
     {!dump} is called from a SIGUSR1 handler: it takes no lock (the
     ring list is read through an atomic snapshot; the mutex guards only

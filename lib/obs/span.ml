@@ -1,14 +1,14 @@
 (** Phase spans: time a pipeline stage and charge it to the registry.
 
-    [wrap m "infer" f] runs [f] and records one observation — wall-clock
-    nanoseconds and allocated words — against the span's full nesting
-    path ("compile/infer" when entered under an open "compile" span) in
-    the {!Metrics} registry [m]. Spans nest through a stack carried by
-    the registry, so the path structure mirrors the dynamic call
-    structure; the stat record is minted at entry, so the snapshot lists
-    parents before children in a deterministic order.
+    [wrap_rt rt m "infer" f] runs [f] and records one observation —
+    wall-clock nanoseconds and allocated words — against the span's full
+    nesting path ("compile/infer" when entered under an open "compile"
+    span) in the {!Metrics} registry [m]. Spans nest through a stack
+    carried by the registry, so the path structure mirrors the dynamic
+    call structure; the stat record is minted at entry, so the snapshot
+    lists parents before children in a deterministic order.
 
-    When [m] is {!Metrics.disabled}, [wrap] is a single [match] and a
+    When [m] is {!Metrics.disabled}, [wrap_rt] is a single [match] and a
     tail call — no clock read, no [Gc] read, no allocation beyond the
     closure the caller already built.
 
@@ -48,7 +48,3 @@ let wrap_rt (rt : Rtrace.t) (m : Metrics.t) (name : string) (f : unit -> 'a) :
         Metrics.span_pop m)
       f
   end
-
-let wrap ?(rt = Rtrace.disabled) (m : Metrics.t) (name : string)
-    (f : unit -> 'a) : 'a =
-  wrap_rt rt m name f

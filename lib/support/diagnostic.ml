@@ -1,15 +1,17 @@
 (** Compiler diagnostics: located errors, warnings and internal errors.
 
-    Two reporting disciplines coexist:
+    Checking code raises an error as the {!Error} exception. Every stage
+    reports into a {!Sink.sink} through its recovery boundaries (parser
+    resynchronization, per-declaration static analysis, per-binding-group
+    inference, a pipeline stage guard), and the sink decides what an
+    error does:
 
-    - {e fail-fast}: an error is raised as the {!Error} exception and aborts
-      whatever was running. [errorf] below and most checking code work this
-      way; external callers that catch {!Error} keep working unchanged.
-    - {e accumulating}: a recovery boundary (parser resynchronization,
-      per-declaration static analysis, per-binding-group inference, a
-      pipeline stage guard) catches {!Error} and records the diagnostic in
-      the {!Sink.sink}, then continues with a degraded result, so one pass
-      reports every independent problem.
+    - a {e recovering} sink ({!Sink.create}) records it, and the boundary
+      continues with a degraded result, so one pass reports every
+      independent problem;
+    - a {e raising} sink ({!Sink.raising}) raises it again, so the first
+      error aborts the compile (fail-fast). Its boundaries run their body
+      bare: every exception passes through untouched.
 
     The [Bug] severity marks internal compiler errors (ICEs): unexpected
     exceptions converted by a stage guard via {!of_exn}. They render as
@@ -91,35 +93,37 @@ let of_exn ~stage ~loc (exn : exn) : t =
 
 (** Diagnostic sink: a mutable accumulator threaded through compilation.
     Collects warnings and — at recovery boundaries — errors, with a
-    configurable cap on the number of errors recorded. *)
+    configurable cap on the number of errors recorded; or, when raising,
+    raises the first error instead. *)
 module Sink = struct
   type sink = {
     mutable diags : t list;  (* newest first *)
     mutable n_errors : int;  (* errors + bugs recorded *)
-    mutable max_errors : int;  (* <= 0 means unlimited *)
+    max_errors : int;  (* <= 0 means unlimited *)
+    raises : bool;  (* an error raises instead of being recorded *)
   }
 
   exception Limit_reached
 
-  let create ?(max_errors = 0) () = { diags = []; n_errors = 0; max_errors }
+  let create ?(max_errors = 0) () =
+    { diags = []; n_errors = 0; max_errors; raises = false }
 
-  let set_max_errors sink n = sink.max_errors <- n
+  let raising () = { diags = []; n_errors = 0; max_errors = 0; raises = true }
 
-  (** Record a diagnostic. Raises {!Limit_reached} when recording an error
+  let raises sink = sink.raises
+
+  (** Record a diagnostic. On a raising sink an error is raised as
+      {!Error} instead. Raises {!Limit_reached} when recording an error
       would exceed the sink's cap; recovery boundaries must let that
       exception propagate so the whole run stops. *)
   let report sink (d : t) =
     if is_error d then begin
+      if sink.raises then raise (Error d);
       if sink.max_errors > 0 && sink.n_errors >= sink.max_errors then
         raise Limit_reached;
       sink.n_errors <- sink.n_errors + 1
     end;
     sink.diags <- d :: sink.diags
-
-  let error ?(hints = []) sink ~loc fmt =
-    Format.kasprintf
-      (fun message -> report sink (make ~hints ~severity:Error ~loc message))
-      fmt
 
   let warn ?(hints = []) sink ~loc fmt =
     Format.kasprintf
@@ -128,36 +132,30 @@ module Sink = struct
 
   let diagnostics sink = List.rev sink.diags
   let warnings sink = List.filter (fun d -> d.severity = Warning) (diagnostics sink)
-  let errors sink = List.filter is_error (diagnostics sink)
-  let error_count sink = sink.n_errors
   let has_errors sink = sink.n_errors > 0
-  let has_bug sink = List.exists (fun d -> d.severity = Bug) sink.diags
 
   (** The first error recorded, in issue order — what fail-fast compilation
       would have raised. *)
-  let first_error sink =
-    let rec last = function
-      | [] -> None
-      | [ d ] -> Some d
-      | _ :: rest -> last rest
-    in
-    last (List.filter is_error sink.diags)
+  let first_error sink = List.find_opt is_error (diagnostics sink)
 end
 
 (** [guard ~sink ~stage ~loc ~recover f] is the universal recovery
     boundary: run [f]; on {!Error} record the diagnostic and return
     [recover ()]; on any other exception (except {!Sink.Limit_reached} and
     [Out_of_memory], which propagate) record an ICE diagnostic for [stage]
-    and return [recover ()]. *)
+    and return [recover ()]. On a raising sink it is just [f ()], so every
+    exception passes through untouched. *)
 let guard ~sink ~stage ~loc ~(recover : unit -> 'a) (f : unit -> 'a) : 'a =
-  try f () with
-  | Error d ->
-      (* An unlocated diagnostic at least inherits the guard's location,
-         so the user learns which declaration it came from. *)
-      let d = if Loc.is_none d.loc then { d with loc } else d in
-      Sink.report sink d;
-      recover ()
-  | (Sink.Limit_reached | Out_of_memory) as e -> raise e
-  | exn ->
-      Sink.report sink (of_exn ~stage ~loc exn);
-      recover ()
+  if Sink.raises sink then f ()
+  else
+    try f () with
+    | Error d ->
+        (* An unlocated diagnostic at least inherits the guard's location,
+           so the user learns which declaration it came from. *)
+        let d = if Loc.is_none d.loc then { d with loc } else d in
+        Sink.report sink d;
+        recover ()
+    | (Sink.Limit_reached | Out_of_memory) as e -> raise e
+    | exn ->
+        Sink.report sink (of_exn ~stage ~loc exn);
+        recover ()

@@ -1,10 +1,11 @@
 (** Compiler diagnostics: located errors, warnings and internal errors.
 
-    Fail-fast code raises errors as the {!Error} exception; recovery
-    boundaries catch it and record the diagnostic in a {!Sink.sink}, so one
-    compilation pass can report every independent problem. The [Bug]
-    severity marks internal compiler errors (ICEs) produced by stage
-    guards from unexpected exceptions. *)
+    Checking code raises errors as the {!Error} exception; recovery
+    boundaries catch it and report the diagnostic to a {!Sink.sink}. A
+    recovering sink records it, so one compilation pass can report every
+    independent problem; a raising sink raises it again, which makes the
+    same pass fail-fast. The [Bug] severity marks internal compiler errors
+    (ICEs) produced by stage guards from unexpected exceptions. *)
 
 type severity = Error | Warning | Bug
 
@@ -43,7 +44,8 @@ val of_exn : stage:string -> loc:Loc.t -> exn -> t
 
 (** Diagnostic sink: a mutable accumulator threaded through compilation.
     Collects warnings and, at recovery boundaries, errors — with a
-    configurable cap on recorded errors. *)
+    configurable cap on recorded errors — or, when raising, raises the
+    first error instead of recording it. *)
 module Sink : sig
   type sink
 
@@ -51,21 +53,21 @@ module Sink : sig
       error cap. Recovery boundaries must let it propagate. *)
   exception Limit_reached
 
-  (** [create ?max_errors ()] makes a fresh sink. [max_errors <= 0] (the
-      default) means unlimited. *)
+  (** [create ?max_errors ()] makes a fresh recovering sink.
+      [max_errors <= 0] (the default) means unlimited. *)
   val create : ?max_errors:int -> unit -> sink
 
-  val set_max_errors : sink -> int -> unit
+  (** [raising ()] makes a fresh fail-fast sink: it records warnings, and
+      {!report} raises an error as {!Error}. {!guard} on it just runs its
+      body. *)
+  val raising : unit -> sink
 
-  (** Record a diagnostic; raises {!Limit_reached} at the error cap. *)
+  (** Whether the sink is a {!raising} one. *)
+  val raises : sink -> bool
+
+  (** Record a diagnostic; raises {!Limit_reached} at the error cap. On a
+      raising sink an error is raised as {!Error} instead. *)
   val report : sink -> t -> unit
-
-  val error :
-    ?hints:string list ->
-    sink ->
-    loc:Loc.t ->
-    ('a, Format.formatter, unit, unit) format4 ->
-    'a
 
   val warn :
     ?hints:string list ->
@@ -80,14 +82,7 @@ module Sink : sig
   (** Warnings only, in issue order. *)
   val warnings : sink -> t list
 
-  (** Errors and bugs only, in issue order. *)
-  val errors : sink -> t list
-
-  val error_count : sink -> int
   val has_errors : sink -> bool
-
-  (** Whether any recorded diagnostic is an ICE ([Bug]). *)
-  val has_bug : sink -> bool
 
   (** The first error recorded — what fail-fast compilation would have
       raised. *)
@@ -97,7 +92,9 @@ end
 (** [guard ~sink ~stage ~loc ~recover f]: run [f]; on {!Error} record it
     and return [recover ()]; on any other exception (except
     {!Sink.Limit_reached} and [Out_of_memory]) record an ICE for [stage]
-    at [loc] and return [recover ()]. The universal recovery boundary. *)
+    at [loc] and return [recover ()]. The universal recovery boundary. On
+    a raising sink it is just [f ()]: no location is inherited, nothing is
+    wrapped as an ICE, and every exception passes through untouched. *)
 val guard :
   sink:Sink.sink ->
   stage:string ->

@@ -60,6 +60,8 @@ let expect st tok what =
 
 let accept st tok = if peek st = tok then (ignore (advance st); true) else false
 
+let reraise d = raise (Diagnostic.Error d)
+
 (* ------------------------------------------------------------------ *)
 (* Small token classifiers.                                            *)
 (* ------------------------------------------------------------------ *)
@@ -123,7 +125,11 @@ let consume_operator st n =
 (* Blocks: { p ; p ; ... } with virtual or explicit braces.             *)
 (* ------------------------------------------------------------------ *)
 
-let parse_block ?recover st (parse_item : state -> 'a) : 'a list =
+(* [report] receives an item's parse error. If it returns, the block
+   skips to the next item and goes on; nested blocks pass [reraise], so
+   their errors reach the enclosing declaration. *)
+let parse_block ~(report : Diagnostic.t -> unit) st (parse_item : state -> 'a)
+    : 'a list =
   let close =
     if accept st Token.VLBRACE then Token.VRBRACE
     else if accept st Token.LBRACE then Token.RBRACE
@@ -138,7 +144,9 @@ let parse_block ?recover st (parse_item : state -> 'a) : 'a list =
      declaration that starts at the block's reference column, so for the
      top-level block this resynchronizes at the next top-level
      declaration. *)
+  let resynced = ref false in
   let resync () =
+    resynced := true;
     let depth = ref 0 in
     let stop = ref false in
     while not !stop do
@@ -167,8 +175,9 @@ let parse_block ?recover st (parse_item : state -> 'a) : 'a list =
   let rec go () =
     skip_semis ();
     if peek st = close then ignore (advance st)
-    else if peek st = Token.EOF && recover <> None then
-      (* a recovery skip consumed the close; treat EOF as end of block *)
+    else if peek st = Token.EOF && !resynced then
+      (* a recovery skip may have consumed the close; treat EOF as end of
+         block *)
       ()
     else begin
       let start = st.pos in
@@ -182,15 +191,12 @@ let parse_block ?recover st (parse_item : state -> 'a) : 'a list =
       with
       | `Close -> ignore (advance st)
       | `More -> go ()
-      | exception Diagnostic.Error d -> (
-          match recover with
-          | None -> raise (Diagnostic.Error d)
-          | Some report ->
-              report d;
-              st.furthest <- None;
-              if st.pos = start then ignore (advance st);
-              resync ();
-              go ())
+      | exception Diagnostic.Error d ->
+          report d;
+          st.furthest <- None;
+          if st.pos = start then ignore (advance st);
+          resync ();
+          go ()
     end
   in
   go ();
@@ -456,7 +462,7 @@ and parse_exp10 st : expr =
       mk_expr ~loc:(Loc.merge loc body.e_loc) (ELam (ps, body))
   | Token.KW_let ->
       ignore (advance st);
-      let ds = parse_block st parse_decl in
+      let ds = parse_block ~report:reraise st parse_decl in
       ignore (expect st Token.KW_in "'in'");
       let body = parse_expr st in
       mk_expr ~loc:(Loc.merge loc body.e_loc) (ELet (ds, body))
@@ -472,7 +478,7 @@ and parse_exp10 st : expr =
       ignore (advance st);
       let scrut = parse_expr st in
       ignore (expect st Token.KW_of "'of'");
-      let alts = parse_block st parse_alt in
+      let alts = parse_block ~report:reraise st parse_alt in
       mk_expr ~loc:(Loc.merge loc (peek_loc st)) (ECase (scrut, alts))
   | _ -> parse_fexp st
 
@@ -613,7 +619,8 @@ and parse_rhs st ~sep : rhs =
     end
   in
   let where_decls =
-    if accept st Token.KW_where then parse_block st parse_decl else []
+    if accept st Token.KW_where then parse_block ~report:reraise st parse_decl
+    else []
   in
   { rhs_body = body; rhs_where = where_decls; rhs_loc = Loc.merge loc (peek_loc st) }
 
@@ -779,7 +786,8 @@ let parse_opt_context st : spred list =
       []
 
 let parse_where_body st : decl list =
-  if accept st Token.KW_where then parse_block st parse_decl else []
+  if accept st Token.KW_where then parse_block ~report:reraise st parse_decl
+  else []
 
 let parse_top_decl st : top_decl =
   let loc = peek_loc st in
@@ -845,27 +853,20 @@ let parse_top_decl st : top_decl =
         }
   | _ -> TDecl (parse_decl st)
 
-(** Parse a complete program (the whole file is one layout block).
-    With [recover], parse errors are reported through the callback and
-    parsing resynchronizes at the next top-level declaration instead of
-    aborting. *)
-let parse_program_tokens ?recover toks : program =
+(** Parse a complete program (the whole file is one layout block). Parse
+    errors are reported to [sink]; a recovering sink lets parsing
+    resynchronize at the next top-level declaration. *)
+let parse_program_tokens ~sink toks : program =
   let st = make_state toks in
-  let decls = parse_block ?recover st parse_top_decl in
-  (match recover with
-   | None -> ignore (expect st Token.EOF "end of file")
-   | Some report ->
-       if peek st <> Token.EOF then (
-         try ignore (fail_expect st "end of file")
-         with Diagnostic.Error d -> report d));
+  let report = Diagnostic.Sink.report sink in
+  let decls = parse_block ~report st parse_top_decl in
+  (if peek st <> Token.EOF then
+     try ignore (fail_expect st "end of file")
+     with Diagnostic.Error d -> report d);
   decls
 
-let parse_program ?sink ~file src : program =
-  let toks = Layout.tokenize ~file src in
-  match sink with
-  | None -> parse_program_tokens toks
-  | Some sink ->
-      parse_program_tokens ~recover:(Diagnostic.Sink.report sink) toks
+let parse_program ~sink ~file src : program =
+  parse_program_tokens ~sink (Layout.tokenize ~file src)
 
 (** Parse a single expression (for tests and the REPL-ish API). *)
 let parse_expression ~file src : expr =

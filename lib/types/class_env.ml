@@ -115,7 +115,7 @@ let builtin_datacons () : con_info list =
   in
   [ nil; cons; unit ]
 
-let create ?(sink = Diagnostic.Sink.create ()) () =
+let create () =
   let tycons =
     List.fold_left
       (fun m (tc : Tycon.t) -> Ident.Map.add tc.name tc m)
@@ -139,14 +139,15 @@ let create ?(sink = Diagnostic.Sink.create ()) () =
     classes = Ident.Map.empty;
     methods = Ident.Map.empty;
     instances = Ident.Map.empty;
-    sink;
+    sink = Diagnostic.Sink.raising ();
     trace = Tc_obs.Trace.none;
   }
 
 (** A fresh environment extending [env]: every table is a persistent map,
     so this is a record copy, and what is added through the copy never
-    reaches [env]. The copy gets its own diagnostic sink and no trace. *)
-let extend ?(sink = Diagnostic.Sink.create ()) env =
+    reaches [env]. The copy gets its own diagnostic sink (a raising one by
+    default) and no trace. *)
+let extend ?(sink = Diagnostic.Sink.raising ()) env =
   { env with sink; trace = Tc_obs.Trace.none }
 
 (** The constructor of the [n]-tuple, registered on first use. *)

@@ -67,13 +67,13 @@ type t = {
 }
 
 (** A fresh environment containing the builtin tycons and data constructors
-    (nil, cons, unit). *)
-val create : ?sink:Diagnostic.Sink.sink -> unit -> t
+    (nil, cons, unit). It reports into a raising (fail-fast) sink. *)
+val create : unit -> t
 
 (** A fresh environment extending [env] in O(1): the tables are
     persistent maps, so this copies the record, and additions made
     through the copy never reach [env]. The copy reports into [sink]
-    (a new one by default) and has tracing off. *)
+    (a new raising one by default) and has tracing off. *)
 val extend : ?sink:Diagnostic.Sink.sink -> t -> t
 
 (** The constructor of the [n]-tuple, registered on first use. *)

@@ -23,9 +23,9 @@ type result = {
 
 let err = Diagnostic.errorf
 
-(** A per-declaration recovery boundary: in fail-fast mode it just runs
-    the thunk; in accumulating mode it records any error (or ICE) in the
-    class environment's sink and skips the declaration. *)
+(** A per-declaration recovery boundary: {!Diagnostic.guard} on the class
+    environment's sink, which skips the declaration after recording its
+    error (or ICE), or, when the sink raises, lets the error propagate. *)
 type decl_guard = loc:Loc.t -> (unit -> unit) -> unit
 
 (* ------------------------------------------------------------------ *)
@@ -523,15 +523,13 @@ let check_superclass_coverage (env : Class_env.t) (g : decl_guard) =
 (* Driver.                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let process ?(env = Class_env.create ()) ?(fail_fast = true)
-    ?(outer = Ident.Set.empty) (prog : Ast.program) : result =
+let process ?(env = Class_env.create ()) ?(outer = Ident.Set.empty)
+    (prog : Ast.program) : result =
   let g : decl_guard =
    fun ~loc f ->
-    if fail_fast then f ()
-    else
-      Diagnostic.guard ~sink:env.sink ~stage:"static analysis" ~loc
-        ~recover:(fun () -> ())
-        f
+    Diagnostic.guard ~sink:env.sink ~stage:"static analysis" ~loc
+      ~recover:(fun () -> ())
+      f
   in
   let registered = register_tycons env g prog in
   check_synonym_cycles env g;

@@ -12,11 +12,13 @@ type result = {
 
 (** Process a program's top-level declarations.
 
-    With [fail_fast] (the default), raises {!Tc_support.Diagnostic.Error}
-    on duplicate instances, superclass cycles or missing coverage,
-    malformed heads, etc. With [~fail_fast:false], each bad declaration's
-    error is recorded in the environment's sink, the declaration is
-    skipped, and analysis continues with the remaining declarations.
+    Each declaration is a recovery boundary on the environment's sink.
+    With a recovering sink, a bad declaration's error (a duplicate
+    instance, a superclass cycle or missing coverage, a malformed head,
+    etc.) is recorded, the declaration is skipped, and analysis continues
+    with the remaining declarations. With a raising sink (the default
+    environment's), the first such error raises
+    {!Tc_support.Diagnostic.Error}.
 
     [env] may already hold the declarations of earlier files (see
     {!Class_env.extend}); this program's declarations extend it. A
@@ -26,7 +28,6 @@ type result = {
     names. *)
 val process :
   ?env:Class_env.t ->
-  ?fail_fast:bool ->
   ?outer:Tc_support.Ident.Set.t ->
   Ast.program ->
   result

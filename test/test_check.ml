@@ -54,6 +54,24 @@ let tests =
                 if not (List.mem first all) then
                   Alcotest.failf "fail-fast error %S not collected" first
             | _ -> Alcotest.fail "expected compile to raise");
+        case "an unclosed explicit block at end of file is an error"
+          (fun () ->
+            (* EOF ends a block only after a recovery skip consumed its
+               close; here nothing was skipped *)
+            let src = "{ main = 1;" in
+            let expected =
+              "test.mhs:1:12-11: error: parse error: expected a pattern \
+               (found '<eof>')"
+            in
+            (match compile src with
+             | exception Tc_support.Diagnostic.Error d ->
+                 Alcotest.(check string) "compile" expected
+                   (Diagnostic.to_string d)
+             | _ -> Alcotest.fail "expected compile to raise");
+            Alcotest.(check (list string)) "compile_collect" [ expected ]
+              (rendered src);
+            Alcotest.(check bool) "no artifact" true
+              (Option.is_none (collect src).artifact));
         check_diags "parser resynchronizes past two parse errors"
           "good1 = 41\n\noops1 = )\n\ngood2 = good1 + 1\n\noops2 x = let in \
            x\n\nbad :: Int\nbad = 'c'\n\nmain = good2\n"

@@ -3,8 +3,12 @@
 
 open Tc_syntax
 
+let parse src =
+  Parser.parse_program ~sink:(Tc_support.Diagnostic.Sink.raising ()) ~file:"t"
+    src
+
 let parse_pp src =
-  let prog = Parser.parse_program ~file:"t" src in
+  let prog = parse src in
   let prog, _ = Fixity.resolve_program prog in
   Fmt.str "%a" Ast_pp.pp_program prog
 
@@ -23,7 +27,7 @@ let check_expr name src expected =
 
 let check_fails name src =
   Helpers.case name (fun () ->
-      match Parser.parse_program ~file:"t" src with
+      match parse src with
       | exception Tc_support.Diagnostic.Error _ -> ()
       | _ -> Alcotest.fail "expected a parse error")
 

@@ -40,7 +40,10 @@ instance (Eq a, Eq b) => Eq (a, b) where
   x == y = True
 |}
   in
-  let prog = Parser.parse_program ~file:"env" src in
+  let prog =
+    Parser.parse_program ~sink:(Tc_support.Diagnostic.Sink.raising ())
+      ~file:"env" src
+  in
   let prog, _ = Fixity.resolve_program prog in
   (Static.process prog).env
 
