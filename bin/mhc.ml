@@ -163,9 +163,11 @@ let metrics_arg =
            spans, counters, latency histograms — to $(docv) ($(b,-) for \
            stdout) when the command finishes.")
 
-let metrics_for = function
-  | None -> Metrics.disabled
-  | Some _ -> Metrics.create ()
+(* A live registry for --metrics, or to carry a live flight recorder
+   (--trace-out): recorder events come from spans, which need one. *)
+let metrics_for ?(recorder = Rtrace.disabled) = function
+  | None when not (Rtrace.is_on recorder) -> Metrics.disabled
+  | _ -> Metrics.create ~recorder ()
 
 let write_metrics dest (m : Metrics.t) =
   match dest with
@@ -220,7 +222,7 @@ let traced_root rt ~op f =
   end
 
 let build_opts ?(trace = Trace.none) ?(metrics = Metrics.disabled)
-    ?(rtrace = Rtrace.disabled) ?(specialise = Pipeline.default_spec) strategy
+    ?(specialise = Pipeline.default_spec) strategy
     no_prelude mono_lits : Pipeline.options =
   {
     Pipeline.default_options with
@@ -230,7 +232,6 @@ let build_opts ?(trace = Trace.none) ?(metrics = Metrics.disabled)
     specialise;
     trace;
     metrics;
-    rtrace;
   }
 
 (* ---- spec profiles (the profile -> optimize loop) ---- *)
@@ -374,15 +375,11 @@ let check_cmd =
   let run strategy no_prelude mono json max_errors inject mfile tfile files =
     handle_errors @@ fun () ->
     arm_inject inject;
-    (* phase spans only record under a live registry, so --trace-out
-       forces one even without --metrics *)
-    let metrics =
-      if tfile <> None then Metrics.create () else metrics_for mfile
-    in
     let rtrace = rtrace_for tfile in
+    let metrics = metrics_for ~recorder:rtrace mfile in
     let opts =
       {
-        (build_opts ~metrics ~rtrace strategy no_prelude mono) with
+        (build_opts ~metrics strategy no_prelude mono) with
         Pipeline.max_errors;
       }
     in
@@ -493,20 +490,15 @@ let run_cmd =
       mfile tfile spec_profile spec_report file =
     handle_errors @@ fun () ->
     arm_inject inject;
-    (* phase spans only record under a live registry, so --trace-out
-       forces one even without --metrics *)
-    let metrics =
-      if tfile <> None then Metrics.create () else metrics_for mfile
-    in
     let rtrace = rtrace_for tfile in
+    let metrics = metrics_for ~recorder:rtrace mfile in
     let specialise = spec_options_of_profile spec_profile in
     let passes = spec_default_passes ~spec_profile passes in
     let c, r =
       traced_root rtrace ~op:"run" (fun () ->
           let c =
             compile
-              (build_opts ~metrics ~rtrace ~specialise strategy no_prelude
-                 mono)
+              (build_opts ~metrics ~specialise strategy no_prelude mono)
               file
           in
           let c = Pipeline.optimize passes c in

@@ -34,7 +34,6 @@ module Construct = Tc_dicts.Construct
 module Eval = Tc_eval.Eval
 module Counters = Tc_eval.Counters
 module Trace = Tc_obs.Trace
-module Rtrace = Tc_obs.Rtrace
 module Profile = Tc_obs.Profile
 module Metrics = Tc_obs.Metrics
 module Span = Tc_obs.Span
@@ -87,7 +86,6 @@ type options = {
   specialise : spec_options;   (* drives the Specialise optimizer pass *)
   trace : Trace.t;             (* compile-time event sink; off by default *)
   metrics : Metrics.t;         (* phase spans + counters; off by default *)
-  rtrace : Rtrace.t;           (* per-request flight recorder; off by default *)
 }
 
 let default_options =
@@ -101,7 +99,6 @@ let default_options =
     specialise = default_spec;
     trace = Trace.none;
     metrics = Metrics.disabled;
-    rtrace = Rtrace.disabled;
   }
 
 (* The artifact-relevant rendering of the spec options, for compile-cache
@@ -291,26 +288,26 @@ type front = {
     desugaring skips the offending binding or degrades to an empty
     block. A raising sink makes the first error raise instead. [faults]
     arms the fault injection points. *)
-let front ~metrics ~rt ~faults ~(base : base) ~(env : Class_env.t)
+let front ~metrics ~faults ~(base : base) ~(env : Class_env.t)
     (files : (string * string) list) : front =
   let sink = env.Class_env.sink in
   let hit point = if faults then Inject.hit point in
   let one (fenv, outer, groups) (file, src) =
     hit Inject.Lex;
     let toks =
-      Span.wrap_rt rt metrics "lex" (fun () ->
+      Span.wrap metrics "lex" (fun () ->
           Tc_syntax.Lexer.tokenize ~file src)
     in
     let toks =
-      Span.wrap_rt rt metrics "layout" (fun () -> Tc_syntax.Layout.layout toks)
+      Span.wrap metrics "layout" (fun () -> Tc_syntax.Layout.layout toks)
     in
     let prog =
-      Span.wrap_rt rt metrics "parse" (fun () ->
+      Span.wrap metrics "parse" (fun () ->
           Parser.parse_program_tokens ~sink toks)
     in
     hit Inject.Parse;
     let prog, fenv =
-      Span.wrap_rt rt metrics "fixity" (fun () ->
+      Span.wrap metrics "fixity" (fun () ->
           let fenv = Fixity.collect_program fenv prog in
           (* per-declaration recovery: a bad operator sequence loses only
              its own declaration *)
@@ -325,11 +322,11 @@ let front ~metrics ~rt ~faults ~(base : base) ~(env : Class_env.t)
     in
     hit Inject.Static;
     let { Static.value_decls; _ } =
-      Span.wrap_rt rt metrics "static" (fun () ->
+      Span.wrap metrics "static" (fun () ->
           Static.process ~env ~outer prog)
     in
     let file_groups =
-      Span.wrap_rt rt metrics "desugar" (fun () ->
+      Span.wrap metrics "desugar" (fun () ->
           Diagnostic.guard ~sink ~stage:"desugaring" ~loc:Loc.none
             ~recover:(fun () -> [])
             (fun () -> Desugar.top_decls ~sink ~outer env value_decls))
@@ -376,13 +373,12 @@ let extend ~sink ~faults ~(opts : options) ~(base : base)
     (files : (string * string) list) : compiled * front =
   Stats.reset ();
   let metrics = opts.metrics in
-  let rt = opts.rtrace in
   let iopts = infer_options opts in
   let env = Class_env.extend ~sink base.b_env in
   (* the base's own diagnostics come first, as if it had been checked
      with these files *)
   List.iter (Diagnostic.Sink.report env.sink) base.b_diagnostics;
-  let fr = front ~metrics ~rt ~faults ~base ~env files in
+  let fr = front ~metrics ~faults ~base ~env files in
   env.Class_env.trace <- opts.trace;
   let st = Infer.create_state ~opts:iopts env in
   Infer.push_scope st;
@@ -429,7 +425,7 @@ let extend ~sink ~faults ~(opts : options) ~(base : base)
     (venv', cg :: gs, ss')
   in
   let venv, groups_rev, schemes_rev =
-    Span.wrap_rt rt metrics "infer" @@ fun () ->
+    Span.wrap metrics "infer" @@ fun () ->
     List.fold_left
       (fun ((venv, gs, ss) as acc) g ->
         let binds = Kernel.binds_of_group g in
@@ -469,7 +465,7 @@ let extend ~sink ~faults ~(opts : options) ~(base : base)
       (Class_env.all_instances env)
   in
   let default_binds, missing_default_binds, impl_binds =
-    Span.wrap_rt rt metrics "methods" @@ fun () ->
+    Span.wrap metrics "methods" @@ fun () ->
   (* default methods *)
   let default_binds =
     List.concat_map
@@ -562,7 +558,7 @@ let extend ~sink ~faults ~(opts : options) ~(base : base)
   (* dictionary bindings (mechanical, §4) *)
   if faults then Inject.hit Inject.Translate;
   let dict_binds =
-    Span.wrap_rt rt metrics "dicts" (fun () ->
+    Span.wrap metrics "dicts" (fun () ->
         Infer.protect st ~stage:"dictionary construction" ~loc:Loc.none
           ~recover:(fun () -> [])
           (fun () ->
@@ -570,14 +566,14 @@ let extend ~sink ~faults ~(opts : options) ~(base : base)
               (Construct.instance_dict_binding env iopts.strategy)
               instances))
   in
-  Span.wrap_rt rt metrics "resolve" (fun () -> Infer.final_resolve st);
+  Span.wrap metrics "resolve" (fun () -> Infer.final_resolve st);
   let program : Core.program =
     if Diagnostic.Sink.has_errors sink then
       (* diagnostics were recorded; the caller discards the artifact, so
          skip the mechanical back half rather than run it over stubs *)
       { p_binds = []; p_main = None }
     else
-      Span.wrap_rt rt metrics "normalize" @@ fun () ->
+      Span.wrap metrics "normalize" @@ fun () ->
       Infer.protect st ~stage:"core normalization" ~loc:Loc.none
         ~recover:(fun () -> { Core.p_binds = []; p_main = None })
         (fun () ->
@@ -710,7 +706,6 @@ let build_prelude (opts : options) : base =
       lint = true;
       max_errors = 0;
       metrics = Metrics.disabled;
-      rtrace = Rtrace.disabled;
     }
   in
   let sink = Diagnostic.Sink.create () in
@@ -842,13 +837,13 @@ let own_words (c : compiled) : int =
    misbehaves under tags, which is part of the point of §3.) *)
 let tag_translate (checked : compiled) files : compiled =
   let opts = checked.options in
-  Span.wrap_rt opts.rtrace opts.metrics "tags" @@ fun () ->
+  Span.wrap opts.metrics "tags" @@ fun () ->
   let base = checked.base in
   (* its own raising sink: the check already reported this front end's
      warnings *)
   let env = Class_env.extend base.b_env in
   let fr =
-    front ~metrics:opts.metrics ~rt:opts.rtrace ~faults:true ~base ~env files
+    front ~metrics:opts.metrics ~faults:true ~base ~env files
   in
   let core =
     Tc_tagdispatch.Tagdispatch.translate_program env
@@ -863,12 +858,12 @@ let tag_translate (checked : compiled) files : compiled =
    when no error was recorded, the §3 translation. *)
 let check_files ~sink ~(opts : options) ?base files : compiled =
   let checked =
-    Span.wrap_rt opts.rtrace opts.metrics "compile" @@ fun () ->
+    Span.wrap opts.metrics "compile" @@ fun () ->
     let base =
       match base with
       | Some b -> b
       | None ->
-          Span.wrap_rt opts.rtrace opts.metrics "prelude" (fun () ->
+          Span.wrap opts.metrics "prelude" (fun () ->
               base_for opts)
     in
     fst (extend ~sink ~faults:true ~opts ~base files)
@@ -964,8 +959,7 @@ let bytecode ?(mode = `Lazy) (c : compiled) : Tc_vm.Bytecode.program =
 let exec ?(backend = `Tree) ?(mode = `Lazy) ?(budget = Budget.unlimited)
     ?entry ?(profile = false) (c : compiled) : result =
   let metrics = c.options.metrics in
-  let rt = c.options.rtrace in
-  Span.wrap_rt rt metrics "exec" @@ fun () ->
+  Span.wrap metrics "exec" @@ fun () ->
   let cons = Eval.con_table_of_env c.env in
   let prt = if profile then Some (Profile.create_rt ()) else None in
   let finish ~meter ~rendered ~counters ~value =
@@ -981,9 +975,9 @@ let exec ?(backend = `Tree) ?(mode = `Lazy) ?(budget = Budget.unlimited)
   | `Tree -> (
       let st = Eval.create_state ~mode ~budget ?profile:prt cons in
       try
-        let v = Span.wrap_rt rt metrics "eval" (fun () -> Eval.run ?entry st c.core) in
+        let v = Span.wrap metrics "eval" (fun () -> Eval.run ?entry st c.core) in
         Inject.hit Inject.Render;
-        let rendered = Span.wrap_rt rt metrics "render" (fun () -> Eval.render st v) in
+        let rendered = Span.wrap metrics "render" (fun () -> Eval.render st v) in
         finish ~meter:st.Eval.budget ~rendered ~counters:st.Eval.counters
           ~value:(Some v)
       with Stack_overflow ->
@@ -992,13 +986,13 @@ let exec ?(backend = `Tree) ?(mode = `Lazy) ?(budget = Budget.unlimited)
         Budget.exhausted Budget.Frames ~spent:0 ~limit:0)
   | `Vm ->
       let prog =
-        Span.wrap_rt rt metrics "lower" (fun () ->
+        Span.wrap metrics "lower" (fun () ->
             Tc_vm.Compile.program ~mode ~cons c.core)
       in
       let st = Tc_vm.Vm.create_state ~budget ?profile:prt cons in
-      let v = Span.wrap_rt rt metrics "eval" (fun () -> Tc_vm.Vm.run ?entry st prog) in
+      let v = Span.wrap metrics "eval" (fun () -> Tc_vm.Vm.run ?entry st prog) in
       Inject.hit Inject.Render;
-      let rendered = Span.wrap_rt rt metrics "render" (fun () -> Tc_vm.Vm.render st v) in
+      let rendered = Span.wrap metrics "render" (fun () -> Tc_vm.Vm.render st v) in
       finish ~meter:(Tc_vm.Vm.meter st) ~rendered
         ~counters:(Tc_vm.Vm.counters st) ~value:None
 
@@ -1033,8 +1027,7 @@ let expression_type (c : compiled) (src : string) : string =
 let optimize (passes : Tc_opt.Opt.pass list) (c : compiled) : compiled =
   let tr = c.options.trace in
   let metrics = c.options.metrics in
-  let rt = c.options.rtrace in
-  Span.wrap_rt rt metrics "optimize" @@ fun () ->
+  Span.wrap metrics "optimize" @@ fun () ->
   let spec_report = ref c.spec_report in
   (* the policy is rebuilt against the current core: profiled counts are
      remapped (descriptor-first, id fallback) onto the sites that survived
@@ -1081,7 +1074,7 @@ let optimize (passes : Tc_opt.Opt.pass list) (c : compiled) : compiled =
           })
   in
   let run_pass pass core =
-    Span.wrap_rt rt metrics (Tc_opt.Opt.pass_name pass) (fun () ->
+    Span.wrap metrics (Tc_opt.Opt.pass_name pass) (fun () ->
         match (pass : Tc_opt.Opt.pass) with
         | Tc_opt.Opt.Specialise ->
             let core', rep =

@@ -75,14 +75,10 @@ type options = {
           optimizer pass, VM lowering, evaluation and rendering — as
           wall-clock nanoseconds and allocated words under nested paths
           like ["compile/infer"]; {!Tc_obs.Metrics.disabled} (off, and
-          allocation-free) by default *)
-  rtrace : Tc_obs.Rtrace.t;
-      (** per-request flight recorder: every span observation is also
-          appended as a trace-ID-tagged event when this is live and a
-          sampled trace is current on the domain (see
-          {!Tc_obs.Rtrace}); requires a live [metrics] registry to emit
-          anything; {!Tc_obs.Rtrace.disabled} (off, and allocation-free)
-          by default *)
+          allocation-free) by default. A registry created with a flight
+          recorder ({!Tc_obs.Metrics.create}[ ~recorder]) also appends
+          every span observation to it as a trace-ID-tagged event while a
+          sampled trace is current on the domain (see {!Tc_obs.Rtrace}) *)
 }
 
 val default_options : options

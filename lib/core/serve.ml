@@ -95,7 +95,7 @@ let create ?(config = default_config) () =
   {
     config;
     totals = Counters.create ();
-    metrics = Metrics.create ();
+    metrics = Metrics.create ~recorder:config.rtrace ();
     started = config.clock ();
     cur_trace = 0;
   }
@@ -221,7 +221,6 @@ let opts_for t req =
     base with
     Pipeline.strategy = strategy_of req base;
     metrics = t.metrics;
-    rtrace = t.config.rtrace;
   }
 
 let diagnostics_fields (ds : Diagnostic.t list) =

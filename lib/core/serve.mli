@@ -151,7 +151,10 @@ type config = {
           draining and not lame-duck"; [fun () -> true] by default *)
   rtrace : Tc_obs.Rtrace.t;
       (** the per-request flight recorder; {!Tc_obs.Rtrace.disabled}
-          (off, allocation-free) by default. The same recorder must be
+          (off, allocation-free) by default. {!create} attaches it to the
+          server's registry, so every pipeline span a request runs feeds
+          it; the pool reads it for queue and emit events. The same
+          recorder must be
           shared by every worker of a pool so one dump merges all
           domains' rings *)
   hooks : hooks;  (** external seams; {!no_hooks} by default *)

@@ -15,41 +15,24 @@ module Ast = Tc_syntax.Ast
 module Budget = Tc_resilience.Budget
 module Inject = Tc_resilience.Inject
 
-exception Runtime_error of string
-exception User_error of string      (* the program called [error] *)
-exception Pattern_fail of string    (* pattern-match failure *)
+exception Runtime_error = Runtime.Runtime_error
+exception User_error = Runtime.User_error
+exception Pattern_fail = Runtime.Pattern_fail
 
-let runtime fmt = Format.kasprintf (fun m -> raise (Runtime_error m)) fmt
+let runtime = Runtime.runtime
+let bug = Runtime.bug
 
-(** A condition the front end is supposed to have ruled out: a well-typed
-    core program can never reach it, so hitting one is a compiler bug, not
-    an error in the user's program. *)
-let bug fmt = Format.kasprintf (fun m -> raise (Runtime_error ("[BUG] " ^ m))) fmt
-
-(** Run-time constructor descriptor. *)
-type rcon = {
+type rcon = Runtime.rcon = {
   rc_name : Ident.t;
   rc_arity : int;
   rc_tag : int;
   rc_tycon : Ident.t;
 }
 
-(** Run-time constructor table, derived from the static environment. *)
-type con_table = rcon Ident.Tbl.t
+type con_table = Runtime.con_table
 
-let con_table_of_env (env : Tc_types.Class_env.t) : con_table =
-  let tbl = Ident.Tbl.create 64 in
-  Ident.Map.iter
-    (fun name (ci : Tc_types.Class_env.con_info) ->
-      Ident.Tbl.replace tbl name
-        {
-          rc_name = name;
-          rc_arity = ci.con_arity;
-          rc_tag = ci.con_tag;
-          rc_tycon = ci.con_tycon.Tc_types.Tycon.name;
-        })
-    env.Tc_types.Class_env.datacons;
-  tbl
+let con_table_of_env = Runtime.con_table_of_env
+let float_str = Runtime.float_str
 
 type value =
   | VInt of int
@@ -83,16 +66,11 @@ and state = {
   counters : Counters.t;
   profile : Tc_obs.Profile.rt option;  (* per-site dispatch counts *)
   budget : Budget.meter;       (* step/frame/wall/alloc enforcement *)
+  bools : (value * value) option;  (* True/False, built once per state *)
   mutable globals : env;       (* top-level bindings, for rendering etc. *)
 }
 
 let done_ v = { cell = Done v }
-
-(** Render a float unambiguously (always with a '.' or exponent). *)
-let float_str f =
-  let s = Printf.sprintf "%.12g" f in
-  if String.exists (fun c -> c = '.' || c = 'e' || c = 'n' || c = 'i') s then s
-  else s ^ ".0"
 
 (* ------------------------------------------------------------------ *)
 (* Forcing and evaluation.                                             *)
@@ -280,274 +258,46 @@ and apply st (vf : value) (arg : thunk) : value =
       bug "applied a non-function value"
 
 (* ------------------------------------------------------------------ *)
-(* Conversions between values and OCaml strings / lists.               *)
+(* The shared runtime: primitives, rendering, string conversions.      *)
 (* ------------------------------------------------------------------ *)
 
-let string_of_char_list st (v : value) : string =
-  let buf = Buffer.create 16 in
-  let rec go v =
-    match v with
-    | VData (rc, fields) -> (
-        match Ident.text rc.rc_name with
-        | "[]" -> ()
-        | ":" -> (
-            (match force st fields.(0) with
-             | VChar c -> Buffer.add_char buf c
-             | _ -> bug "expected a character in a string");
-            go (force st fields.(1)))
-        | s -> bug "expected a list of characters, got '%s'" s)
-    | _ -> bug "expected a list of characters"
-  in
-  go v;
-  Buffer.contents buf
+include Runtime.Make (struct
+  type nonrec value = value
+  type nonrec thunk = thunk
+  type nonrec prim = prim
+  type nonrec state = state
 
-and char_list_of_string st (s : string) : value =
-  let nil_rc =
-    match Ident.Tbl.find_opt st.cons (Ident.intern "[]") with
-    | Some rc -> rc
-    | None -> runtime "list constructors not registered"
-  in
-  let cons_rc = Option.get (Ident.Tbl.find_opt st.cons (Ident.intern ":")) in
-  let rec build i =
-    if i >= String.length s then VData (nil_rc, [||])
-    else VData (cons_rc, [| done_ (VChar s.[i]); done_ (build (i + 1)) |])
-  in
-  build 0
+  let force = force
+  let ready = done_
+  let int n = VInt n
+  let float f = VFloat f
+  let char c = VChar c
+  let str s = VStr s
+  let data rc fields = VData (rc, fields)
 
-(* ------------------------------------------------------------------ *)
-(* Rendering results (forces the value's spine).                       *)
-(* ------------------------------------------------------------------ *)
+  let view : value -> thunk Runtime.view = function
+    | VInt n -> Int n
+    | VFloat f -> Float f
+    | VChar c -> Char c
+    | VStr s -> Str s
+    | VData (rc, fields) -> Data (rc, fields)
+    | VDict (tag, fields) -> Dict (tag, Array.length fields)
+    | VClosure _ | VConPartial _ | VPrim _ -> Fun
 
-let rec render ?(depth = 50) st (v : value) : string =
-  if depth = 0 then "..."
-  else
-    match v with
-    | VInt n -> string_of_int n
-    | VFloat f -> float_str f
-    | VChar c -> Printf.sprintf "%C" c
-    | VStr s -> Printf.sprintf "%S" s
-    | VDict (tag, fields) ->
-        Printf.sprintf "<dict %s %s (%d fields)>"
-          (Ident.text tag.dt_class) (Ident.text tag.dt_tycon)
-          (Array.length fields)
-    | VClosure _ | VConPartial _ | VPrim _ -> "<function>"
-    | VData (rc, fields) -> render_data ~depth st rc fields
+  let int_arg st t =
+    match force st t with VInt n -> n | _ -> bug "primitive expected an Int"
 
-and render_data ~depth st rc fields =
-  let name = Ident.text rc.rc_name in
-  if name = ":" || name = "[]" then render_list ~depth st rc fields
-  else if String.length name >= 2 && name.[0] = '(' && (name.[1] = ',' || name.[1] = ')')
-  then
-    (* tuples and unit *)
-    if Array.length fields = 0 then "()"
-    else
-      "("
-      ^ String.concat ", "
-          (Array.to_list
-             (Array.map (fun t -> render ~depth:(depth - 1) st (force st t)) fields))
-      ^ ")"
-  else if Array.length fields = 0 then name
-  else
-    "("
-    ^ name
-    ^ Array.fold_left
-        (fun acc t -> acc ^ " " ^ render ~depth:(depth - 1) st (force st t))
-        "" fields
-    ^ ")"
+  let float_arg st t =
+    match force st t with VFloat f -> f | _ -> bug "primitive expected a Float"
 
-and render_list ~depth st rc fields =
-  (* try to render as a string if all elements are chars, else as a list *)
-  let items = ref [] in
-  let rec collect rc fields =
-    match Ident.text rc.rc_name with
-    | "[]" -> true
-    | ":" -> (
-        items := force st fields.(0) :: !items;
-        match force st fields.(1) with
-        | VData (rc', fields') -> collect rc' fields'
-        | _ -> false)
-    | _ -> false
-  in
-  let proper = collect rc fields in
-  let items = List.rev !items in
-  if proper && items <> [] && List.for_all (function VChar _ -> true | _ -> false) items
-  then
-    Printf.sprintf "%S"
-      (String.init (List.length items)
-         (fun i ->
-           match List.nth items i with VChar c -> c | _ -> assert false))
-  else
-    "["
-    ^ String.concat ", " (List.map (render ~depth:(depth - 1) st) items)
-    ^ (if proper then "" else " ...")
-    ^ "]"
+  let char_arg st t =
+    match force st t with VChar c -> c | _ -> bug "primitive expected a Char"
 
-(* ------------------------------------------------------------------ *)
-(* Primitives.                                                         *)
-(* ------------------------------------------------------------------ *)
-
-let prim name arity fn = (Ident.intern name, { pr_name = name; pr_arity = arity; pr_fn = fn })
-
-let bool_value st b : value =
-  let name = if b then "True" else "False" in
-  match Ident.Tbl.find_opt st.cons (Ident.intern name) with
-  | Some rc -> VData (rc, [||])
-  | None -> runtime "Bool is not defined (missing prelude?)"
-
-let int_arg st t =
-  match force st t with
-  | VInt n -> n
-  | _ -> bug "primitive expected an Int"
-
-let float_arg st t =
-  match force st t with
-  | VFloat f -> f
-  | _ -> bug "primitive expected a Float"
-
-let char_arg st t =
-  match force st t with
-  | VChar c -> c
-  | _ -> bug "primitive expected a Char"
-
-let int2 f = fun st args ->
-  match args with
-  | [ a; b ] -> VInt (f (int_arg st a) (int_arg st b))
-  | _ -> assert false
-
-let float2 f = fun st args ->
-  match args with
-  | [ a; b ] -> VFloat (f (float_arg st a) (float_arg st b))
-  | _ -> assert false
-
-let primitives : (Ident.t * prim) list =
-  [
-    prim "primEqInt" 2 (fun st args ->
-        match args with
-        | [ a; b ] -> bool_value st (int_arg st a = int_arg st b)
-        | _ -> assert false);
-    prim "primEqFloat" 2 (fun st args ->
-        match args with
-        | [ a; b ] -> bool_value st (float_arg st a = float_arg st b)
-        | _ -> assert false);
-    prim "primEqChar" 2 (fun st args ->
-        match args with
-        | [ a; b ] -> bool_value st (char_arg st a = char_arg st b)
-        | _ -> assert false);
-    prim "primLeInt" 2 (fun st args ->
-        match args with
-        | [ a; b ] -> bool_value st (int_arg st a <= int_arg st b)
-        | _ -> assert false);
-    prim "primLeFloat" 2 (fun st args ->
-        match args with
-        | [ a; b ] -> bool_value st (float_arg st a <= float_arg st b)
-        | _ -> assert false);
-    prim "primLeChar" 2 (fun st args ->
-        match args with
-        | [ a; b ] -> bool_value st (char_arg st a <= char_arg st b)
-        | _ -> assert false);
-    prim "primAddInt" 2 (int2 ( + ));
-    prim "primSubInt" 2 (int2 ( - ));
-    prim "primMulInt" 2 (int2 ( * ));
-    prim "primDivInt" 2 (fun st args ->
-        match args with
-        | [ a; b ] ->
-            let d = int_arg st b in
-            if d = 0 then runtime "division by zero"
-            else VInt (int_arg st a / d)
-        | _ -> assert false);
-    prim "primModInt" 2 (fun st args ->
-        match args with
-        | [ a; b ] ->
-            let d = int_arg st b in
-            if d = 0 then runtime "modulo by zero"
-            else VInt (int_arg st a mod d)
-        | _ -> assert false);
-    prim "primNegInt" 1 (fun st args ->
-        match args with
-        | [ a ] -> VInt (-int_arg st a)
-        | _ -> assert false);
-    prim "primAddFloat" 2 (float2 ( +. ));
-    prim "primSubFloat" 2 (float2 ( -. ));
-    prim "primMulFloat" 2 (float2 ( *. ));
-    prim "primDivFloat" 2 (float2 ( /. ));
-    prim "primNegFloat" 1 (fun st args ->
-        match args with
-        | [ a ] -> VFloat (-.float_arg st a)
-        | _ -> assert false);
-    prim "primIntToFloat" 1 (fun st args ->
-        match args with
-        | [ a ] -> VFloat (float_of_int (int_arg st a))
-        | _ -> assert false);
-    prim "primIntStr" 1 (fun st args ->
-        match args with
-        | [ a ] -> char_list_of_string st (string_of_int (int_arg st a))
-        | _ -> assert false);
-    prim "primFloatStr" 1 (fun st args ->
-        match args with
-        | [ a ] -> char_list_of_string st (float_str (float_arg st a))
-        | _ -> assert false);
-    prim "primStrInt" 1 (fun st args ->
-        match args with
-        | [ a ] -> (
-            let s = string_of_char_list st (force st a) in
-            match int_of_string_opt (String.trim s) with
-            | Some n -> VInt n
-            | None -> raise (User_error (Printf.sprintf "primStrInt: cannot parse %S" s)))
-        | _ -> assert false);
-    prim "primStrFloat" 1 (fun st args ->
-        match args with
-        | [ a ] -> (
-            let s = string_of_char_list st (force st a) in
-            match float_of_string_opt (String.trim s) with
-            | Some f -> VFloat f
-            | None ->
-                raise (User_error (Printf.sprintf "primStrFloat: cannot parse %S" s)))
-        | _ -> assert false);
-    prim "primChr" 1 (fun st args ->
-        match args with
-        | [ a ] ->
-            let n = int_arg st a in
-            if n < 0 || n > 255 then runtime "primChr: out of range"
-            else VChar (Char.chr n)
-        | _ -> assert false);
-    prim "primOrd" 1 (fun st args ->
-        match args with
-        | [ a ] -> VInt (Char.code (char_arg st a))
-        | _ -> assert false);
-    prim "primError" 1 (fun st args ->
-        match args with
-        | [ a ] -> raise (User_error (string_of_char_list st (force st a)))
-        | _ -> assert false);
-    prim "primFailure" 1 (fun st args ->
-        match args with
-        | [ a ] -> (
-            match force st a with
-            | VStr s -> raise (Pattern_fail s)
-            | _ -> raise (Pattern_fail "pattern-match failure"))
-        | _ -> assert false);
-    prim "primTypeTag" 1 (fun st args ->
-        match args with
-        | [ a ] ->
-            st.counters.tag_dispatches <- st.counters.tag_dispatches + 1;
-            let tag =
-              match force st a with
-              | VInt _ -> "Int"
-              | VFloat _ -> "Float"
-              | VChar _ -> "Char"
-              | VStr _ -> "<str>"
-              | VData (rc, _) -> Ident.text rc.rc_tycon
-              | VClosure _ | VConPartial _ | VPrim _ -> "->"
-              | VDict _ -> "<dict>"
-            in
-            VStr tag
-        | _ -> assert false);
-    prim "primForce" 2 (fun st args ->
-        match args with
-        | [ a; b ] ->
-            ignore (force st a);
-            force st b
-        | _ -> assert false);
-  ]
+  let make_prim pr_name pr_arity pr_fn = { pr_name; pr_arity; pr_fn }
+  let bools st = st.bools
+  let cons st = st.cons
+  let counters st = st.counters
+end)
 
 (* ------------------------------------------------------------------ *)
 (* Whole programs.                                                     *)
@@ -561,6 +311,7 @@ let create_state ?(mode = `Lazy) ?(budget = Budget.unlimited) ?profile
     counters = Counters.create ();
     profile;
     budget = Budget.meter budget;
+    bools = bools cons;
     globals = Ident.Map.empty;
   }
 

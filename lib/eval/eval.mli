@@ -2,7 +2,9 @@
     call-by-need ([`Lazy], the paper's setting) and call-by-value
     ([`Strict]). Recursive bindings are tied with back-patched thunks and
     dictionary fields are delayed in both modes. All dictionary operations
-    are counted ({!Counters}). *)
+    are counted ({!Counters}). The primitives, the renderer and the string
+    conversions are {!Runtime}'s, shared with the bytecode VM; the
+    exceptions and constructor descriptors are re-exported from there. *)
 
 open Tc_support
 module Core = Tc_core_ir.Core
@@ -17,14 +19,14 @@ exception User_error of string
 exception Pattern_fail of string
 
 (** Run-time constructor descriptor. *)
-type rcon = {
+type rcon = Runtime.rcon = {
   rc_name : Ident.t;
   rc_arity : int;
   rc_tag : int;
   rc_tycon : Ident.t;
 }
 
-type con_table = rcon Ident.Tbl.t
+type con_table = Runtime.con_table
 
 val con_table_of_env : Tc_types.Class_env.t -> con_table
 
@@ -63,6 +65,7 @@ and state = {
       (** unified resource enforcement; exhaustion raises
           {!Tc_resilience.Budget.Exhausted}. Steps here are expression
           evaluations; frames count thunk-forcing depth. *)
+  bools : (value * value) option;  (** [True]/[False], built once *)
   mutable globals : env;
 }
 

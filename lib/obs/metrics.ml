@@ -59,13 +59,14 @@ type registry = {
   r_spans : (string, span_stat) Hashtbl.t;
   mutable r_stack : string list;  (* active span paths, innermost first *)
   mutable r_seq : int;
+  r_recorder : Rtrace.t;  (* flight recorder every span also feeds *)
 }
 
 type t = registry option
 
 let disabled : t = None
 
-let create () : t =
+let create ?(recorder = Rtrace.disabled) () : t =
   Some
     {
       r_counters = Hashtbl.create 16;
@@ -74,9 +75,14 @@ let create () : t =
       r_spans = Hashtbl.create 16;
       r_stack = [];
       r_seq = 0;
+      r_recorder = recorder;
     }
 
 let is_on : t -> bool = Option.is_some
+
+let recorder : t -> Rtrace.t = function
+  | Some r -> r.r_recorder
+  | None -> Rtrace.disabled
 
 (* Shared dummies handed out by a disabled registry: bumping them is
    harmless (they are never snapshotted) and allocates nothing. *)

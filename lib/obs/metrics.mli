@@ -17,8 +17,16 @@ val disabled : t
 (** The no-op registry: handles are shared dummies, bumps mutate dead
     state, {!snapshot} is empty. *)
 
-val create : unit -> t
+val create : ?recorder:Rtrace.t -> unit -> t
+(** A live registry. [recorder] (default {!Rtrace.disabled}) is the
+    flight recorder that every {!Span.wrap} under this registry also
+    feeds, so recorder events exist only where a live registry does. *)
+
 val is_on : t -> bool
+
+val recorder : t -> Rtrace.t
+(** The registry's flight recorder; {!Rtrace.disabled} for a disabled
+    registry. *)
 
 (** {1 Counters} — monotonically increasing event counts. *)
 

@@ -1,10 +1,12 @@
 (** Per-request tracing: a sampled flight recorder.
 
-    Where {!Metrics} aggregates (p99 rose), [Rtrace] attributes: every
-    {!Span.wrap_rt} site emits a timestamped event — phase name, start,
-    duration, allocated words — tagged with the {e trace ID} minted for
-    the request at ingress, so a single slow request can be read back as
-    a timeline across queueing, compile phases, execution and emit.
+    Where {!Metrics} aggregates (p99 rose), [Rtrace] attributes: a
+    recorder is attached to a registry ({!Metrics.create}[ ~recorder]),
+    and every {!Span.wrap} under that registry emits a timestamped event
+    — phase name, start, duration, allocated words — tagged with the
+    {e trace ID} minted for the request at ingress, so a single slow
+    request can be read back as a timeline across queueing, compile
+    phases, execution and emit.
 
     Events land in a bounded per-domain ring buffer (one ring per
     domain, registered on first use, overwriting oldest-first), so a
@@ -21,7 +23,7 @@
 
     Recording charges events to an ambient {e current} trace ID kept
     per domain ({!set_current}/{!clear_current}); a worker sets it
-    before handling a request and clears it after, so [Span.wrap_rt]
+    before handling a request and clears it after, so [Span.wrap]
     sites deep in the pipeline need no explicit ID plumbing. An unsampled
     (or unset) current ID makes {!record} a no-op.
 

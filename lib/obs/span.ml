@@ -1,6 +1,6 @@
 (** Phase spans: time a pipeline stage and charge it to the registry.
 
-    [wrap_rt rt m "infer" f] runs [f] and records one observation —
+    [wrap m "infer" f] runs [f] and records one observation —
     wall-clock nanoseconds and allocated words — against the span's full
     nesting path ("compile/infer" when entered under an open "compile"
     span) in the {!Metrics} registry [m]. Spans nest through a stack
@@ -8,7 +8,7 @@
     call structure; the stat record is minted at entry, so the snapshot
     lists parents before children in a deterministic order.
 
-    When [m] is {!Metrics.disabled}, [wrap_rt] is a single [match] and a
+    When [m] is {!Metrics.disabled}, [wrap] is a single [match] and a
     tail call — no clock read, no [Gc] read, no allocation beyond the
     closure the caller already built.
 
@@ -24,16 +24,10 @@ let now_ns () : int = Tc_support.Mono.now_ns ()
 
 (** Run [f] under a span named [name]. The observation is recorded even
     when [f] raises (the exception is re-raised), so a failing compile
-    still reports where its time went. With a live [rt] the same
-    observation is also appended to the flight recorder as a
-    per-request event (charged to the domain's current trace ID);
-    recorder events ride the metrics-on path, so they require a live
-    registry — the serve loop and [--trace-out] both guarantee one.
-
-    [rt] is a plain (non-optional) argument so the pipeline's hot call
-    sites pass {!Rtrace.disabled} without boxing a [Some] per span. *)
-let wrap_rt (rt : Rtrace.t) (m : Metrics.t) (name : string) (f : unit -> 'a) :
-    'a =
+    still reports where its time went. The same observation is also
+    appended to the registry's flight recorder ({!Metrics.recorder}) as a
+    per-request event, charged to the domain's current trace ID. *)
+let wrap (m : Metrics.t) (name : string) (f : unit -> 'a) : 'a =
   if not (Metrics.is_on m) then f ()
   else begin
     let path = Metrics.span_push m name in
@@ -44,7 +38,7 @@ let wrap_rt (rt : Rtrace.t) (m : Metrics.t) (name : string) (f : unit -> 'a) :
         let ns = now_ns () - t0 in
         let words = int_of_float (Gc.minor_words () -. w0) in
         Metrics.span_record m path ~ns ~words;
-        Rtrace.record rt ~name:path ~ts_ns:t0 ~dur_ns:ns ~words;
+        Rtrace.record (Metrics.recorder m) ~name:path ~ts_ns:t0 ~dur_ns:ns ~words;
         Metrics.span_pop m)
       f
   end

@@ -115,7 +115,7 @@ let parse_spec s =
 type state = {
   plan : plan;
   mutable rng : int64;     (* splitmix64 state *)
-  mutable count : int;     (* faults fired since arm *)
+  count : int Atomic.t;    (* faults fired since arm; bumped by any domain *)
 }
 
 let current : state option ref = ref None
@@ -123,7 +123,9 @@ let live = ref false
 
 let arm p =
   current :=
-    Some { plan = p; rng = Int64.of_int (p.seed lxor 0x9e3779b9); count = 0 };
+    Some
+      { plan = p; rng = Int64.of_int (p.seed lxor 0x9e3779b9);
+        count = Atomic.make 0 };
   live := true
 
 let disarm () =
@@ -132,7 +134,7 @@ let disarm () =
 
 let armed () = Option.is_some !current
 
-let fired () = match !current with Some s -> s.count | None -> 0
+let fired () = match !current with Some s -> Atomic.get s.count | None -> 0
 
 (* splitmix64: deterministic across platforms, no dependence on the
    global Random state (which user code or tests may perturb). *)
@@ -146,15 +148,22 @@ let next_unit_float (s : state) : float =
   let z = Int64.logxor z (Int64.shift_right_logical z 31) in
   Int64.to_float (Int64.shift_right_logical z 11) /. 9007199254740992.
 
+(* Claim one fault slot. Under a cap, a domain that loses the race for
+   the last slot fires nothing, so the cap is never overshot. *)
+let rec claim count cap =
+  let n = Atomic.get count in
+  if cap > 0 && n >= cap then false
+  else Atomic.compare_and_set count n (n + 1) || claim count cap
+
 let hit ?(detail = "") (p : point) : unit =
   match !current with
   | None -> ()
   | Some s ->
       let pl = s.plan in
       let selected = pl.points = [] || List.memq p pl.points in
-      if selected && (pl.max_faults <= 0 || s.count < pl.max_faults) then
-        if next_unit_float s < pl.rate then begin
-          s.count <- s.count + 1;
+      let cap = pl.max_faults in
+      if selected && (cap <= 0 || Atomic.get s.count < cap) then
+        if next_unit_float s < pl.rate && claim s.count cap then begin
           match p with
           | Oom -> raise Out_of_memory
           | Serve_transient -> raise (Transient { point = p; detail })

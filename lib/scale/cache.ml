@@ -174,8 +174,7 @@ let bytes t = snd (occupancy t)
 (* ---- key derivation ---- *)
 
 (* Canonical rendering of exactly the inputs the artifact depends on.
-   [trace]/[metrics]/[rtrace] are observation sinks, not inputs, and are
-   excluded;
+   [trace]/[metrics] are observation sinks, not inputs, and are excluded;
    [max_errors] only affects the accumulating path. The run path stores
    post-optimization artifacts, so everything that steers the optimizer —
    the pass list and the specializer options (profile digest, threshold,
@@ -215,7 +214,6 @@ let with_sinks (o : Pipeline.options) (c : Pipeline.compiled) =
         c.Pipeline.options with
         Pipeline.metrics = o.Pipeline.metrics;
         trace = o.Pipeline.trace;
-        rtrace = o.Pipeline.rtrace;
       };
   }
 

@@ -2,9 +2,9 @@
 
     The machine is fully iterative: calls, tail calls and thunk updates
     are explicit frames on a growable frame stack, so deep non-tail
-    recursion is reported as a clean {!Tc_eval.Eval.Runtime_error} (the
-    [max_frames] budget) instead of a native stack overflow, and the
-    {!Tc_eval.Eval.Out_of_fuel} step budget is honoured per instruction.
+    recursion is reported as a clean budget exhaustion (the [max_frames]
+    bound) instead of a native stack overflow, and the step budget is
+    honoured per instruction.
 
     Laziness lives in slots: a slot is a mutable cell holding either a
     value, a delayed closure (thunk) or a black hole. Forcing pushes an
@@ -14,25 +14,24 @@
 
     Dictionaries are contiguous slot arrays: [MKDICT n] is one allocation,
     [DICTSEL i] one bounds-checked indexed load. All dictionary operations
-    bump the same {!Tc_eval.Counters} the tree evaluator maintains. *)
+    bump the same {!Tc_eval.Counters} the tree evaluator maintains.
+
+    The primitives, the renderer and the string conversions are not the
+    VM's own: it instantiates {!Tc_eval.Runtime.Make}, as the tree
+    evaluator does, and raises {!Tc_eval.Runtime}'s exceptions. *)
 
 open Tc_support
 module Ast = Tc_syntax.Ast
 module Core = Tc_core_ir.Core
 module Eval = Tc_eval.Eval
+module Runtime = Tc_eval.Runtime
 module Counters = Tc_eval.Counters
 module Budget = Tc_resilience.Budget
 module Inject = Tc_resilience.Inject
 module B = Bytecode
 
-(* The VM reuses the evaluator's exceptions so callers handle both
-   backends uniformly. *)
-let runtime fmt = Format.kasprintf (fun m -> raise (Eval.Runtime_error m)) fmt
-
-(** A condition the front end or the bytecode compiler is supposed to have
-    ruled out; reaching it is a compiler bug, not a user error. *)
-let bug fmt =
-  Format.kasprintf (fun m -> raise (Eval.Runtime_error ("[BUG] " ^ m))) fmt
+let runtime = Runtime.runtime
+let bug = Runtime.bug
 
 type value =
   | VInt of int
@@ -84,7 +83,7 @@ and state = {
   mutable consts : slot array;
   mutable globals : slot array;
   mutable global_names : (Ident.t * int) list;  (* latest binding first *)
-  mutable bools : (value * value) option;  (* cached True/False values *)
+  bools : (value * value) option;  (* True/False, built once per state *)
   (* operand stack *)
   mutable stack : slot array;
   mutable sp : int;
@@ -554,288 +553,46 @@ and force (st : state) (s : slot) : value =
       value_of s
 
 (* ------------------------------------------------------------------ *)
-(* Conversions between values and OCaml strings / lists.               *)
+(* The shared runtime: primitives, rendering, string conversions.      *)
 (* ------------------------------------------------------------------ *)
 
-let string_of_char_list st (v : value) : string =
-  let buf = Buffer.create 16 in
-  let rec go v =
-    match v with
-    | VData (rc, fields) -> (
-        match Ident.text rc.Eval.rc_name with
-        | "[]" -> ()
-        | ":" -> (
-            (match force st fields.(0) with
-             | VChar c -> Buffer.add_char buf c
-             | _ -> bug "expected a character in a string");
-            go (force st fields.(1)))
-        | s -> bug "expected a list of characters, got '%s'" s)
-    | _ -> bug "expected a list of characters"
-  in
-  go v;
-  Buffer.contents buf
+include Runtime.Make (struct
+  type nonrec value = value
+  type nonrec thunk = slot
+  type nonrec prim = prim
+  type nonrec state = state
 
-let char_list_of_string st (s : string) : value =
-  let nil_rc =
-    match Ident.Tbl.find_opt st.cons (Ident.intern "[]") with
-    | Some rc -> rc
-    | None -> runtime "list constructors not registered"
-  in
-  let cons_rc = Option.get (Ident.Tbl.find_opt st.cons (Ident.intern ":")) in
-  let rec build i =
-    if i >= String.length s then VData (nil_rc, [||])
-    else VData (cons_rc, [| ready (VChar s.[i]); ready (build (i + 1)) |])
-  in
-  build 0
+  let force = force
+  let ready = ready
+  let int n = VInt n
+  let float f = VFloat f
+  let char c = VChar c
+  let str s = VStr s
+  let data rc fields = VData (rc, fields)
 
-(* ------------------------------------------------------------------ *)
-(* Rendering results (forces the value's spine).                       *)
-(* ------------------------------------------------------------------ *)
+  let view : value -> slot Runtime.view = function
+    | VInt n -> Int n
+    | VFloat f -> Float f
+    | VChar c -> Char c
+    | VStr s -> Str s
+    | VData (rc, fields) -> Data (rc, fields)
+    | VDict (tag, fields) -> Dict (tag, Array.length fields)
+    | VClosure _ | VPap _ | VConPartial _ | VPrim _ -> Fun
 
-let rec render ?(depth = 50) st (v : value) : string =
-  if depth = 0 then "..."
-  else
-    match v with
-    | VInt n -> string_of_int n
-    | VFloat f -> Eval.float_str f
-    | VChar c -> Printf.sprintf "%C" c
-    | VStr s -> Printf.sprintf "%S" s
-    | VDict (tag, fields) ->
-        Printf.sprintf "<dict %s %s (%d fields)>"
-          (Ident.text tag.Core.dt_class) (Ident.text tag.Core.dt_tycon)
-          (Array.length fields)
-    | VClosure _ | VPap _ | VConPartial _ | VPrim _ -> "<function>"
-    | VData (rc, fields) -> render_data ~depth st rc fields
+  let int_arg st t =
+    match force st t with VInt n -> n | _ -> bug "primitive expected an Int"
 
-and render_data ~depth st rc fields =
-  let name = Ident.text rc.Eval.rc_name in
-  if name = ":" || name = "[]" then render_list ~depth st rc fields
-  else if
-    String.length name >= 2 && name.[0] = '(' && (name.[1] = ',' || name.[1] = ')')
-  then
-    if Array.length fields = 0 then "()"
-    else
-      "("
-      ^ String.concat ", "
-          (Array.to_list
-             (Array.map (fun t -> render ~depth:(depth - 1) st (force st t)) fields))
-      ^ ")"
-  else if Array.length fields = 0 then name
-  else
-    "("
-    ^ name
-    ^ Array.fold_left
-        (fun acc t -> acc ^ " " ^ render ~depth:(depth - 1) st (force st t))
-        "" fields
-    ^ ")"
+  let float_arg st t =
+    match force st t with VFloat f -> f | _ -> bug "primitive expected a Float"
 
-and render_list ~depth st rc fields =
-  let items = ref [] in
-  let rec collect rc fields =
-    match Ident.text rc.Eval.rc_name with
-    | "[]" -> true
-    | ":" -> (
-        items := force st fields.(0) :: !items;
-        match force st fields.(1) with
-        | VData (rc', fields') -> collect rc' fields'
-        | _ -> false)
-    | _ -> false
-  in
-  let proper = collect rc fields in
-  let items = List.rev !items in
-  if proper && items <> [] && List.for_all (function VChar _ -> true | _ -> false) items
-  then
-    Printf.sprintf "%S"
-      (String.init (List.length items)
-         (fun i ->
-           match List.nth items i with VChar c -> c | _ -> assert false))
-  else
-    "["
-    ^ String.concat ", " (List.map (render ~depth:(depth - 1) st) items)
-    ^ (if proper then "" else " ...")
-    ^ "]"
+  let char_arg st t =
+    match force st t with VChar c -> c | _ -> bug "primitive expected a Char"
 
-(* ------------------------------------------------------------------ *)
-(* Primitives.                                                         *)
-(* ------------------------------------------------------------------ *)
-
-let prim name arity fn =
-  (Ident.intern name, { pr_name = name; pr_arity = arity; pr_fn = fn })
-
-let bool_value st b : value =
-  match st.bools with
-  | Some (t, f) -> if b then t else f
-  | None ->
-      let find name =
-        match Ident.Tbl.find_opt st.cons (Ident.intern name) with
-        | Some rc -> VData (rc, [||])
-        | None -> runtime "Bool is not defined (missing prelude?)"
-      in
-      let t = find "True" and f = find "False" in
-      st.bools <- Some (t, f);
-      if b then t else f
-
-let int_arg st t =
-  match force st t with
-  | VInt n -> n
-  | _ -> bug "primitive expected an Int"
-
-let float_arg st t =
-  match force st t with
-  | VFloat f -> f
-  | _ -> bug "primitive expected a Float"
-
-let char_arg st t =
-  match force st t with
-  | VChar c -> c
-  | _ -> bug "primitive expected a Char"
-
-let int2 f = fun st args ->
-  match args with
-  | [ a; b ] -> VInt (f (int_arg st a) (int_arg st b))
-  | _ -> assert false
-
-let float2 f = fun st args ->
-  match args with
-  | [ a; b ] -> VFloat (f (float_arg st a) (float_arg st b))
-  | _ -> assert false
-
-let primitives : (Ident.t * prim) list =
-  [
-    prim "primEqInt" 2 (fun st args ->
-        match args with
-        | [ a; b ] -> bool_value st (int_arg st a = int_arg st b)
-        | _ -> assert false);
-    prim "primEqFloat" 2 (fun st args ->
-        match args with
-        | [ a; b ] -> bool_value st (float_arg st a = float_arg st b)
-        | _ -> assert false);
-    prim "primEqChar" 2 (fun st args ->
-        match args with
-        | [ a; b ] -> bool_value st (char_arg st a = char_arg st b)
-        | _ -> assert false);
-    prim "primLeInt" 2 (fun st args ->
-        match args with
-        | [ a; b ] -> bool_value st (int_arg st a <= int_arg st b)
-        | _ -> assert false);
-    prim "primLeFloat" 2 (fun st args ->
-        match args with
-        | [ a; b ] -> bool_value st (float_arg st a <= float_arg st b)
-        | _ -> assert false);
-    prim "primLeChar" 2 (fun st args ->
-        match args with
-        | [ a; b ] -> bool_value st (char_arg st a <= char_arg st b)
-        | _ -> assert false);
-    prim "primAddInt" 2 (int2 ( + ));
-    prim "primSubInt" 2 (int2 ( - ));
-    prim "primMulInt" 2 (int2 ( * ));
-    prim "primDivInt" 2 (fun st args ->
-        match args with
-        | [ a; b ] ->
-            let d = int_arg st b in
-            if d = 0 then runtime "division by zero"
-            else VInt (int_arg st a / d)
-        | _ -> assert false);
-    prim "primModInt" 2 (fun st args ->
-        match args with
-        | [ a; b ] ->
-            let d = int_arg st b in
-            if d = 0 then runtime "modulo by zero"
-            else VInt (int_arg st a mod d)
-        | _ -> assert false);
-    prim "primNegInt" 1 (fun st args ->
-        match args with
-        | [ a ] -> VInt (-int_arg st a)
-        | _ -> assert false);
-    prim "primAddFloat" 2 (float2 ( +. ));
-    prim "primSubFloat" 2 (float2 ( -. ));
-    prim "primMulFloat" 2 (float2 ( *. ));
-    prim "primDivFloat" 2 (float2 ( /. ));
-    prim "primNegFloat" 1 (fun st args ->
-        match args with
-        | [ a ] -> VFloat (-.float_arg st a)
-        | _ -> assert false);
-    prim "primIntToFloat" 1 (fun st args ->
-        match args with
-        | [ a ] -> VFloat (float_of_int (int_arg st a))
-        | _ -> assert false);
-    prim "primIntStr" 1 (fun st args ->
-        match args with
-        | [ a ] -> char_list_of_string st (string_of_int (int_arg st a))
-        | _ -> assert false);
-    prim "primFloatStr" 1 (fun st args ->
-        match args with
-        | [ a ] -> char_list_of_string st (Eval.float_str (float_arg st a))
-        | _ -> assert false);
-    prim "primStrInt" 1 (fun st args ->
-        match args with
-        | [ a ] -> (
-            let s = string_of_char_list st (force st a) in
-            match int_of_string_opt (String.trim s) with
-            | Some n -> VInt n
-            | None ->
-                raise
-                  (Eval.User_error
-                     (Printf.sprintf "primStrInt: cannot parse %S" s)))
-        | _ -> assert false);
-    prim "primStrFloat" 1 (fun st args ->
-        match args with
-        | [ a ] -> (
-            let s = string_of_char_list st (force st a) in
-            match float_of_string_opt (String.trim s) with
-            | Some f -> VFloat f
-            | None ->
-                raise
-                  (Eval.User_error
-                     (Printf.sprintf "primStrFloat: cannot parse %S" s)))
-        | _ -> assert false);
-    prim "primChr" 1 (fun st args ->
-        match args with
-        | [ a ] ->
-            let n = int_arg st a in
-            if n < 0 || n > 255 then runtime "primChr: out of range"
-            else VChar (Char.chr n)
-        | _ -> assert false);
-    prim "primOrd" 1 (fun st args ->
-        match args with
-        | [ a ] -> VInt (Char.code (char_arg st a))
-        | _ -> assert false);
-    prim "primError" 1 (fun st args ->
-        match args with
-        | [ a ] ->
-            raise (Eval.User_error (string_of_char_list st (force st a)))
-        | _ -> assert false);
-    prim "primFailure" 1 (fun st args ->
-        match args with
-        | [ a ] -> (
-            match force st a with
-            | VStr s -> raise (Eval.Pattern_fail s)
-            | _ -> raise (Eval.Pattern_fail "pattern-match failure"))
-        | _ -> assert false);
-    prim "primTypeTag" 1 (fun st args ->
-        match args with
-        | [ a ] ->
-            st.counters.Counters.tag_dispatches <-
-              st.counters.Counters.tag_dispatches + 1;
-            let tag =
-              match force st a with
-              | VInt _ -> "Int"
-              | VFloat _ -> "Float"
-              | VChar _ -> "Char"
-              | VStr _ -> "<str>"
-              | VData (rc, _) -> Ident.text rc.Eval.rc_tycon
-              | VClosure _ | VPap _ | VConPartial _ | VPrim _ -> "->"
-              | VDict _ -> "<dict>"
-            in
-            VStr tag
-        | _ -> assert false);
-    prim "primForce" 2 (fun st args ->
-        match args with
-        | [ a; b ] ->
-            ignore (force st a);
-            force st b
-        | _ -> assert false);
-  ]
+  let make_prim pr_name pr_arity pr_fn = { pr_name; pr_arity; pr_fn }
+  let bools st = st.bools
+  let cons st = st.cons
+  let counters st = st.counters
+end)
 
 (* ------------------------------------------------------------------ *)
 (* Whole programs.                                                     *)
@@ -857,7 +614,7 @@ let create_state ?(budget = Budget.unlimited) ?profile
     consts = [||];
     globals = [||];
     global_names = [];
-    bools = None;
+    bools = bools cons;
     stack = Array.make 256 dummy_slot;
     sp = 0;
     frames = Array.init 64 (fun _ -> fresh_frame ());

@@ -68,6 +68,7 @@ val run : ?entry:Ident.t -> state -> Bytecode.program -> value
 (** Force a slot to a value (runs the machine as needed). *)
 val force : state -> slot -> value
 
-(** Render a value the same way the tree evaluator does (forces the
-    spine; lists of characters print as strings). *)
+(** Render a value with the renderer the tree evaluator uses
+    ({!Tc_eval.Runtime.Make}; forces the spine, lists of characters print
+    as strings). *)
 val render : ?depth:int -> state -> value -> string

@@ -21,7 +21,6 @@ module Serve = Typeclasses.Serve
 module Inject = Tc_resilience.Inject
 module Metrics = Tc_obs.Metrics
 module Span = Tc_obs.Span
-module Rtrace = Tc_obs.Rtrace
 module Json = Tc_obs.Json
 
 let demo = "double :: Num a => a -> a\ndouble x = x + x\nmain = double 21\n"
@@ -133,7 +132,7 @@ let instrument_cases =
             Metrics.add c 2;
             Metrics.set g 5;
             Metrics.observe h 12345;
-            Span.wrap_rt Rtrace.disabled m "noop" noop
+            Span.wrap m "noop" noop
           done
         in
         (* both measurements carry the same fixed boxing overhead from
@@ -159,11 +158,11 @@ let span_cases =
     case "nesting builds slash paths, parents listed before children"
       (fun () ->
         let m = Metrics.create () in
-        Span.wrap_rt Rtrace.disabled m "a" (fun () ->
-            Span.wrap_rt Rtrace.disabled m "b" ignore;
-            Span.wrap_rt Rtrace.disabled m "c" ignore);
-        Span.wrap_rt Rtrace.disabled m "a" (fun () ->
-            Span.wrap_rt Rtrace.disabled m "b" ignore);
+        Span.wrap m "a" (fun () ->
+            Span.wrap m "b" ignore;
+            Span.wrap m "c" ignore);
+        Span.wrap m "a" (fun () ->
+            Span.wrap m "b" ignore);
         Alcotest.(check (list string))
           "entry order" [ "a"; "a/b"; "a/c" ] (span_names m);
         let counts =
@@ -173,9 +172,9 @@ let span_cases =
     case "a span records even when its body raises" (fun () ->
         let m = Metrics.create () in
         (try
-           Span.wrap_rt Rtrace.disabled m "boom" (fun () -> failwith "no")
+           Span.wrap m "boom" (fun () -> failwith "no")
          with Failure _ -> ());
-        Span.wrap_rt Rtrace.disabled m "after" ignore;
+        Span.wrap m "after" ignore;
         Alcotest.(check (list string))
           "recorded and stack unwound" [ "boom"; "after" ] (span_names m);
         match Metrics.spans m with
@@ -243,8 +242,8 @@ let json_cases =
         Metrics.set (Metrics.gauge m "depth") 3;
         let h = Metrics.histogram m "lat" in
         List.iter (Metrics.observe h) [ 0; 1; 7; 1000; max_int ];
-        Span.wrap_rt Rtrace.disabled m "outer" (fun () ->
-            Span.wrap_rt Rtrace.disabled m "inner" ignore);
+        Span.wrap m "outer" (fun () ->
+            Span.wrap m "inner" ignore);
         let snap = Metrics.snapshot m in
         (match Json.parse (Json.to_string snap) with
         | Ok v -> Alcotest.(check bool) "pretty form" true (v = snap)
@@ -255,7 +254,7 @@ let json_cases =
     case "stable snapshots redact machine-dependent detail" (fun () ->
         let m = Metrics.create () in
         Metrics.observe (Metrics.histogram m "lat") 1234;
-        Span.wrap_rt Rtrace.disabled m "work" ignore;
+        Span.wrap m "work" ignore;
         let get path j =
           List.fold_left
             (fun acc k ->

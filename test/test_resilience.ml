@@ -133,6 +133,26 @@ let injector_cases =
               try Inject.hit Inject.Lex with Inject.Fault _ -> incr faults
             done;
             Alcotest.(check int) "capped" 2 !faults));
+    case "max_faults holds across domains" (fun () ->
+        (* the domains start together, so they race for the first slots;
+           a few rounds make a lost race likely to show *)
+        for _ = 1 to 20 do
+          with_plan (Inject.plan ~rate:1. ~max_faults:3 ()) (fun () ->
+              let go = Atomic.make false in
+              let worker () =
+                while not (Atomic.get go) do Domain.cpu_relax () done;
+                let faults = ref 0 in
+                for _ = 1 to 10_000 do
+                  try Inject.hit Inject.Eval_step with Inject.Fault _ -> incr faults
+                done;
+                !faults
+              in
+              let domains = List.init 4 (fun _ -> Domain.spawn worker) in
+              Atomic.set go true;
+              let faults = List.fold_left (fun n d -> n + Domain.join d) 0 domains in
+              Alcotest.(check int) "faults raised" 3 faults;
+              Alcotest.(check int) "fired" 3 (Inject.fired ()))
+        done);
     case "spec parsing" (fun () ->
         (match Inject.parse_spec "vm-step:0.5:42" with
         | Ok p ->

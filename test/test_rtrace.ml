@@ -72,6 +72,21 @@ let is_phase e =
 
 let recorder_cases =
   [
+    case "a registry's spans feed the recorder attached to it" (fun () ->
+        let rt = Rtrace.create () in
+        Alcotest.(check bool) "disabled registry: no recorder" false
+          (Rtrace.is_on (Metrics.recorder Metrics.disabled));
+        Alcotest.(check bool) "plain registry: no recorder" false
+          (Rtrace.is_on (Metrics.recorder (Metrics.create ())));
+        let m = Metrics.create ~recorder:rt () in
+        Alcotest.(check bool) "attached" true (Metrics.recorder m == rt);
+        Rtrace.set_current rt (Rtrace.mint rt);
+        Span.wrap m "outer" (fun () -> Span.wrap m "inner" ignore);
+        Rtrace.clear_current rt;
+        Alcotest.(check (list string)) "one event per span"
+          [ "outer"; "outer/inner" ]
+          (List.sort compare
+             (List.map ev_name (events_of_dump (Rtrace.dump rt)))));
     case "IDs mint atomically from 1; sampling keeps every Nth" (fun () ->
         let rt = Rtrace.create ~sample:3 () in
         let a = Rtrace.mint rt in
@@ -168,7 +183,7 @@ let recorder_cases =
             Rtrace.record_as rt ~trace:1 ~name:"e" ~ts_ns:1 ~dur_ns:1
               ~words:1;
             Rtrace.clear_current rt;
-            Span.wrap_rt rt Metrics.disabled "noop" noop
+            Span.wrap Metrics.disabled "noop" noop
           done
         in
         (* both measurements carry the same fixed boxing overhead from

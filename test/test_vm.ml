@@ -302,9 +302,54 @@ main = elemOf [1] [[2], [1]]
           [ "MKDICT"; "DICTSEL"; "TAILCALL"; "SWITCH"; "proto" ]);
   ]
 
+(* ------------------------------------------------------------------ *)
+(* The shared runtime (Tc_eval.Runtime): one renderer, one primitive    *)
+(* table, agreeing with the checker's.                                 *)
+(* ------------------------------------------------------------------ *)
+
+let runtime_cases =
+  [
+    case "a 100,000-character string renders in linear time" (fun () ->
+        let n = 100_000 in
+        let c = compile (Printf.sprintf "main = replicate %d (chr 97)" n) in
+        let expected = Printf.sprintf "%S" (String.make n 'a') in
+        List.iter
+          (fun (name, backend) ->
+            let t0 = Tc_support.Mono.now_s () in
+            let r = Pipeline.exec ~backend c in
+            let secs = Tc_support.Mono.now_s () -. t0 in
+            Alcotest.(check string) (name ^ " rendered") expected r.Pipeline.rendered;
+            if secs >= 2.0 then
+              Alcotest.failf "%s: rendering took %.2f s (limit 2 s)" name secs)
+          [ ("tree", `Tree); ("vm", `Vm) ]);
+    case "runtime primitives agree with the checker's" (fun () ->
+        let module Prims = Tc_infer.Prims in
+        let names l = List.sort compare (List.map Tc_support.Ident.text l) in
+        Alcotest.(check (list string))
+          "primitive names"
+          (names Prims.names)
+          (names (List.map fst Eval.primitives));
+        let env = (compile "main = 0").Pipeline.env in
+        let schemes = Prims.schemes env in
+        List.iter
+          (fun (id, (p : Eval.prim)) ->
+            let expected =
+              match List.assoc_opt id schemes with
+              | Some (sc : Tc_types.Scheme.t) ->
+                  List.length (fst (Tc_types.Ty.unfold_arrow sc.ty))
+              | None ->
+                  Alcotest.(check string) "the only primitive without a scheme"
+                    "primTypeTag" p.pr_name;
+                  1
+            in
+            Alcotest.(check int) (p.pr_name ^ " arity") expected p.pr_arity)
+          Eval.primitives);
+  ]
+
 let tests =
   [
     ("vm-differential", example_cases);
     ("vm-corpus", corpus_cases @ error_cases);
     ("vm-budgets", budget_cases @ disasm_cases);
+    ("runtime", runtime_cases);
   ]
