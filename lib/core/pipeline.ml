@@ -828,36 +828,29 @@ let own_words (c : compiled) : int =
 (* Entry points.                                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* Under [Tags], after ordinary checking: the independent §3 translation.
-   Its front end extends the checked compile's snapshot again, and the
-   translation runs over the snapshot's kernel groups and the files'
-   together — a new instance changes how the prelude dispatches. (The
-   tag translation treats integer literals as monomorphic Int, as ML
-   does: code that relies on return-type overloading of literals
-   misbehaves under tags, which is part of the point of §3.) *)
-let tag_translate (checked : compiled) files : compiled =
+(* Under [Tags], after ordinary checking: the independent §3 translation
+   of the checked compile's own front end [fr], over the snapshot's kernel
+   groups and the files' together — a new instance changes how the
+   prelude dispatches. (The tag translation treats integer literals as
+   monomorphic Int, as ML does: code that relies on return-type
+   overloading of literals misbehaves under tags, which is part of the
+   point of §3.) *)
+let tag_translate (checked : compiled) fr : compiled =
   let opts = checked.options in
   Span.wrap opts.metrics "tags" @@ fun () ->
-  let base = checked.base in
-  (* its own raising sink: the check already reported this front end's
-     warnings *)
-  let env = Class_env.extend base.b_env in
-  let fr =
-    front ~metrics:opts.metrics ~faults:true ~base ~env files
-  in
   let core =
-    Tc_tagdispatch.Tagdispatch.translate_program env
-      (base.b_groups @ fr.f_groups)
+    Tc_tagdispatch.Tagdispatch.translate_program checked.env
+      (checked.base.b_groups @ fr.f_groups)
   in
   if opts.lint then Lint.check_program ~primitives:Prims.names core;
-  { checked with env; core }
+  { checked with core }
 
 (* The one compile path: the dictionary-passing check of [files] on [base] —
    by default the snapshot for [opts], whose acquisition (a build, the
    first time) is the [prelude] phase span — then, under [Tags] and only
    when no error was recorded, the §3 translation. *)
 let check_files ~sink ~(opts : options) ?base files : compiled =
-  let checked =
+  let checked, fr =
     Span.wrap opts.metrics "compile" @@ fun () ->
     let base =
       match base with
@@ -866,7 +859,7 @@ let check_files ~sink ~(opts : options) ?base files : compiled =
           Span.wrap opts.metrics "prelude" (fun () ->
               base_for opts)
     in
-    fst (extend ~sink ~faults:true ~opts ~base files)
+    extend ~sink ~faults:true ~opts ~base files
   in
   match opts.strategy with
   | Dicts | Dicts_flat -> checked
@@ -875,7 +868,7 @@ let check_files ~sink ~(opts : options) ?base files : compiled =
       else
         Diagnostic.guard ~sink ~stage:"tag translation" ~loc:Loc.none
           ~recover:(fun () -> checked)
-          (fun () -> tag_translate checked files)
+          (fun () -> tag_translate checked fr)
 
 let compile ?(opts = default_options) ?(file = "<input>") (src : string) :
     compiled =

@@ -78,10 +78,15 @@ let meter (lim : t) : meter =
 let limits m = m.lim
 let steps_spent m = m.spent
 
+(* Wall-clock exhaustion reports the milliseconds elapsed since the
+   meter started, not the steps taken. *)
 let check_clock m =
   m.clock_in <- clock_interval;
-  if now () > m.deadline_at then
-    exhausted Wall_clock ~spent:m.spent
+  let t = now () in
+  if t > m.deadline_at then
+    let started = m.deadline_at -. (m.lim.wall_ms /. 1000.) in
+    exhausted Wall_clock
+      ~spent:(int_of_float ((t -. started) *. 1000.))
       ~limit:(int_of_float m.lim.wall_ms)
 
 let step m =

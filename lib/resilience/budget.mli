@@ -19,7 +19,8 @@
       under an unlimited budget, because an unbounded explicit stack
       would otherwise consume all memory before anything failed.
     - [wall_ms]: wall-clock milliseconds from {!meter} creation, checked
-      every {!clock_interval} steps on both back ends.
+      every {!clock_interval} steps on both back ends; exhaustion
+      reports the milliseconds elapsed, in the same unit as the limit.
     - [allocations]: heap value allocations (same accounting as the
       [allocations] counter).
     - [output_bytes]: size of the rendered result (checked when the

@@ -1,28 +1,22 @@
 (** Content-addressed compile cache (see the interface for semantics).
 
-    Layout: the entry table is striped — [n_stripes] independent
-    (table, mutex, LRU clock, byte count) shards, a key's stripe chosen
-    by its hash — so hits on distinct keys from different workers
-    contend only when they land on the same stripe, not on one global
-    mutex. The telemetry registry has its own lock (counter bumps from
-    any stripe serialize there, but those are single increments, not
-    table scans), and so does the list of charged prelude snapshots.
-    Lock order: a stripe lock may be held while taking the snapshot or
-    the registry lock, never the reverse, and no two stripe locks are
-    ever held together — occupancy gauges read the other stripes'
-    fields unlocked (a benign race: an int field read can be stale but
-    never torn, and gauges are advisory).
+    Layout: one table, one mutex, one LRU. The mutex guards the entry
+    table, the LRU order, the byte total, the charged prelude snapshots
+    and the telemetry registry, so the whole byte budget applies to the
+    whole table and eviction always takes the globally least recently
+    used entry. The LRU is an ordered map from tick to key, each entry
+    queued at a tick no later than its last touch. A hit only bumps the
+    entry's tick, so it does no map work and allocates nothing under
+    the lock. Eviction takes the minimum binding: an entry touched since
+    it was queued is requeued at its last touch, and the first minimum
+    that is current is the globally least recently used entry. Each
+    requeue pays for one earlier touch, so eviction is amortized
+    O(log n), with no scan.
 
-    What the shared snapshots leave of the byte budget divides evenly
-    across stripes, so eviction is a stripe-local LRU scan: a global LRU
-    would need every stripe's lock at once. The split can evict a key
-    the global LRU would have kept (its stripe is hot while another is
-    cold), which only costs a recompile, never correctness.
-
-    Compiles always run {e outside} any lock — a slow compile must not
-    stall other workers' hits — so two workers racing on the same
-    missing key may both compile; the second insert is dropped
-    (first-writer-wins) and only one copy is retained. *)
+    Compiles, sizing and disk IO always run {e outside} the lock — a
+    slow compile must not stall other workers' hits — so two workers
+    racing on the same missing key may both compile; the second insert
+    is dropped (first-writer-wins) and only one copy is retained. *)
 
 module Pipeline = Typeclasses.Pipeline
 module Serve = Typeclasses.Serve
@@ -30,6 +24,7 @@ module Metrics = Tc_obs.Metrics
 module Ident = Tc_support.Ident
 module Core = Tc_core_ir.Core
 module Trace = Tc_obs.Trace
+module Ticks = Map.Make (Int)
 
 type value =
   | Artifact of Pipeline.compiled   (* run path: post-optimization *)
@@ -40,20 +35,9 @@ type entry = {
   e_bytes : int;          (* estimated size of its own part, at insert *)
   e_base : Pipeline.base option;  (* the shared snapshot an artifact extends *)
   mutable e_tick : int;   (* LRU clock value of the last touch *)
+  mutable e_queued : int; (* its key in the LRU: [e_tick] when last queued *)
   mutable e_hits : int;   (* per-entry, drives sampled verification *)
 }
-
-type stripe = {
-  table : (string, entry) Hashtbl.t;
-  lock : Mutex.t;
-  mutable tick : int;         (* stripe-local LRU clock *)
-  mutable total_bytes : int;
-}
-
-(* Power of two so the stripe index is a mask, not a division. 16 covers
-   the realistic worker counts (the pool caps out around core count)
-   with low collision probability. *)
-let n_stripes = 16
 
 (* A shared prelude snapshot the entries extend, charged to the cache
    once while any entry holds it. *)
@@ -64,35 +48,24 @@ type charged = {
 }
 
 type t = {
-  stripes : stripe array;
+  lock : Mutex.t;  (* guards the table, the LRU, the bytes, [bases], [reg] *)
+  table : (string, entry) Hashtbl.t;
+  mutable lru : string Ticks.t;  (* queued tick -> key *)
+  mutable tick : int;
+  mutable total_bytes : int;  (* entries' own parts + charged snapshots *)
+  mutable bases : charged list;
   max_bytes : int;  (* total byte budget; 0 = unbounded *)
-  mutable bases : charged list;  (* guarded by [bases_lock] *)
-  bases_lock : Mutex.t;
   verify_every : int;
   reg : Metrics.t;
-  reg_lock : Mutex.t;
   persist : Persist.t option;  (* the [--cache-dir] disk tier *)
 }
 
-let locked lock f =
-  Mutex.lock lock;
-  match f () with
-  | v ->
-      Mutex.unlock lock;
-      v
-  | exception e ->
-      Mutex.unlock lock;
-      raise e
+(* Caller holds the lock: the registry is not domain-safe, and the cache
+   is shared across workers. *)
+let bump t name = Metrics.incr (Metrics.counter t.reg ("scale/cache/" ^ name))
 
-let stripe_of t k = t.stripes.(Hashtbl.hash k land (n_stripes - 1))
-
-(* Counter/gauge bumps serialize on the registry's own lock: the
-   registry is not domain-safe, and the cache is shared across workers.
-   Safe to call with a stripe lock held (stripe -> reg is the one
-   permitted nesting). *)
-let count t name =
-  locked t.reg_lock @@ fun () ->
-  Metrics.incr (Metrics.counter t.reg ("scale/cache/" ^ name))
+(* For the paths that run outside the lock (disk IO, verification). *)
+let count t name = Mutex.protect t.lock (fun () -> bump t name)
 
 let create ?(max_bytes = 64 * 1024 * 1024) ?(verify_every = 0) ?dir () =
   let persist, report =
@@ -104,42 +77,36 @@ let create ?(max_bytes = 64 * 1024 * 1024) ?(verify_every = 0) ?dir () =
   in
   let t =
     {
-      stripes =
-        Array.init n_stripes (fun _ ->
-            {
-              table = Hashtbl.create 16;
-              lock = Mutex.create ();
-              tick = 0;
-              total_bytes = 0;
-            });
-      max_bytes = max 0 max_bytes;
+      lock = Mutex.create ();
+      table = Hashtbl.create 64;
+      lru = Ticks.empty;
+      tick = 0;
+      total_bytes = 0;
       bases = [];
-      bases_lock = Mutex.create ();
+      max_bytes = max 0 max_bytes;
       verify_every;
       reg = Metrics.create ();
-      reg_lock = Mutex.create ();
       persist;
     }
   in
+  (* not yet shared: no lock needed *)
   (match report with
   | None -> ()
   | Some r ->
-      if not r.Persist.exclusive then count t "persist/locked_out";
-      if r.Persist.wiped then count t "persist/wiped";
-      locked t.reg_lock (fun () ->
-          Metrics.set
-            (Metrics.gauge t.reg "scale/cache/persist/adopted_idents")
-            r.Persist.adopted));
+      if not r.Persist.exclusive then bump t "persist/locked_out";
+      if r.Persist.wiped then bump t "persist/wiped";
+      Metrics.set
+        (Metrics.gauge t.reg "scale/cache/persist/adopted_idents")
+        r.Persist.adopted);
   t
 
 let metrics t = t.reg
 
 (* A point-in-time copy of the registry, safe to merge on any domain:
-   the live registry is guarded by [reg_lock], so handing it out
-   directly (e.g. into a serve [extra_metrics] view read by workers)
-   would race with insert-path bumps. *)
+   handing out the live registry (e.g. into a serve [extra_metrics] view
+   read by workers) would race with insert-path bumps. *)
 let metrics_view t =
-  locked t.reg_lock @@ fun () ->
+  Mutex.protect t.lock @@ fun () ->
   let m = Metrics.create () in
   Metrics.merge ~into:m t.reg;
   m
@@ -147,29 +114,8 @@ let metrics_view t =
 let close t =
   match t.persist with None -> () | Some p -> Persist.close p
 
-(* Occupancy across all stripes. The other stripes' fields are read
-   without their locks — int reads never tear, so the worst case is a
-   momentarily stale gauge, which a concurrent insert would invalidate
-   a moment later anyway. Must be called with NO stripe lock held
-   (gauge writes take [reg_lock]; holding a stripe lock here would be
-   fine for ordering but the callers don't need to). *)
-let base_bytes t =
-  Mutex.protect t.bases_lock @@ fun () ->
-  List.fold_left (fun n c -> n + c.c_bytes) 0 t.bases
-
-let occupancy t =
-  Array.fold_left
-    (fun (n, b) s -> (n + Hashtbl.length s.table, b + s.total_bytes))
-    (0, base_bytes t) t.stripes
-
-let set_occupancy t =
-  let n, b = occupancy t in
-  locked t.reg_lock @@ fun () ->
-  Metrics.set (Metrics.gauge t.reg "scale/cache/entries") n;
-  Metrics.set (Metrics.gauge t.reg "scale/cache/bytes") b
-
-let entries t = fst (occupancy t)
-let bytes t = snd (occupancy t)
+let entries t = Mutex.protect t.lock (fun () -> Hashtbl.length t.table)
+let bytes t = Mutex.protect t.lock (fun () -> t.total_bytes)
 
 (* ---- key derivation ---- *)
 
@@ -270,6 +216,9 @@ let persist_write t k (v : value) =
   | Some p -> (
       match Marshal.to_string (persist_strip v) [] with
       | payload -> (
+          (* an artifact embeds interned stamps: the snapshot must cover
+             them before the entry appears. A check answer embeds none. *)
+          (match v with Artifact _ -> Persist.save_idents p | Checked _ -> ());
           match Persist.write p ~key:k ~payload with
           | `Written | `Torn ->
               (* a [`Torn] write (injected crash-mid-write) still counts:
@@ -329,72 +278,74 @@ let size_of (v : value) : int * (Pipeline.base * int) option =
   | Checked _ -> (bytes (Obj.reachable_words (Obj.repr v)), None)
 
 (* Charge [base] once, however many entries extend it: the first entry
-   holding it adds its size, the last one to go takes it away. *)
+   holding it adds its size, the last one to go takes it away. Caller
+   holds the lock. *)
 let charge t = function
   | None -> ()
-  | Some (b, bytes) ->
-      Mutex.protect t.bases_lock @@ fun () ->
+  | Some (b, bytes) -> (
       match List.find_opt (fun c -> c.c_base == b) t.bases with
       | Some c -> c.c_refs <- c.c_refs + 1
       | None ->
-          t.bases <- { c_base = b; c_bytes = bytes; c_refs = 1 } :: t.bases
+          t.bases <- { c_base = b; c_bytes = bytes; c_refs = 1 } :: t.bases;
+          t.total_bytes <- t.total_bytes + bytes)
 
 let uncharge t = function
   | None -> ()
-  | Some b ->
-      Mutex.protect t.bases_lock @@ fun () ->
+  | Some b -> (
       match List.find_opt (fun c -> c.c_base == b) t.bases with
       | Some c ->
           c.c_refs <- c.c_refs - 1;
-          if c.c_refs = 0 then
-            t.bases <- List.filter (fun c' -> c' != c) t.bases
-      | None -> ()
+          if c.c_refs = 0 then begin
+            t.bases <- List.filter (fun c' -> c' != c) t.bases;
+            t.total_bytes <- t.total_bytes - c.c_bytes
+          end
+      | None -> ())
 
-(* A stripe's share of what the budget leaves after the shared
-   snapshots; 0 = unbounded. *)
-let stripe_budget t =
-  if t.max_bytes = 0 then 0
-  else max 1 ((t.max_bytes - base_bytes t) / n_stripes)
+(* Unlink [k]'s entry [e] from the table, the LRU and the byte total.
+   Caller holds the lock. *)
+let remove t k e =
+  Hashtbl.remove t.table k;
+  t.lru <- Ticks.remove e.e_queued t.lru;
+  t.total_bytes <- t.total_bytes - e.e_bytes;
+  uncharge t e.e_base
 
-(* Evict this stripe's least-recently-used entries until its share of
-   the byte budget holds. Linear scan for the minimum tick: stripes are
-   small (tens to hundreds of entries) and eviction is off the hit
-   path. Caller holds the stripe lock. *)
-let evict_over_budget t (s : stripe) =
-  let budget = stripe_budget t in
-  if budget > 0 then
-    while s.total_bytes > budget && Hashtbl.length s.table > 0 do
-      let victim =
-        Hashtbl.fold
-          (fun k e acc ->
-            match acc with
-            | Some (_, oldest) when oldest.e_tick <= e.e_tick -> acc
-            | _ -> Some (k, e))
-          s.table None
-      in
-      match victim with
-      | None -> ()
-      | Some (k, e) ->
-          Hashtbl.remove s.table k;
-          s.total_bytes <- s.total_bytes - e.e_bytes;
-          uncharge t e.e_base;
-          count t "evictions"
+let set_occupancy t =
+  Metrics.set
+    (Metrics.gauge t.reg "scale/cache/entries")
+    (Hashtbl.length t.table);
+  Metrics.set (Metrics.gauge t.reg "scale/cache/bytes") t.total_bytes
+
+(* Evict least-recently-used entries until the byte budget holds. Caller
+   holds the lock. *)
+let evict_over_budget t =
+  if t.max_bytes > 0 then
+    while t.total_bytes > t.max_bytes && not (Ticks.is_empty t.lru) do
+      let q, k = Ticks.min_binding t.lru in
+      let e = Hashtbl.find t.table k in
+      if e.e_tick > q then begin
+        (* touched since it was queued: requeue it at its last touch *)
+        t.lru <- Ticks.add e.e_tick k (Ticks.remove q t.lru);
+        e.e_queued <- e.e_tick
+      end
+      else begin
+        remove t k e;
+        bump t "evictions"
+      end
     done
 
-(* A hit under the key's stripe lock: returns the entry plus whether
-   this touch is a verification sample. *)
+(* A hit touches the entry: returns its value plus whether this touch is
+   a verification sample. *)
 let lookup t k =
-  let s = stripe_of t k in
-  locked s.lock @@ fun () ->
-  match Hashtbl.find_opt s.table k with
+  Mutex.protect t.lock @@ fun () ->
+  match Hashtbl.find_opt t.table k with
   | None ->
-      count t "misses";
+      bump t "misses";
       None
   | Some e ->
-      s.tick <- s.tick + 1;
-      e.e_tick <- s.tick;
+      t.tick <- t.tick + 1;
+      e.e_tick <- t.tick;
       e.e_hits <- e.e_hits + 1;
-      count t "hits";
+      bump t "hits";
       let verify = t.verify_every > 0 && e.e_hits mod t.verify_every = 0 in
       Some (e.e_value, verify)
 
@@ -402,34 +353,29 @@ let lookup t k =
    worker inserted the same key meanwhile, keep theirs. *)
 let insert t k v =
   let sz, base = size_of v in
-  let s = stripe_of t k in
-  locked s.lock (fun () ->
-      if not (Hashtbl.mem s.table k) then begin
-        s.tick <- s.tick + 1;
-        Hashtbl.add s.table k
-          {
-            e_value = v;
-            e_bytes = sz;
-            e_base = Option.map fst base;
-            e_tick = s.tick;
-            e_hits = 0;
-          };
-        s.total_bytes <- s.total_bytes + sz;
-        charge t base;
-        count t "inserts";
-        evict_over_budget t s
-      end);
+  Mutex.protect t.lock @@ fun () ->
+  if not (Hashtbl.mem t.table k) then begin
+    t.tick <- t.tick + 1;
+    Hashtbl.add t.table k
+      {
+        e_value = v;
+        e_bytes = sz;
+        e_base = Option.map fst base;
+        e_tick = t.tick;
+        e_queued = t.tick;
+        e_hits = 0;
+      };
+    t.lru <- Ticks.add t.tick k t.lru;
+    t.total_bytes <- t.total_bytes + sz;
+    charge t base;
+    bump t "inserts";
+    evict_over_budget t
+  end;
   set_occupancy t
 
 let drop t k =
-  let s = stripe_of t k in
-  locked s.lock (fun () ->
-      match Hashtbl.find_opt s.table k with
-      | None -> ()
-      | Some e ->
-          Hashtbl.remove s.table k;
-          s.total_bytes <- s.total_bytes - e.e_bytes;
-          uncharge t e.e_base);
+  Mutex.protect t.lock @@ fun () ->
+  Option.iter (remove t k) (Hashtbl.find_opt t.table k);
   set_occupancy t
 
 (* The common shape of both paths: [compile ()] must produce the same

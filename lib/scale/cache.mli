@@ -46,11 +46,8 @@
       prelude snapshot the artifact extends is charged once, however
       many entries share it, for as long as any of them is cached. A
       check entry is charged the words its answer reaches, and charges
-      no snapshot. What the snapshots leave
-      of the budget divides evenly across the stripes (below), and
-      eviction is stripe-local — a hot stripe can evict an entry a
-      global LRU would have kept, costing a recompile, never
-      correctness.
+      no snapshot. The whole budget applies to the whole table, and
+      eviction always takes the globally least recently used entry.
     - Verification mode: with [verify_every = n > 0], every [n]-th hit
       on an entry recompiles from source and compares the result with
       the cached value: a run artifact by a gensym-invariant
@@ -58,12 +55,11 @@
       rendered schemes, exactly what the response shows). A mismatch
       drops the entry, counts [scale/cache/verify_fail], and answers
       with the fresh compile.
-    - Thread-safe and striped: the entry table is sharded into 16
-      independently-locked stripes (a key's stripe chosen by its hash),
-      so workers hitting distinct keys contend only on hash collisions,
-      not on one global mutex; the telemetry registry has its own lock.
-      Compiles themselves run outside every lock. One cache can be
-      shared by every worker in a {!Pool}.
+    - Thread-safe: one mutex guards the table, the LRU order, the byte
+      total, the charged snapshots and the telemetry registry. Compiles,
+      sizing and disk IO run outside it, so a slow compile never stalls
+      another worker's hit. One cache can be shared by every worker in
+      a {!Pool}.
 
     {2 The persistent tier}
 
@@ -103,8 +99,8 @@ val create : ?max_bytes:int -> ?verify_every:int -> ?dir:string -> unit -> t
 val metrics : t -> Tc_obs.Metrics.t
 (** The cache's own registry (see the counter/gauge list above). Merge
     it into a server-wide view with {!Tc_obs.Metrics.merge}. Guarded by
-    the cache's registry lock — read it through {!metrics_view} from
-    other domains. *)
+    the cache's lock — read it through {!metrics_view} from other
+    domains. *)
 
 val metrics_view : t -> Tc_obs.Metrics.t
 (** A point-in-time copy of {!metrics}, taken under the cache lock —

@@ -103,11 +103,13 @@ let write_file_atomic ~dir ~path content : bool =
 
 let marshal_snapshot snap = Marshal.to_string (snap : (string * int) list * int) []
 
-let write_intern t =
-  let payload = marshal_snapshot (Ident.snapshot ()) in
-  ignore
-    (write_file_atomic ~dir:t.dir ~path:(intern_file t.dir)
-       (header ~payload ^ payload))
+let save_idents t =
+  if t.exclusive then begin
+    let payload = marshal_snapshot (Ident.snapshot ()) in
+    ignore
+      (write_file_atomic ~dir:t.dir ~path:(intern_file t.dir)
+         (header ~payload ^ payload))
+  end
 
 (* ---- open / close ---- *)
 
@@ -148,48 +150,44 @@ let try_lock dir =
       None
   with Unix.Unix_error _ -> None
 
+(* Adopt the directory's intern snapshot, or wipe what cannot be read
+   back without one: [(adopted, wiped)]. *)
+let adopt_dir dir =
+  let wipe_all () =
+    wipe dir;
+    (0, true)
+  in
+  match read_file (intern_file dir) with
+  | None ->
+      (* No snapshot: any entries present are unreadable leftovers (the
+         file was deleted, or a writer crashed before its first
+         snapshot) — clear them so reads cannot lie. *)
+      if list_entries dir <> [] then wipe_all () else (0, false)
+  | Some bytes -> (
+      match validate bytes with
+      | None -> wipe_all ()
+      | Some payload -> (
+          match (Marshal.from_string payload 0 : (string * int) list * int) with
+          | snap ->
+              (* adoption fails when stamps clash with names this process
+                 already interned differently: the on-disk artifacts are
+                 not expressible here *)
+              if Ident.adopt snap then (List.length (fst snap), false)
+              else wipe_all ()
+          | exception _ -> wipe_all ()))
+
 let open_dir ~dir =
   (try mkdir_p dir with Unix.Unix_error _ -> ());
   match try_lock dir with
   | None ->
       ( { dir; exclusive = false; lock_fd = None },
         { exclusive = false; adopted = 0; wiped = false } )
-  | Some fd -> (
+  | Some fd ->
       let t = { dir; exclusive = true; lock_fd = Some fd } in
-      match read_file (intern_file dir) with
-      | None ->
-          (* No snapshot: any entries present are unreadable leftovers
-             (a writer crashed before its first intern write, or the
-             file was deleted) — clear them so reads cannot lie. *)
-          let had_entries = list_entries dir <> [] in
-          if had_entries then wipe dir;
-          (t, { exclusive = true; adopted = 0; wiped = had_entries })
-      | Some bytes -> (
-          match validate bytes with
-          | None ->
-              wipe dir;
-              (t, { exclusive = true; adopted = 0; wiped = true })
-          | Some payload -> (
-              match (Marshal.from_string payload 0 : (string * int) list * int)
-              with
-              | snap ->
-                  if Ident.adopt snap then
-                    ( t,
-                      {
-                        exclusive = true;
-                        adopted = List.length (fst snap);
-                        wiped = false;
-                      } )
-                  else begin
-                    (* Stamps clash with names this process already
-                       interned differently: the on-disk artifacts are
-                       not expressible here. Start over. *)
-                    wipe dir;
-                    (t, { exclusive = true; adopted = 0; wiped = true })
-                  end
-              | exception _ ->
-                  wipe dir;
-                  (t, { exclusive = true; adopted = 0; wiped = true }))))
+      let adopted, wiped = adopt_dir dir in
+      (* the directory has a snapshot before its first entry *)
+      save_idents t;
+      (t, { exclusive = true; adopted; wiped })
 
 let close t =
   t.exclusive <- false;
@@ -230,9 +228,6 @@ let read t ~key =
 let write t ~key ~payload =
   if not t.exclusive then `Skipped
   else begin
-    (* The snapshot must cover every identifier the payload embeds, so
-       it is republished (atomically) before the entry appears. *)
-    write_intern t;
     let torn =
       match if !Inject.live then Inject.hit ~detail:key Inject.Cache_write with
       | () -> false

@@ -15,7 +15,8 @@
     - {b Identifier canonicality}: marshaled artifacts embed interned
       {!Tc_support.Ident.t} stamps, which are only meaningful relative
       to the writer's intern table. The store keeps a snapshot of that
-      table ([intern.bin], rewritten before every entry write so it
+      table ([intern.bin]: written by {!open_dir}, then by
+      {!save_idents} before each entry that embeds identifiers, so it
       always covers every entry on disk) and {!open_dir} replays it via
       [Ident.adopt] at cold start. An incompatible snapshot — or one
       written by a different executable, whose marshaled representations
@@ -58,8 +59,14 @@ val close : t -> unit
     injection fired) and has been unlinked. *)
 val read : t -> key:string -> [ `Hit of string | `Miss | `Corrupt ]
 
-(** [write t ~key ~payload] persists [payload] under [key], refreshing
-    the intern snapshot first. [`Skipped] when the store is disabled or
+(** Republish the intern snapshot ([intern.bin]) so it covers every
+    identifier interned so far. {!open_dir} writes one, so a directory
+    has a snapshot before its first entry; after that, a caller saves
+    before writing any payload that embeds identifiers. No-op when the
+    store is disabled. *)
+val save_idents : t -> unit
+
+(** [write t ~key ~payload] persists [payload] under [key]. [`Skipped] when the store is disabled or
     the write failed (a full disk must not take the server down);
     [`Torn] when the write-corruption injection truncated it. *)
 val write : t -> key:string -> payload:string -> [ `Written | `Torn | `Skipped ]

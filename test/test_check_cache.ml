@@ -190,6 +190,32 @@ let bound_case () =
   Alcotest.(check bool) "no snapshot charged" true
     (snapshot_bytes > 0 && Cache.bytes c < snapshot_bytes)
 
+(* Check answers embed no identifiers, so the disk tier writes them
+   without republishing the intern snapshot: however many fresh names
+   the programs intern, [intern.bin] keeps the size [open_dir] gave it,
+   and a restart still serves every entry. *)
+let intern_snapshot_case () =
+  let dir = Test_scale.tmpdir () in
+  Fun.protect ~finally:(fun () -> Test_scale.rm_rf dir) @@ fun () ->
+  let intern_size () =
+    (Unix.stat (Filename.concat dir "intern.bin")).Unix.st_size
+  in
+  let srcs = List.init 31 (fun i -> generated ~errors:(i mod 2) (5000 + i)) in
+  let opts = Pipeline.default_options in
+  let w = Cache.create ~dir () in
+  ignore (Cache.check w ~opts ~src:(List.hd srcs));
+  let before = intern_size () in
+  List.iter (fun src -> ignore (Cache.check w ~opts ~src)) (List.tl srcs);
+  Alcotest.(check int) "31 entries written" 31 (counter w "persist/writes");
+  Alcotest.(check int) "intern.bin unchanged by 30 check entries" before
+    (intern_size ());
+  Cache.close w;
+  let r = Cache.create ~dir () in
+  List.iter (fun src -> ignore (Cache.check r ~opts ~src)) srcs;
+  Alcotest.(check int) "a restart serves all 31 from disk" 31
+    (counter r "persist/hits");
+  Cache.close r
+
 let tests =
   [
     ( "check path oracle",
@@ -215,5 +241,7 @@ let tests =
                        a.Serve.diagnostics))
               generated_with_errors);
         case "200 check entries stay small and charge no snapshot" bound_case;
+        case "check entries leave the intern snapshot as it is"
+          intern_snapshot_case;
       ] );
   ]

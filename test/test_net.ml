@@ -1,6 +1,6 @@
 (** The TCP front end: connection supervision, deadlines, admission,
     drain, probes — plus the satellites that ride along (monotonic
-    clock, striped cache under concurrency, [bounded_next] edge cases
+    clock, shared cache under concurrency, [bounded_next] edge cases
     over real sockets).
 
     Every server here binds port 0 (ephemeral) on loopback and is torn
@@ -521,7 +521,7 @@ let bounded_next_cases =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Satellites: monotonic clock, striped cache, socket load generator.  *)
+(* Satellites: monotonic clock, shared cache, socket load generator.   *)
 (* ------------------------------------------------------------------ *)
 
 let satellite_cases =
@@ -538,7 +538,7 @@ let satellite_cases =
         let s1 = Mono.now_s () in
         Alcotest.(check bool) "now_s advances with real time" true
           (s1 -. s0 >= 0.005));
-    case "the striped cache stays consistent under concurrent domains"
+    case "the cache stays consistent under concurrent domains"
       (fun () ->
         let c = Cache.create () in
         let domains = 4 and per = 8 in
@@ -560,7 +560,7 @@ let satellite_cases =
           (Cache.entries c);
         Alcotest.(check int) "all first compiles were misses" total
           (counter_of (Cache.metrics c) "scale/cache/misses");
-        (* a second full sweep hits every stripe *)
+        (* a second full sweep hits every entry *)
         for d = 0 to domains - 1 do
           for i = 0 to per - 1 do
             ignore (Cache.compile_run c ~opts ~passes:[] ~src:(src d i))

@@ -71,6 +71,21 @@ let budget_cases =
       Budget.Frames;
     check_parity "wall-clock: both backends stop a divergent loop"
       diverge_src (Budget.deadline 150.) Budget.Wall_clock;
+    case "wall-clock: exhaustion reports elapsed milliseconds" (fun () ->
+        List.iter
+          (fun backend ->
+            let c = compile diverge_src in
+            match Pipeline.exec ~backend ~budget:(Budget.deadline 150.) c with
+            | r ->
+                Alcotest.failf "expected exhaustion, got %s"
+                  r.Pipeline.rendered
+            | exception Budget.Exhausted { resource; spent; limit } ->
+                Alcotest.(check string) "resource" "wall-clock"
+                  (Budget.resource_name resource);
+                Alcotest.(check int) "limit" 150 limit;
+                if spent < 150 || spent >= 1150 then
+                  Alcotest.failf "spent %d, expected ms in [150, 1150)" spent)
+          [ `Tree; `Vm ]);
     check_parity "allocations: both backends cap a hungry program"
       hungry_src
       { Budget.unlimited with allocations = 5_000 }

@@ -157,6 +157,45 @@ let cache_cases =
         Alcotest.(check bool) "evictions happened" true
           (cache_counter c "evictions" >= 2);
         Alcotest.(check bool) "occupancy bounded" true (Cache.entries c <= 1));
+    case "a 1 MiB budget keeps an artifact smaller than itself" (fun () ->
+        (* the whole budget applies to the whole table: one artifact and
+           the snapshot it shares fit, so the repeat is a hit *)
+        let src =
+          In_channel.with_open_bin "../examples/programs/matrix.mhs"
+            In_channel.input_all
+        in
+        let c = Cache.create ~max_bytes:(1 lsl 20) () in
+        ignore (Cache.compile_run c ~opts:default_opts ~passes:[] ~src);
+        ignore (Cache.compile_run c ~opts:default_opts ~passes:[] ~src);
+        Alcotest.(check bool) "entry and snapshot under budget" true
+          (Cache.bytes c <= 1 lsl 20);
+        Alcotest.(check int) "second compile hits" 1 (cache_counter c "hits");
+        Alcotest.(check int) "no evictions" 0 (cache_counter c "evictions"));
+    case "eviction takes the globally least recently used entry" (fun () ->
+        let check c i =
+          ignore
+            (Cache.check c ~opts:default_opts
+               ~src:(Printf.sprintf "main = %d" i))
+        in
+        (* four answers of one size, measured without a budget *)
+        let sized = Cache.create ~max_bytes:0 () in
+        check sized 1;
+        let one = Cache.bytes sized in
+        List.iter (check sized) [ 2; 3; 4 ];
+        Alcotest.(check int) "equal-sized answers" (4 * one)
+          (Cache.bytes sized);
+        let c = Cache.create ~max_bytes:(3 * one) () in
+        List.iter (check c) [ 1; 2; 3 ];
+        (* touch 1: 2 becomes the least recently used *)
+        check c 1;
+        check c 4;
+        Alcotest.(check int) "exactly one eviction" 1
+          (cache_counter c "evictions");
+        let hits = cache_counter c "hits" in
+        List.iter (check c) [ 1; 3; 4 ];
+        Alcotest.(check int) "1, 3 and 4 still hit" (hits + 3)
+          (cache_counter c "hits");
+        Alcotest.(check int) "three entries" 3 (Cache.entries c));
     case "verification recompiles sampled hits and passes" (fun () ->
         let c = Cache.create ~verify_every:1 () in
         ignore (Cache.compile_run c ~opts:default_opts ~passes:[] ~src:demo);
