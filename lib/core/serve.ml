@@ -589,39 +589,72 @@ let snapshot_event_line ~after_requests m =
 let snapshot_line t =
   snapshot_event_line ~after_requests:(requests t.metrics) t.metrics
 
-(* A line reader with bounded buffering: bytes past [max_bytes] are
-   discarded as they stream in, keeping exactly one extra byte so
-   [handle_line]'s length test still classifies the request as
-   oversized. A 100 GB line therefore costs 100 GB of reading but only
-   [max_bytes + 1] bytes of memory. *)
-let bounded_next ?(max_bytes = default_config.max_line_bytes) ic () =
-  let buf = Buffer.create 256 in
-  (* Tolerate CRLF line endings (netcat on Windows, telnet, HTTP-ish
-     clients poking the socket): a trailing '\r' is part of the line
-     terminator, not the request. Only the final byte is stripped —
-     embedded '\r' still reaches the parser and fails as bad JSON. *)
-  let finish () =
-    let n = Buffer.length buf in
-    (* never strip from a truncated (over-cap) line: that last byte is
-       retained garbage, not a terminator, and removing it would demote
-       the request from oversized to merely invalid *)
+(* The line-cap rule, shared with the TCP reader: bytes past
+   [max_bytes] are discarded as they stream in, keeping exactly one
+   extra byte so [handle_line]'s length test still classifies the
+   request as oversized. A 100 GB line therefore costs 100 GB of reading
+   but only [max_bytes + 1] bytes of memory. *)
+let scan_line ~max_bytes line chunk pos stop =
+  let nl = ref pos in
+  while !nl < stop && Bytes.unsafe_get chunk !nl <> '\n' do
+    incr nl
+  done;
+  let keep =
+    if max_bytes = 0 then !nl - pos
+    else min (!nl - pos) (max_bytes + 1 - Buffer.length line)
+  in
+  if keep > 0 then Buffer.add_subbytes line chunk pos keep;
+  !nl
+
+(* Tolerate CRLF line endings (netcat on Windows, telnet, HTTP-ish
+   clients poking the socket): a trailing '\r' is part of the line
+   terminator, not the request. Only the final byte is stripped —
+   embedded '\r' still reaches the parser and fails as bad JSON. *)
+let take_line ~max_bytes line =
+  let n = Buffer.length line in
+  (* never strip from a truncated (over-cap) line: that last byte is
+     retained garbage, not a terminator, and removing it would demote
+     the request from oversized to merely invalid *)
+  let s =
     if
       n > 0
       && (max_bytes = 0 || n <= max_bytes)
-      && Buffer.nth buf (n - 1) = '\r'
-    then Buffer.sub buf 0 (n - 1)
-    else Buffer.contents buf
+      && Buffer.nth line (n - 1) = '\r'
+    then Buffer.sub line 0 (n - 1)
+    else Buffer.contents line
   in
-  let rec go seen_any =
-    match In_channel.input_char ic with
-    | None -> if seen_any then Some (finish ()) else None
-    | Some '\n' -> Some (finish ())
-    | Some c ->
-        if max_bytes = 0 || Buffer.length buf <= max_bytes then
-          Buffer.add_char buf c;
-        go true
+  Buffer.clear line;
+  s
+
+let read_chunk_bytes = 65536
+
+(* Reads a block at a time into a chunk the closure owns, so bytes past
+   the line returned wait there for the next call. *)
+let bounded_next ?(max_bytes = default_config.max_line_bytes) ic =
+  let line = Buffer.create 256 in
+  let chunk = Bytes.create read_chunk_bytes in
+  let pos = ref 0 and stop = ref 0 in
+  (* a byte of the current line has been read, so end of input ends it *)
+  let pending = ref false in
+  let rec next () =
+    if !pos < !stop then begin
+      let nl = scan_line ~max_bytes line chunk !pos !stop in
+      pos := nl + 1;
+      pending := nl = !stop;
+      if !pending then next () else Some (take_line ~max_bytes line)
+    end
+    else
+      match In_channel.input ic chunk 0 read_chunk_bytes with
+      | 0 when !pending ->
+          pending := false;
+          Some (take_line ~max_bytes line)
+      | 0 -> None
+      | n ->
+          pos := 0;
+          stop := n;
+          next ()
   in
-  go false
+  next
 
 let run ?(config = default_config) ?server ?(stop = fun () -> false)
     ?emit_oob ~next ~emit () =

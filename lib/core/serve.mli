@@ -240,7 +240,22 @@ val bounded_next : ?max_bytes:int -> in_channel -> unit -> string option
     they stream in, retaining one extra byte so {!handle_line} still
     classifies the request as oversized. CRLF-terminated lines have the
     trailing ['\r'] stripped (except on truncated over-cap lines, where
-    the retained byte is garbage, not a terminator). *)
+    the retained byte is garbage, not a terminator). A final line
+    without a newline is returned at end of input.
+
+    The source reads the channel in blocks of up to 64 KiB and keeps
+    the bytes past the line it returns for its next call, so it must be
+    the only reader of its channel. *)
+
+val scan_line : max_bytes:int -> Buffer.t -> bytes -> int -> int -> int
+(** [scan_line ~max_bytes line chunk pos stop] appends the bytes of
+    [chunk] from [pos] up to the first ['\n'] before [stop] to [line],
+    under {!bounded_next}'s cap rule, and returns the index of that
+    ['\n'], or [stop] if there is none. *)
+
+val take_line : max_bytes:int -> Buffer.t -> string
+(** The line accumulated in a buffer, with {!bounded_next}'s CRLF rule
+    applied; clears the buffer. *)
 
 val snapshot_event_line : after_requests:int -> Tc_obs.Metrics.t -> string
 (** The spontaneous metrics-snapshot framing

@@ -218,22 +218,6 @@ exception Conn_stalled  (* injected Slow_read: jump to the reap path *)
 let reader t ~max_bytes conn =
   let chunk = Bytes.create 4096 in
   let line = Buffer.create 256 in
-  (* Same cap semantics as [Serve.bounded_next]: keep at most
-     [max_bytes + 1] bytes so the oversized classification still fires;
-     strip a terminating CR only off untruncated lines. *)
-  let finish_line () =
-    let n = Buffer.length line in
-    let s =
-      if
-        n > 0
-        && (max_bytes = 0 || n <= max_bytes)
-        && Buffer.nth line (n - 1) = '\r'
-      then Buffer.sub line 0 (n - 1)
-      else Buffer.contents line
-    in
-    Buffer.clear line;
-    s
-  in
   let enqueue l =
     Mutex.lock t.lock;
     (* Backpressure: a firehose connection blocks here (its socket then
@@ -247,14 +231,13 @@ let reader t ~max_bytes conn =
     Condition.signal t.ingest_nonempty;
     Mutex.unlock t.lock
   in
-  let scan n =
-    for i = 0 to n - 1 do
-      match Bytes.get chunk i with
-      | '\n' -> enqueue (finish_line ())
-      | c ->
-          if max_bytes = 0 || Buffer.length line <= max_bytes then
-            Buffer.add_char line c
-    done
+  (* [Serve.bounded_next]'s cap and CRLF rules, a run of bytes at a time *)
+  let rec scan pos n =
+    let nl = Serve.scan_line ~max_bytes line chunk pos n in
+    if nl < n then begin
+      enqueue (Serve.take_line ~max_bytes line);
+      scan (nl + 1) n
+    end
   in
   let outcome =
     try
@@ -285,7 +268,7 @@ let reader t ~max_bytes conn =
                       try Inject.hit ~detail:"net conn" Inject.Slow_read
                       with Inject.Fault _ -> raise Conn_stalled
                     end;
-                    scan n;
+                    scan 0 n;
                     loop ())
         end
       in

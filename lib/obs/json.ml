@@ -123,6 +123,15 @@ let literal c word (v : t) : t =
   end
   else parse_fail "bad literal at offset %d" c.pos
 
+(* The index of the first ['"'] or ['\\'] at or after [i], or the
+   length of [src]: the end of a run a string copies as it is. *)
+let rec run_end src i =
+  if i >= String.length src then i
+  else
+    match String.unsafe_get src i with
+    | '"' | '\\' -> i
+    | _ -> run_end src (i + 1)
+
 let parse_string_body c : string =
   let buf = Buffer.create 16 in
   let rec go () =
@@ -160,9 +169,10 @@ let parse_string_body c : string =
                       Buffer.add_utf_8_uchar buf Uchar.rep)
              | e -> parse_fail "bad escape '\\%c'" e);
             go ())
-    | Some ch ->
-        c.pos <- c.pos + 1;
-        Buffer.add_char buf ch;
+    | Some _ ->
+        let stop = run_end c.src c.pos in
+        Buffer.add_substring buf c.src c.pos (stop - c.pos);
+        c.pos <- stop;
         go ()
   in
   go ();

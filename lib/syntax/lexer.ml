@@ -48,20 +48,37 @@ let is_ident_char c =
   || c = '_' || c = '\''
 
 let is_digit c = c >= '0' && c <= '9'
-let is_symbol_char c = String.contains "!#$%&*+./<=>?@\\^|-~:" c
+let is_symbol_char = function
+  | '!' | '#' | '$' | '%' | '&' | '*' | '+' | '.' | '/' | '<' | '=' | '>' | '?'
+  | '@' | '\\' | '^' | '|' | '-' | '~' | ':' ->
+      true
+  | _ -> false
+
+(* Skip the run of characters satisfying [pred], which must reject
+   ['\n']: the run stays on one line, so [col] moves by its length. *)
+let skip_while st pred =
+  let src = st.src in
+  let n = String.length src in
+  let start = st.pos in
+  let i = ref start in
+  while !i < n && pred (String.unsafe_get src !i) do
+    incr i
+  done;
+  st.pos <- !i;
+  st.col <- st.col + (!i - start)
 
 let take_while st pred =
-  let buf = Buffer.create 16 in
-  while (not (is_eof st)) && pred (peek st) do
-    Buffer.add_char buf (peek st);
-    advance st
-  done;
-  Buffer.contents buf
+  let start = st.pos in
+  skip_while st pred;
+  String.sub st.src start (st.pos - start)
 
 (* Skip whitespace and comments; returns unit, positioned at next token. *)
 let rec skip_trivia st =
   match peek st with
-  | ' ' | '\t' | '\r' | '\n' ->
+  | ' ' | '\t' | '\r' ->
+      skip_while st (function ' ' | '\t' | '\r' -> true | _ -> false);
+      skip_trivia st
+  | '\n' ->
       advance st;
       skip_trivia st
   | '-' when peek2 st = '-' ->
@@ -76,9 +93,7 @@ let rec skip_trivia st =
         scan st.pos
       in
       if all_dashes then begin
-        while (not (is_eof st)) && peek st <> '\n' do
-          advance st
-        done;
+        skip_while st (fun c -> c <> '\n');
         skip_trivia st
       end
   | '{' when peek2 st = '-' ->
@@ -150,14 +165,18 @@ let lex_string st =
         advance st;
         Buffer.add_char buf (escape_char st);
         go ()
-    | c ->
-        advance st;
-        Buffer.add_char buf c;
+    | _ ->
+        let start = st.pos in
+        skip_while st (function
+          | '"' | '\000' | '\n' | '\\' -> false
+          | _ -> true);
+        Buffer.add_substring buf st.src start (st.pos - start);
         go ()
   in
   go ()
 
 let lex_number st =
+  let start_pos = here st in
   let int_part = take_while st is_digit in
   let is_float =
     peek st = '.' && is_digit (peek2 st)
@@ -184,7 +203,12 @@ let lex_number st =
     in
     Token.FLOAT (float_of_string (int_part ^ "." ^ frac ^ exp))
   end
-  else Token.INT (int_of_string int_part)
+  else
+    match int_of_string_opt int_part with
+    | Some n -> Token.INT n
+    | None ->
+        Diagnostic.errorf ~loc:(span st start_pos)
+          "integer literal %s is out of range (largest is %d)" int_part max_int
 
 let lex_symbol st =
   let s = take_while st is_symbol_char in
@@ -224,7 +248,7 @@ let next_token st : Token.spanned =
     | c when is_ident_start c || c = '_' ->
         let s = take_while st is_ident_char in
         let tok =
-          match List.assoc_opt s Token.keyword_table with
+          match Token.keyword s with
           | Some kw -> kw
           | None ->
               if s.[0] >= 'A' && s.[0] <= 'Z' then Token.CONID s else Token.VARID s
@@ -236,8 +260,8 @@ let next_token st : Token.spanned =
 (** Tokenize an entire input. The resulting list always ends with [EOF]. *)
 let tokenize ~file src =
   let st = make ~file src in
-  let rec go acc =
+  let[@tail_mod_cons] rec go () =
     let t = next_token st in
-    match t.Token.tok with Token.EOF -> List.rev (t :: acc) | _ -> go (t :: acc)
+    match t.Token.tok with Token.EOF -> [ t ] | _ -> t :: go ()
   in
-  go []
+  go ()

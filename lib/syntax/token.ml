@@ -53,25 +53,24 @@ type t =
   | VSEMI
   | EOF
 
-let keyword_table =
-  [
-    ("case", KW_case);
-    ("class", KW_class);
-    ("data", KW_data);
-    ("deriving", KW_deriving);
-    ("else", KW_else);
-    ("if", KW_if);
-    ("in", KW_in);
-    ("infix", KW_infix);
-    ("infixl", KW_infixl);
-    ("infixr", KW_infixr);
-    ("instance", KW_instance);
-    ("let", KW_let);
-    ("of", KW_of);
-    ("then", KW_then);
-    ("type", KW_type);
-    ("where", KW_where);
-  ]
+let keyword = function
+  | "case" -> Some KW_case
+  | "class" -> Some KW_class
+  | "data" -> Some KW_data
+  | "deriving" -> Some KW_deriving
+  | "else" -> Some KW_else
+  | "if" -> Some KW_if
+  | "in" -> Some KW_in
+  | "infix" -> Some KW_infix
+  | "infixl" -> Some KW_infixl
+  | "infixr" -> Some KW_infixr
+  | "instance" -> Some KW_instance
+  | "let" -> Some KW_let
+  | "of" -> Some KW_of
+  | "then" -> Some KW_then
+  | "type" -> Some KW_type
+  | "where" -> Some KW_where
+  | _ -> None
 
 let to_string = function
   | VARID s | CONID s | VARSYM s | CONSYM s -> s

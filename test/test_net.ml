@@ -518,6 +518,61 @@ let bounded_next_cases =
             Alcotest.(check bool) "still over the cap" true
               (String.length line > cap)
         | None -> Alcotest.fail "expected the truncated line");
+    case "bounded_next reads a line longer than one read, capped or not"
+      (fun () ->
+        let big = String.init 200_000 (fun i -> Char.chr (97 + (i mod 26))) in
+        chan_of_string (big ^ "\nshort\n" ^ big) @@ fun ic ->
+        let next = Serve.bounded_next ~max_bytes:0 ic in
+        Alcotest.(check (option string)) "uncapped" (Some big) (next ());
+        Alcotest.(check (option string)) "next line" (Some "short") (next ());
+        Alcotest.(check (option string)) "unterminated tail" (Some big)
+          (next ());
+        Alcotest.(check (option string)) "then EOF" None (next ());
+        chan_of_string (big ^ "\r\nshort\r\n" ^ big) @@ fun ic ->
+        let next = Serve.bounded_next ~max_bytes:100_000 ic in
+        Alcotest.(check (option string)) "capped to cap + 1"
+          (Some (String.sub big 0 100_001)) (next ());
+        Alcotest.(check (option string)) "next line" (Some "short") (next ());
+        Alcotest.(check (option string)) "capped unterminated tail"
+          (Some (String.sub big 0 100_001)) (next ());
+        Alcotest.(check (option string)) "then EOF" None (next ()));
+    case "bounded_next strips a CR read apart from its LF" (fun () ->
+        (* a regular file fills whole reads, so some of these put the CR
+           last in one read and the LF first in the next *)
+        for len = 65_530 to 65_540 do
+          let body = String.make len 'x' in
+          chan_of_string (body ^ "\r\nnext\r\n") @@ fun ic ->
+          let next = Serve.bounded_next ~max_bytes:0 ic in
+          Alcotest.(check (option string)) "line" (Some body) (next ());
+          Alcotest.(check (option string)) "next" (Some "next") (next ())
+        done;
+        (* a pipe delivers the CR and the LF in separate reads *)
+        let r, w = Unix.pipe ~cloexec:true () in
+        let ic = Unix.in_channel_of_descr r in
+        Fun.protect ~finally:(fun () -> close_in ic) @@ fun () ->
+        let write s = ignore (Unix.write_substring w s 0 (String.length s)) in
+        write "abc\r";
+        let writer =
+          Thread.create
+            (fun () ->
+              Thread.delay 0.05;
+              write "\ndef\n";
+              Unix.close w)
+            ()
+        in
+        let next = Serve.bounded_next ~max_bytes:64 ic in
+        Alcotest.(check (option string)) "CR stripped" (Some "abc") (next ());
+        Alcotest.(check (option string)) "next" (Some "def") (next ());
+        Alcotest.(check (option string)) "then EOF" None (next ());
+        Thread.join writer);
+    case "bounded_next returns many lines of one read in order" (fun () ->
+        let lines = List.init 1000 (Printf.sprintf "{\"id\":%d}") in
+        chan_of_string (String.concat "\n" lines) @@ fun ic ->
+        let next = Serve.bounded_next ~max_bytes:16 ic in
+        let rec drain acc =
+          match next () with None -> List.rev acc | Some l -> drain (l :: acc)
+        in
+        Alcotest.(check (list string)) "all lines" lines (drain []));
   ]
 
 (* ------------------------------------------------------------------ *)

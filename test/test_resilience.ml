@@ -291,6 +291,21 @@ let serve_cases =
           (match field "errors" resp with Json.Int n -> n > 0 | _ -> false);
         Alcotest.(check bool) "no artifact" true
           (field "artifact" resp = Json.Bool false));
+    case "check of an out-of-range literal is an error, not an ICE"
+      (fun () ->
+        let t = server () in
+        let resp =
+          decode
+            (Serve.handle_line t
+               (req
+                  [
+                    ("op", Json.Str "check");
+                    ("src", Json.Str "main = 99999999999999999999999");
+                  ]))
+        in
+        Alcotest.(check bool) "ok" true (is_ok resp);
+        Alcotest.(check bool) "errors: 1" true (field "errors" resp = Json.Int 1);
+        Alcotest.(check bool) "ice: 0" true (field "ice" resp = Json.Int 0));
     case "compile returns user schemes" (fun () ->
         let t = server () in
         let resp =
@@ -617,6 +632,41 @@ let json_cases =
         match Json.parse "\"\\u00e9A\"" with
         | Ok (Json.Str s) -> Alcotest.(check string) "decoded" "\xc3\xa9A" s
         | _ -> Alcotest.fail "expected a string");
+    case "escapes at the edges of copied runs decode" (fun () ->
+        let long = String.make 5000 'x' in
+        List.iter
+          (fun (src, want) ->
+            match Json.parse src with
+            | Ok (Json.Str s) -> Alcotest.(check string) src want s
+            | Ok _ -> Alcotest.failf "%S: expected a string" src
+            | Error m -> Alcotest.failf "%S: %s" src m)
+          [
+            ({|""|}, "");
+            ({|"\n"|}, "\n");
+            ({|"\"abc"|}, "\"abc");
+            ({|"abc\\"|}, "abc\\");
+            ({|"\t\r\/\b\f"|}, "\t\r/\b\012");
+            ({|"a\nb\\c\"d"|}, "a\nb\\c\"d");
+            ({|"\u0041bc\u00e9"|}, "Abc\xc3\xa9");
+            ({|"x\ud800y"|}, "x\xef\xbf\xbdy");
+            ("\"" ^ long ^ "\\n" ^ long ^ "\"", long ^ "\n" ^ long);
+          ]);
+    case "string errors keep their messages" (fun () ->
+        let long = String.make 5000 'x' in
+        List.iter
+          (fun (src, want) ->
+            match Json.parse src with
+            | Ok _ -> Alcotest.failf "accepted %S" src
+            | Error m -> Alcotest.(check string) src want m)
+          [
+            ("\"" ^ long, "unterminated string");
+            ("\"" ^ long ^ "\\n" ^ long, "unterminated string");
+            ("\"" ^ long ^ "\\", "unterminated escape");
+            ({|"ab\q"|}, "bad escape '\\q'");
+            ({|"ab\u12"|}, "truncated \\u escape");
+            ({|"ab\uzzzz"|}, {|bad \u escape "zzzz"|});
+            ({|{"op" "x"}|}, "expected ':' at offset 6, found '\"'");
+          ]);
   ]
 
 let tests =
