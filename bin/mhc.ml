@@ -18,8 +18,11 @@
    budget (--fuel, --timeout; 0 means unlimited) and --inject arms the
    deterministic fault injector for chaos testing.
 
-   Exit codes: 0 success; 1 compile error; 2 runtime error or internal
-   compiler error; 3 resource exhaustion (budget or memory). *)
+   Every failure is classified by the serve loop's table
+   ([Serve.classify]); the class picks the exit code: 0 success; 1
+   compile error; 3 resource exhaustion (budget, memory or native
+   stack); 2 any other failure (runtime error, internal compiler
+   error). *)
 
 open Cmdliner
 module Pipeline = Typeclasses.Pipeline
@@ -35,20 +38,22 @@ module Diagnostic = Tc_support.Diagnostic
 module Budget = Tc_resilience.Budget
 module Inject = Tc_resilience.Inject
 
+(* An unreadable file is a compile error, located nowhere. *)
 let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+  try In_channel.with_open_bin path In_channel.input_all
+  with Sys_error m ->
+    let m =
+      if String.starts_with ~prefix:path m then m else path ^ ": " ^ m
+    in
+    Diagnostic.errorf "cannot read %s" m
 
 (* ---- common options ---- *)
 
 let strategy_conv =
-  let parse = function
-    | "dict" | "dicts" | "nested" -> Ok Pipeline.Dicts
-    | "dict-flat" | "flat" -> Ok Pipeline.Dicts_flat
-    | "tags" | "tag" -> Ok Pipeline.Tags
-    | s -> Error (`Msg (Printf.sprintf "unknown strategy %S" s))
+  let parse s =
+    match List.assoc_opt s Pipeline.strategies with
+    | Some strategy -> Ok strategy
+    | None -> Error (`Msg (Printf.sprintf "unknown strategy %S" s))
   in
   Arg.conv (parse, fun ppf s -> Fmt.string ppf (Pipeline.strategy_name s))
 
@@ -82,13 +87,13 @@ let opt_arg =
 let mode_arg =
   Arg.(
     value
-    & opt (enum [ ("lazy", `Lazy); ("strict", `Strict) ]) `Lazy
+    & opt (enum Pipeline.modes) `Lazy
     & info [ "eval" ] ~docv:"MODE" ~doc:"Evaluation mode: $(b,lazy) or $(b,strict).")
 
 let backend_arg =
   Arg.(
     value
-    & opt (enum [ ("tree", `Tree); ("vm", `Vm) ]) `Tree
+    & opt (enum Pipeline.backends) `Tree
     & info [ "backend" ] ~docv:"BACKEND"
         ~doc:
           "Execution backend: $(b,tree) (the instrumented tree-walking \
@@ -103,6 +108,18 @@ let mono_literals_arg =
     value & flag
     & info [ "monomorphic-literals" ]
         ~doc:"Integer literals are plain Int instead of (Num a) => a.")
+
+(* The compile options every compiling subcommand takes from its flags. *)
+let opts_term =
+  let opts strategy no_prelude mono_lits =
+    {
+      Pipeline.default_options with
+      strategy;
+      overloaded_literals = not mono_lits;
+      include_prelude = not no_prelude;
+    }
+  in
+  Term.(const opts $ strategy_arg $ no_prelude_arg $ mono_literals_arg)
 
 let file_arg =
   Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE.mhs")
@@ -169,14 +186,19 @@ let metrics_for ?(recorder = Rtrace.disabled) = function
   | None when not (Rtrace.is_on recorder) -> Metrics.disabled
   | _ -> Metrics.create ~recorder ()
 
-let write_metrics dest (m : Metrics.t) =
+(* --metrics, --trace-out, --spec-report and --emit-spec: one line to
+   stdout ("-") or to a file, built only when there is somewhere to
+   write it. *)
+let write_line dest line =
   match dest with
   | None -> ()
-  | Some "-" -> Fmt.pr "%s@." (Json.to_string (Metrics.snapshot m))
+  | Some "-" -> Fmt.pr "%s@." (line ())
   | Some path ->
       Out_channel.with_open_bin path (fun oc ->
-          Out_channel.output_string oc
-            (Json.to_string (Metrics.snapshot m) ^ "\n"))
+          Out_channel.output_string oc (line () ^ "\n"))
+
+let write_metrics dest m =
+  write_line dest (fun () -> Json.to_string (Metrics.snapshot m))
 
 (* --trace-out FILE: attach a live flight recorder for the command's
    duration and write its Chrome trace-event dump at the end. *)
@@ -196,13 +218,7 @@ let rtrace_for = function
   | None -> Rtrace.disabled
   | Some _ -> Rtrace.create ()
 
-let write_rtrace dest (rt : Rtrace.t) =
-  match dest with
-  | None -> ()
-  | Some "-" -> Fmt.pr "%s@." (Rtrace.dump_string rt)
-  | Some path ->
-      Out_channel.with_open_bin path (fun oc ->
-          Out_channel.output_string oc (Rtrace.dump_string rt ^ "\n"))
+let write_rtrace dest rt = write_line dest (fun () -> Rtrace.dump_string rt)
 
 (* Batch commands have no serve ingress: mint the trace ID here and
    record a [request/<op>] root spanning the work, so a batch dump
@@ -221,19 +237,6 @@ let traced_root rt ~op f =
       f
   end
 
-let build_opts ?(trace = Trace.none) ?(metrics = Metrics.disabled)
-    ?(specialise = Pipeline.default_spec) strategy
-    no_prelude mono_lits : Pipeline.options =
-  {
-    Pipeline.default_options with
-    strategy;
-    overloaded_literals = not mono_lits;
-    include_prelude = not no_prelude;
-    specialise;
-    trace;
-    metrics;
-  }
-
 (* ---- spec profiles (the profile -> optimize loop) ---- *)
 
 (* [mhc profile --emit-spec] writes one of these; [run]/[serve]
@@ -241,12 +244,7 @@ let build_opts ?(trace = Trace.none) ?(metrics = Metrics.disabled)
    specialization. A broken profile is a user error (exit 1), not an
    ICE. *)
 let read_spec_profile path : Profile.spec =
-  let fail m =
-    raise
-      (Diagnostic.Error
-         (Diagnostic.make ~severity:Diagnostic.Error ~loc:Tc_support.Loc.none
-            (Printf.sprintf "%s: %s" path m)))
-  in
+  let fail m = Diagnostic.errorf "%s: %s" path m in
   match Json.parse (read_file path) with
   | Error m -> fail ("not valid JSON: " ^ m)
   | Ok j -> (
@@ -305,47 +303,24 @@ let spec_report_json ~file (c : Pipeline.compiled) : Json.t =
   in
   Json.Obj [ ("file", Json.Str file); ("specialise", body) ]
 
-let write_spec_report dest ~file c =
-  match dest with
-  | None -> ()
-  | Some "-" -> Fmt.pr "%s@." (Json.to_string (spec_report_json ~file c))
-  | Some path ->
-      Out_channel.with_open_bin path (fun oc ->
-          Out_channel.output_string oc
-            (Json.to_string (spec_report_json ~file c) ^ "\n"))
-
-let compile opts file =
-  let src = read_file file in
-  Pipeline.compile ~opts ~file src
-
+(* Every failure goes through the serve loop's table, so the CLI says
+   what a serve response would; the class picks the exit code. An ICE
+   is contained too: never a bare backtrace. *)
 let handle_errors f =
-  try f () with
-  | Tc_support.Diagnostic.Error d ->
-      Fmt.epr "%a@." Tc_support.Diagnostic.pp d;
-      exit 1
-  | Tc_eval.Eval.Runtime_error m ->
-      Fmt.epr "runtime error: %s@." m;
-      exit 2
-  | Tc_eval.Eval.User_error m ->
-      Fmt.epr "error: %s@." m;
-      exit 2
-  | Tc_eval.Eval.Pattern_fail m ->
-      Fmt.epr "pattern-match failure: %s@." m;
-      exit 2
-  | Budget.Exhausted { resource; spent; limit } ->
-      Fmt.epr "%s@." (Budget.message resource ~spent ~limit);
-      exit 3
-  | Out_of_memory ->
-      Fmt.epr "resource exhausted: memory@.";
-      exit 3
-  | exn ->
-      (* ICE containment: never show a bare backtrace *)
-      Fmt.epr "%a@." Tc_support.Diagnostic.pp
-        (Tc_support.Diagnostic.of_exn ~stage:"mhc" ~loc:Tc_support.Loc.none exn);
-      exit 2
+  try f ()
+  with exn ->
+    let cls, message = Serve.classify ~stage:"mhc" exn in
+    Fmt.epr "%s@." message;
+    exit (match cls with "compile" -> 1 | "resource" -> 3 | _ -> 2)
 
 let print_warnings (c : Pipeline.compiled) =
-  List.iter (fun w -> Fmt.epr "%a@." Tc_support.Diagnostic.pp w) c.warnings
+  List.iter (fun w -> Fmt.epr "%a@." Diagnostic.pp w) c.warnings
+
+(* Compile [file], optimize it and report its warnings. *)
+let compile opts passes file =
+  let c = Pipeline.optimize passes (Pipeline.compile ~opts ~file (read_file file)) in
+  print_warnings c;
+  c
 
 (* ---- subcommands ---- *)
 
@@ -372,27 +347,17 @@ let check_cmd =
             "Record at most $(docv) errors per file before giving up on it \
              ($(b,0) or negative means unlimited).")
   in
-  let run strategy no_prelude mono json max_errors inject mfile tfile files =
+  let run opts json max_errors inject mfile tfile files =
     handle_errors @@ fun () ->
     arm_inject inject;
     let rtrace = rtrace_for tfile in
     let metrics = metrics_for ~recorder:rtrace mfile in
-    let opts =
-      {
-        (build_opts ~metrics strategy no_prelude mono) with
-        Pipeline.max_errors;
-      }
-    in
+    let opts = { opts with Pipeline.metrics; max_errors } in
     let results =
       List.map
         (fun file ->
           match read_file file with
-          | exception Sys_error m ->
-              let d =
-                Diagnostic.make ~severity:Diagnostic.Error
-                  ~loc:Tc_support.Loc.none ("cannot read " ^ m)
-              in
-              (file, [ d ], None)
+          | exception Diagnostic.Error d -> (file, [ d ], None)
           | src ->
               let { Pipeline.diagnostics; artifact } =
                 traced_root rtrace ~op:"check" (fun () ->
@@ -432,8 +397,8 @@ let check_cmd =
   in
   Cmd.v (Cmd.info "check" ~doc)
     Term.(
-      const run $ strategy_arg $ no_prelude_arg $ mono_literals_arg $ json_arg
-      $ max_errors_arg $ inject_arg $ metrics_arg $ trace_out_arg $ files_arg)
+      const run $ opts_term $ json_arg $ max_errors_arg $ inject_arg
+      $ metrics_arg $ trace_out_arg $ files_arg)
 
 let core_cmd =
   let doc = "Print the dictionary-converted (or tag-dispatching) core program." in
@@ -443,11 +408,9 @@ let core_cmd =
       & info [ "full" ]
           ~doc:"Print the whole program including the prelude's translation.")
   in
-  let run strategy no_prelude mono passes full file =
+  let run opts passes full file =
     handle_errors @@ fun () ->
-    let c = compile (build_opts strategy no_prelude mono) file in
-    let c = Pipeline.optimize passes c in
-    print_warnings c;
+    let c = compile opts passes file in
     let user_names =
       List.map (fun (n, _) -> n) c.user_schemes |> Tc_support.Ident.Set.of_list
     in
@@ -466,8 +429,7 @@ let core_cmd =
   in
   Cmd.v (Cmd.info "core" ~doc)
     Term.(
-      const run $ strategy_arg $ no_prelude_arg $ mono_literals_arg $ opt_arg
-      $ user_only_arg $ file_arg)
+      const run $ opts_term $ opt_arg $ user_only_arg $ file_arg)
 
 let run_cmd =
   let doc =
@@ -486,8 +448,8 @@ let run_cmd =
              growth — as JSON to $(docv) ($(b,-) for stdout) after \
              optimization.")
   in
-  let run strategy no_prelude mono passes mode backend fuel timeout inject
-      mfile tfile spec_profile spec_report file =
+  let run opts passes mode backend fuel timeout inject mfile tfile
+      spec_profile spec_report file =
     handle_errors @@ fun () ->
     arm_inject inject;
     let rtrace = rtrace_for tfile in
@@ -496,46 +458,37 @@ let run_cmd =
     let passes = spec_default_passes ~spec_profile passes in
     let c, r =
       traced_root rtrace ~op:"run" (fun () ->
-          let c =
-            compile
-              (build_opts ~metrics ~specialise strategy no_prelude mono)
-              file
-          in
-          let c = Pipeline.optimize passes c in
-          print_warnings c;
+          let c = compile { opts with Pipeline.metrics; specialise } passes file in
           ( c,
             Pipeline.exec ~backend ~mode ~budget:(budget_of ~fuel ~timeout) c
           ))
     in
     write_metrics mfile metrics;
     write_rtrace tfile rtrace;
-    write_spec_report spec_report ~file c;
+    write_line spec_report (fun () ->
+        Json.to_string (spec_report_json ~file c));
     Fmt.pr "%s@." r.Pipeline.rendered
   in
   Cmd.v (Cmd.info "run" ~doc)
     Term.(
-      const run $ strategy_arg $ no_prelude_arg $ mono_literals_arg $ opt_arg
-      $ mode_arg $ backend_arg $ fuel_arg $ timeout_arg $ inject_arg
+      const run $ opts_term $ opt_arg $ mode_arg $ backend_arg $ fuel_arg
+      $ timeout_arg $ inject_arg
       $ metrics_arg $ trace_out_arg $ spec_profile_arg $ spec_report_arg
       $ file_arg)
 
 let counters_cmd =
   let doc = "Evaluate $(b,main) and report run-time operation counters." in
-  let run strategy no_prelude mono passes mode backend fuel timeout file =
+  let run opts passes mode backend fuel timeout file =
     handle_errors @@ fun () ->
-    let c = compile (build_opts strategy no_prelude mono) file in
-    let c = Pipeline.optimize passes c in
+    let c = compile opts passes file in
     let r = Pipeline.exec ~backend ~mode ~budget:(budget_of ~fuel ~timeout) c in
     Fmt.pr "result: %s@." r.Pipeline.rendered;
     Fmt.pr "%a@." Tc_eval.Counters.pp r.Pipeline.counters
   in
   Cmd.v (Cmd.info "counters" ~doc)
     Term.(
-      const run $ strategy_arg $ no_prelude_arg $ mono_literals_arg $ opt_arg
-      $ mode_arg $ backend_arg $ fuel_arg $ timeout_arg $ file_arg)
-
-let counters_json (t : Tc_eval.Counters.t) : Json.t =
-  Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) (Tc_eval.Counters.pairs t))
+      const run $ opts_term $ opt_arg $ mode_arg $ backend_arg $ fuel_arg
+      $ timeout_arg $ file_arg)
 
 let trace_cmd =
   let doc =
@@ -550,12 +503,10 @@ let trace_cmd =
       & info [ "full" ]
           ~doc:"Include events arising from the prelude's own declarations.")
   in
-  let run strategy no_prelude mono passes json full file =
+  let run opts passes json full file =
     handle_errors @@ fun () ->
     let trace, events = Trace.collector () in
-    let c = compile (build_opts ~trace strategy no_prelude mono) file in
-    let c = Pipeline.optimize passes c in
-    print_warnings c;
+    ignore (compile { opts with Pipeline.trace } passes file);
     let keep (e : Trace.event) =
       full
       ||
@@ -573,8 +524,7 @@ let trace_cmd =
   in
   Cmd.v (Cmd.info "trace" ~doc)
     Term.(
-      const run $ strategy_arg $ no_prelude_arg $ mono_literals_arg $ opt_arg
-      $ json_arg $ full_arg $ file_arg)
+      const run $ opts_term $ opt_arg $ json_arg $ full_arg $ file_arg)
 
 let profile_cmd =
   let doc =
@@ -599,32 +549,19 @@ let profile_cmd =
              ($(b,-) for stdout). Feed it back with $(b,mhc run \
              --spec-profile) to clone exactly the hot sites.")
   in
-  let run strategy no_prelude mono passes mode backend fuel timeout top json
-      emit_spec spec_profile file =
+  let run opts passes mode backend fuel timeout top json emit_spec
+      spec_profile file =
     handle_errors @@ fun () ->
     let specialise = spec_options_of_profile spec_profile in
     let passes = spec_default_passes ~spec_profile passes in
-    let c =
-      compile (build_opts ~specialise strategy no_prelude mono) file
-    in
-    let c = Pipeline.optimize passes c in
-    print_warnings c;
+    let c = compile { opts with Pipeline.specialise } passes file in
     let r =
       Pipeline.exec ~backend ~mode ~budget:(budget_of ~fuel ~timeout)
         ~profile:true c
     in
     let report = Option.get r.Pipeline.profile in
-    (match emit_spec with
-    | None -> ()
-    | Some dest ->
-        let text =
-          Json.to_string (Profile.spec_json (Profile.spec_of_report report))
-          ^ "\n"
-        in
-        if dest = "-" then print_string text
-        else
-          Out_channel.with_open_bin dest (fun oc ->
-              Out_channel.output_string oc text));
+    write_line emit_spec (fun () ->
+        Json.to_string (Profile.spec_json (Profile.spec_of_report report)));
     if json then
       Fmt.pr "%s@."
         (Json.to_string
@@ -632,9 +569,12 @@ let profile_cmd =
               [
                 ("file", Json.Str file);
                 ( "backend",
-                  Json.Str (match backend with `Tree -> "tree" | `Vm -> "vm") );
+                  Json.Str
+                    (fst
+                       (List.find (fun (_, b) -> b = backend) Pipeline.backends))
+                );
                 ("result", Json.Str r.Pipeline.rendered);
-                ("counters", counters_json r.Pipeline.counters);
+                ("counters", Tc_eval.Counters.to_json r.Pipeline.counters);
                 ("profile", Profile.report_json ~top report);
               ]))
     else begin
@@ -645,24 +585,21 @@ let profile_cmd =
   in
   Cmd.v (Cmd.info "profile" ~doc)
     Term.(
-      const run $ strategy_arg $ no_prelude_arg $ mono_literals_arg $ opt_arg
-      $ mode_arg $ backend_arg $ fuel_arg $ timeout_arg $ top_arg $ json_arg
-      $ emit_spec_arg $ spec_profile_arg $ file_arg)
+      const run $ opts_term $ opt_arg $ mode_arg $ backend_arg $ fuel_arg
+      $ timeout_arg $ top_arg $ json_arg $ emit_spec_arg $ spec_profile_arg
+      $ file_arg)
 
 let disasm_cmd =
   let doc = "Compile to VM bytecode and print the disassembly." in
-  let run strategy no_prelude mono passes mode file =
+  let run opts passes mode file =
     handle_errors @@ fun () ->
-    let c = compile (build_opts strategy no_prelude mono) file in
-    let c = Pipeline.optimize passes c in
-    print_warnings c;
+    let c = compile opts passes file in
     let prog = Pipeline.bytecode ~mode c in
     Fmt.pr "%a@?" Tc_vm.Bytecode.pp_program prog
   in
   Cmd.v (Cmd.info "disasm" ~doc)
     Term.(
-      const run $ strategy_arg $ no_prelude_arg $ mono_literals_arg $ opt_arg
-      $ mode_arg $ file_arg)
+      const run $ opts_term $ opt_arg $ mode_arg $ file_arg)
 
 let stats_cmd =
   let doc =
@@ -713,12 +650,7 @@ let stats_cmd =
              ($(b,--json) for machine-readable digests).")
   in
   let digest_trace ~json ~top_slow path =
-    let fail m =
-      raise
-        (Diagnostic.Error
-           (Diagnostic.make ~severity:Diagnostic.Error ~loc:Tc_support.Loc.none
-              (Printf.sprintf "%s: %s" path m)))
-    in
+    let fail m = Diagnostic.errorf "%s: %s" path m in
     let doc =
       match Json.parse (read_file path) with
       | Error m -> fail ("not valid JSON: " ^ m)
@@ -752,8 +684,7 @@ let stats_cmd =
             digests
         end
   in
-  let run strategy no_prelude mono json stable cache_dir trace_in top_slow
-      file =
+  let run opts json stable cache_dir trace_in top_slow file =
     handle_errors @@ fun () ->
     match (trace_in, file) with
     | Some path, _ -> digest_trace ~json ~top_slow path
@@ -764,7 +695,9 @@ let stats_cmd =
         exit 1
     | None, Some file ->
     let metrics = if json then Metrics.create () else Metrics.disabled in
-    let c = compile (build_opts ~metrics strategy no_prelude mono) file in
+    let opts = { opts with Pipeline.metrics } in
+    let c = Pipeline.compile ~opts ~file (read_file file) in
+    print_warnings c;
     if json then begin
       let fields =
         [
@@ -800,8 +733,7 @@ let stats_cmd =
   in
   Cmd.v (Cmd.info "stats" ~doc)
     Term.(
-      const run $ strategy_arg $ no_prelude_arg $ mono_literals_arg $ json_arg
-      $ stable_arg $ cache_dir_arg $ trace_in_arg $ top_slow_arg
+      const run $ opts_term $ json_arg $ stable_arg $ cache_dir_arg $ trace_in_arg $ top_slow_arg
       $ Arg.(value & pos 0 (some file) None & info [] ~docv:"FILE.mhs"))
 
 (* ---- the REPL ---- *)
@@ -868,15 +800,10 @@ let repl_cmd =
     in
     let handle input =
       let input = String.trim input in
+      (* every failure, of any class, is reported and the session goes on *)
       let with_errors f =
-        try f () with
-        | Tc_support.Diagnostic.Error d ->
-            Fmt.pr "%a@." Tc_support.Diagnostic.pp d
-        | Tc_eval.Eval.Runtime_error m -> Fmt.pr "runtime error: %s@." m
-        | Tc_eval.Eval.User_error m -> Fmt.pr "error: %s@." m
-        | Tc_eval.Eval.Pattern_fail m -> Fmt.pr "pattern-match failure: %s@." m
-        | Budget.Exhausted { resource; spent; limit } ->
-            Fmt.pr "%s@." (Budget.message resource ~spent ~limit)
+        try f ()
+        with exn -> Fmt.pr "%s@." (snd (Serve.classify ~stage:"repl" exn))
       in
       match input with
       | "" -> ()
@@ -933,19 +860,16 @@ let repl_cmd =
       | expr ->
           with_errors (fun () ->
               let c = compile_current (Printf.sprintf "replIt' = (%s)" expr) in
-              let cons = Tc_eval.Eval.con_table_of_env c.env in
               (* bounded in steps and time: a divergent expression must
                  come back to the prompt, not hang the session *)
-              let st =
-                Tc_eval.Eval.create_state
+              let r =
+                Pipeline.exec
+                  ~entry:(Tc_support.Ident.intern "replIt'")
                   ~budget:
                     { (Budget.fuel 200_000_000) with Budget.wall_ms = 10_000. }
-                  cons
+                  c
               in
-              let v =
-                Tc_eval.Eval.run ~entry:(Tc_support.Ident.intern "replIt'") st c.core
-              in
-              Fmt.pr "%s@." (Tc_eval.Eval.render st v))
+              Fmt.pr "%s@." r.Pipeline.rendered)
     in
     let rec loop () =
       Fmt.pr "mhs> %!";
@@ -955,7 +879,7 @@ let repl_cmd =
           let input =
             if String.trim line = ":{" then read_block [] else line
           in
-          (try handle input with Exit -> raise Exit);
+          handle input;
           loop ()
     in
     (try loop () with Exit -> ());
@@ -979,8 +903,11 @@ let cache_mb_arg =
     value & opt int 64
     & info [ "cache-mb" ] ~docv:"MB"
         ~doc:
-          "Byte budget of the content-addressed compile cache (repeated \
-           sources skip the front end); $(b,0) disables caching.")
+          "Byte budget of the content-addressed compile cache's memory \
+           tier (repeated sources skip the front end); $(b,0) keeps \
+           nothing in memory, so nothing is cached unless $(b,serve \
+           --cache-dir) adds a disk tier, which then serves every \
+           repeat.")
 
 let cache_verify_arg =
   Arg.(
@@ -1092,7 +1019,8 @@ let serve_cmd =
              written through with atomic renames, a version header and \
              per-entry checksums, so a restarted server starts warm; \
              torn or corrupt entries are dropped and healed on read. \
-             Implies a cache even with $(b,--cache-mb 0).")
+             With $(b,--cache-mb 0) the disk tier alone serves \
+             repeats.")
   in
   let max_restarts_arg =
     Arg.(
@@ -1157,7 +1085,7 @@ let serve_cmd =
              in-flight tail outlives $(docv), emit the final snapshot, \
              shed the rest and still exit 0.")
   in
-  let run strategy no_prelude mono timeout retries backoff_ms inject mfile
+  let run opts timeout retries backoff_ms inject mfile
       tfile trace_sample every workers cache_mb cache_verify max_line
       spec_profile deadline_ms cache_dir max_restarts shed_grace listen
       max_conns conn_read_timeout conn_idle_timeout drain_timeout =
@@ -1191,9 +1119,10 @@ let serve_cmd =
       {
         Serve.default_config with
         Serve.base_opts =
-          build_opts
-            ~specialise:(spec_options_of_profile spec_profile)
-            strategy no_prelude mono;
+          {
+            opts with
+            Pipeline.specialise = spec_options_of_profile spec_profile;
+          };
         default_budget = budget_of ~fuel:0 ~timeout;
         retries;
         backoff_ms;
@@ -1324,8 +1253,7 @@ let serve_cmd =
   in
   Cmd.v (Cmd.info "serve" ~doc)
     Term.(
-      const run $ strategy_arg $ no_prelude_arg $ mono_literals_arg
-      $ timeout_arg $ retries_arg $ backoff_arg $ inject_arg $ metrics_arg
+      const run $ opts_term $ timeout_arg $ retries_arg $ backoff_arg $ inject_arg $ metrics_arg
       $ trace_out_arg $ trace_sample_arg $ metrics_every_arg $ workers_arg
       $ cache_mb_arg $ cache_verify_arg $ max_line_arg $ spec_profile_arg
       $ deadline_arg $ cache_dir_arg $ max_restarts_arg $ shed_grace_arg

@@ -28,7 +28,6 @@ module Infer = Tc_infer.Infer
 module Prims = Tc_infer.Prims
 module Core = Tc_core_ir.Core
 module Lint = Tc_core_ir.Lint
-module Scc = Tc_core_ir.Scc
 module Layout = Tc_dicts.Layout
 module Construct = Tc_dicts.Construct
 module Eval = Tc_eval.Eval
@@ -55,6 +54,14 @@ let strategy_name = function
   | Dicts -> "dicts"
   | Dicts_flat -> "dicts-flat"
   | Tags -> "tags"
+
+(* Every spelling the front doors accept, mapped to its value. *)
+let strategies =
+  [
+    ("dict", Dicts); ("dicts", Dicts); ("nested", Dicts);
+    ("dict-flat", Dicts_flat); ("flat", Dicts_flat);
+    ("tags", Tags); ("tag", Tags);
+  ]
 
 (* Specializer options: how the [Specialise] optimizer pass is driven.
    With a profile loaded, only hot bindings (>= threshold profiled
@@ -602,7 +609,7 @@ let extend ~sink ~faults ~(opts : options) ~(base : base)
               p_main;
             }
           in
-          let own = Scc.regroup (Core.squash_program own) in
+          let own = Core.regroup (Core.squash_program own) in
           if opts.lint then
             Lint.check_program ~scope:base.b_globals ~primitives:Prims.names
               own;
@@ -927,6 +934,9 @@ let compile_collect ?opts ?(file = "<input>") (src : string) : checked =
 
 type backend = [ `Tree | `Vm ]
 
+let backends : (string * backend) list = [ ("tree", `Tree); ("vm", `Vm) ]
+let modes = [ ("lazy", `Lazy); ("strict", `Strict) ]
+
 type result = {
   rendered : string;
   counters : Counters.t;
@@ -988,12 +998,6 @@ let exec ?(backend = `Tree) ?(mode = `Lazy) ?(budget = Budget.unlimited)
       let rendered = Span.wrap metrics "render" (fun () -> Tc_vm.Vm.render st v) in
       finish ~meter:(Tc_vm.Vm.meter st) ~rendered
         ~counters:(Tc_vm.Vm.counters st) ~value:None
-
-(** Type check only; returns the inferred qualified types of the user's
-    top-level bindings, rendered. *)
-let check_types ?opts ?file src : (string * string) list =
-  let c = compile ?opts ?file src in
-  List.map (fun (n, s) -> (Ident.text n, Scheme.to_string s)) c.schemes
 
 (** The qualified type of a standalone expression against a compiled
     program's environment (the REPL's [:type]). The expression is checked

@@ -33,6 +33,11 @@ type strategy =
 
 val strategy_name : strategy -> string
 
+(** Every spelling of a strategy that [mhc -s] and the serve [strategy]
+    field accept: [dict], [dicts] and [nested]; [dict-flat] and [flat];
+    [tags] and [tag]. *)
+val strategies : (string * strategy) list
+
 (** How the [Specialise] optimizer pass is driven (paper §9 +
     profile-guided hotness). With [spec_profile] loaded — an
     [mhc profile --emit-spec] artifact parsed by
@@ -187,6 +192,12 @@ val compile_collect_files :
 
 type backend = [ `Tree | `Vm ]
 
+(** The spellings of the backends ([tree], [vm]) and of the evaluation
+    modes ([lazy], [strict]), shared by [mhc] and [mhc serve]. *)
+val backends : (string * backend) list
+
+val modes : (string * [ `Lazy | `Strict ]) list
+
 (** What executing a compiled program produced, on either backend. *)
 type result = {
   rendered : string;             (** the rendered value of [main]/[entry] *)
@@ -220,9 +231,6 @@ val exec :
   ?profile:bool ->
   compiled ->
   result
-
-(** Type check only; user bindings with rendered qualified types. *)
-val check_types : ?opts:options -> ?file:string -> string -> (string * string) list
 
 (** The qualified type of a standalone expression against a compiled
     program's environment (the REPL's [:type]). *)

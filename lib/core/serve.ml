@@ -120,25 +120,25 @@ let require_src req =
   | Some s -> s
   | None -> bad "missing string field \"src\""
 
+(* A named field looked up in one of [Pipeline]'s spelling lists;
+   [unknown] words the error for a spelling not in it. *)
+let spelled req name spellings ~default ~unknown =
+  match str_field req name with
+  | None -> default
+  | Some s -> (
+      match List.assoc_opt s spellings with Some v -> v | None -> unknown s)
+
 let strategy_of req (base : Pipeline.options) =
-  match str_field req "strategy" with
-  | None -> base.Pipeline.strategy
-  | Some ("dict" | "dicts" | "nested") -> Pipeline.Dicts
-  | Some ("dict-flat" | "flat") -> Pipeline.Dicts_flat
-  | Some ("tags" | "tag") -> Pipeline.Tags
-  | Some s -> bad "unknown strategy %S" s
+  spelled req "strategy" Pipeline.strategies ~default:base.Pipeline.strategy
+    ~unknown:(bad "unknown strategy %S")
 
 let backend_of req =
-  match str_field req "backend" with
-  | None | Some "tree" -> `Tree
-  | Some "vm" -> `Vm
-  | Some s -> bad "unknown backend %S (expected \"tree\" or \"vm\")" s
+  spelled req "backend" Pipeline.backends ~default:`Tree
+    ~unknown:(bad "unknown backend %S (expected \"tree\" or \"vm\")")
 
 let mode_of req =
-  match str_field req "mode" with
-  | None | Some "lazy" -> `Lazy
-  | Some "strict" -> `Strict
-  | Some s -> bad "unknown mode %S (expected \"lazy\" or \"strict\")" s
+  spelled req "mode" Pipeline.modes ~default:`Lazy
+    ~unknown:(bad "unknown mode %S (expected \"lazy\" or \"strict\")")
 
 let passes_of req =
   match str_field req "opt" with
@@ -167,9 +167,6 @@ let budget_of req (dft : Budget.t) : Budget.t =
 
 (* ---- response encoding ---- *)
 
-let counters_json (c : Counters.t) : Json.t =
-  Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) (Counters.pairs c))
-
 let response t ~id ~op fields =
   let base =
     (match id with Some v -> [ ("id", v) ] | None -> [])
@@ -189,10 +186,10 @@ let fail_response t ~id ~op ~cls message =
         Json.Obj [ ("class", Json.Str cls); ("message", Json.Str message) ] );
     ]
 
-(* Classify an escaped exception into a failure class + message. Raised
-   exceptions that should kill the process anyway (none today) would be
-   re-raised here; everything else is contained. *)
-let classify = function
+(* Classify an escaped exception into a failure class + message: the one
+   table every front door (serve, the CLI, the REPL) reports through.
+   [stage] names the front door in an ICE's message. *)
+let classify ?(stage = "serve") = function
   | Bad_request m -> ("bad-request", m)
   | Diagnostic.Error d -> ("compile", Diagnostic.to_string d)
   | Eval.Runtime_error m -> ("runtime", "runtime error: " ^ m)
@@ -209,7 +206,7 @@ let classify = function
   | exn ->
       ( "ice",
         Diagnostic.to_string
-          (Diagnostic.of_exn ~stage:"serve" ~loc:Tc_support.Loc.none exn) )
+          (Diagnostic.of_exn ~stage ~loc:Tc_support.Loc.none exn) )
 
 (* ---- operations ---- *)
 
@@ -284,7 +281,7 @@ let do_run t ~id req =
   ok_response t ~id ~op:"run"
     [
       ("value", Json.Str r.Pipeline.rendered);
-      ("counters", counters_json r.Pipeline.counters);
+      ("counters", Counters.to_json r.Pipeline.counters);
     ]
 
 let latency_prefix = "serve/latency/"
@@ -372,7 +369,7 @@ let stats_json t =
            ] );
        ("by_op", tally by_op);
        ("by_class", tally (failures m));
-       ("counters", counters_json t.totals);
+       ("counters", Counters.to_json t.totals);
        ("prelude", prelude);
      ]
     @ scale_fields)

@@ -214,9 +214,12 @@ val latency_total : Tc_obs.Metrics.t -> Tc_obs.Metrics.histogram
 val handle_line : ?queued_us:int -> ?trace_id:int -> t -> string -> string
 
 (** Classify an exception the way the request boundary would:
-    [(class, message)]. Exposed for the pool supervisor, which labels a
-    crashed worker's escaped exception. *)
-val classify : exn -> string * string
+    [(class, message)]. This is the one exception table: the pool
+    supervisor labels a crashed worker's escaped exception with it, and
+    the [mhc] CLI and REPL report every failure through it too (the CLI
+    maps the class to its exit code). [stage] (default ["serve"]) names
+    the front door in an ICE's ["internal error in <stage>"] message. *)
+val classify : ?stage:string -> exn -> string * string
 
 (** [synthetic_failure t ~cls ~message line] manufactures the response
     for a request that never (fully) reached {!handle_line}: the pool

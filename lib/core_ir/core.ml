@@ -222,6 +222,23 @@ let free_vars (e : expr) : Ident.Set.t =
   in
   go Ident.Set.empty Ident.Set.empty e
 
+(* The top-level bindings regrouped into minimal strongly-connected
+   groups in dependency order: the pipeline emits user code, method
+   implementations and dictionary bindings in phases that reference each
+   other, and small groups also help later optimization. *)
+let regroup (p : program) : program =
+  let groups =
+    Scc.components
+      ~name:(fun b -> b.b_name)
+      ~free:(fun b -> free_vars b.b_expr)
+      (List.concat_map binds_of_group p.p_binds)
+  in
+  {
+    p with
+    p_binds =
+      List.map (function [ b ], false -> Nonrec b | bs, _ -> Rec bs) groups;
+  }
+
 let rec size (e : expr) : int =
   let n = ref 1 in
   iter_sub (fun sub -> n := !n + size sub) e;

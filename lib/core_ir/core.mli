@@ -109,6 +109,11 @@ val squash_program : program -> program
 (** {2 Analysis} *)
 
 val free_vars : expr -> Ident.Set.t
+
+(** Regroup a program's top-level bindings into minimal
+    strongly-connected groups in dependency order. *)
+val regroup : program -> program
+
 val size : expr -> int
 
 (** Capture-avoiding substitution of variables by expressions. *)

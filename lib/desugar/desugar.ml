@@ -409,73 +409,16 @@ and decls_to_groups ~sink ?(outer = Ident.Set.empty) env (ds : Ast.decl list)
   scc_groups binds
 
 (** Split a list of bindings into strongly-connected components, returned in
-    dependency order (Tarjan). *)
+    dependency order. *)
 and scc_groups (binds : Kernel.bind list) : Kernel.group list =
-  let n = List.length binds in
-  let arr = Array.of_list binds in
-  let index_of : int Ident.Tbl.t = Ident.Tbl.create 16 in
-  Array.iteri (fun i b -> Ident.Tbl.add index_of b.Kernel.kb_name i) arr;
-  let adj =
-    Array.map
-      (fun b ->
-        Ident.Set.fold
-          (fun v acc ->
-            match Ident.Tbl.find_opt index_of v with
-            | Some j -> j :: acc
-            | None -> acc)
-          (Kernel.free_vars b.Kernel.kb_expr)
-          [])
-      arr
-  in
-  (* Tarjan's algorithm *)
-  let indices = Array.make n (-1) in
-  let lowlink = Array.make n 0 in
-  let on_stack = Array.make n false in
-  let stack = ref [] in
-  let next_index = ref 0 in
-  let components = ref [] in
-  let rec strongconnect v =
-    indices.(v) <- !next_index;
-    lowlink.(v) <- !next_index;
-    incr next_index;
-    stack := v :: !stack;
-    on_stack.(v) <- true;
-    List.iter
-      (fun w ->
-        if indices.(w) = -1 then begin
-          strongconnect w;
-          lowlink.(v) <- min lowlink.(v) lowlink.(w)
-        end
-        else if on_stack.(w) then lowlink.(v) <- min lowlink.(v) indices.(w))
-      adj.(v);
-    if lowlink.(v) = indices.(v) then begin
-      let rec pop acc =
-        match !stack with
-        | w :: rest ->
-            stack := rest;
-            on_stack.(w) <- false;
-            if w = v then w :: acc else pop (w :: acc)
-        | [] -> assert false
-      in
-      components := pop [] :: !components
-    end
-  in
-  for v = 0 to n - 1 do
-    if indices.(v) = -1 then strongconnect v
-  done;
-  (* Tarjan emits components dependencies-first; we accumulated by
-     prepending, so reverse to restore dependency order. *)
   List.map
-    (fun comp ->
-      match comp with
-      | [ v ] ->
-          let b = arr.(v) in
-          let self_recursive =
-            Ident.Set.mem b.Kernel.kb_name (Kernel.free_vars b.Kernel.kb_expr)
-          in
-          if self_recursive then Kernel.KRec [ b ] else Kernel.KNonrec b
-      | vs -> Kernel.KRec (List.map (fun v -> arr.(v)) vs))
-    (List.rev !components)
+    (function
+      | [ b ], false -> Kernel.KNonrec b
+      | bs, _ -> Kernel.KRec bs)
+    (Scc.components
+       ~name:(fun (b : Kernel.bind) -> b.kb_name)
+       ~free:(fun (b : Kernel.bind) -> Kernel.free_vars b.kb_expr)
+       binds)
 
 (* A [let] or [where] block: no recovery inside it, so an error loses the
    enclosing top-level binding. *)

@@ -53,6 +53,9 @@ let pairs t =
     ("tag_dispatches", t.tag_dispatches);
   ]
 
+let to_json t =
+  Tc_obs.Json.Obj (List.map (fun (k, v) -> (k, Tc_obs.Json.Int v)) (pairs t))
+
 let pp ppf t =
   Fmt.pf ppf
     "steps=%d apps=%d dict-constructions=%d dict-fields=%d selections=%d \

@@ -20,8 +20,11 @@ val reset : t -> unit
     across runs (used by [mhc serve] statistics). *)
 val merge : t -> t -> unit
 
-(** Every counter as a (name, value) pair, in declaration order — the basis
-    for the JSON renderings used by [mhc counters]/[trace]/[profile]. *)
+(** Every counter as a (name, value) pair, in declaration order. *)
 val pairs : t -> (string * int) list
+
+(** {!pairs} as one JSON object of integers: the [counters] field of
+    [mhc profile --json] and of the serve [run] and [stats] responses. *)
+val to_json : t -> Tc_obs.Json.t
 
 val pp : Format.formatter -> t -> unit

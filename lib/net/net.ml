@@ -53,7 +53,6 @@ type t = {
   ingest_nonempty : Condition.t;
   ingest_room : Condition.t;
   ingest : (conn * string) Queue.t;
-  mutable ingest_cap : int;
   mutable peers : conn list;      (* live connections, for OOB broadcast *)
   mutable conns : int;
   mutable readers : int;          (* live reader threads *)
@@ -110,7 +109,10 @@ let addr_of ~host ~port =
   in
   Unix.ADDR_INET (inet, port)
 
-let create ?(backlog = 64) ?(max_conns = 256) ?(read_timeout_ms = 10_000)
+(* The listen queue of connections the kernel completes before accept. *)
+let backlog = 64
+
+let create ?(max_conns = 256) ?(read_timeout_ms = 10_000)
     ?(idle_timeout_ms = 60_000) ?(drain_timeout_ms = 5_000)
     ?(on_drain_deadline = fun () -> ()) ~host ~port () =
   (* A vanished client must surface as EPIPE on its own write, never as
@@ -152,7 +154,6 @@ let create ?(backlog = 64) ?(max_conns = 256) ?(read_timeout_ms = 10_000)
     ingest_nonempty = Condition.create ();
     ingest_room = Condition.create ();
     ingest = Queue.create ();
-    ingest_cap = 64;
     peers = [];
     conns = 0;
     readers = 0;
@@ -223,7 +224,7 @@ let reader t ~max_bytes conn =
     (* Backpressure: a firehose connection blocks here (its socket then
        fills and the client blocks), bounding server-side buffering.
        Drain lifts the bound so exiting readers can never wedge. *)
-    while Queue.length t.ingest >= t.ingest_cap && not t.draining do
+    while Queue.length t.ingest >= Pool.queue_depth && not t.draining do
       Condition.wait t.ingest_room t.lock
     done;
     conn.owing <- conn.owing + 1;
@@ -410,9 +411,8 @@ let accept_loop t ~max_bytes () =
 
 (* ---- the pool bridge ---- *)
 
-let run t ?(workers = 1) ?(queue_depth = 64) ?max_restarts
-    ?restart_backoff_ms ?shed_grace_ms ?(config = Serve.default_config) () =
-  t.ingest_cap <- max 16 queue_depth;
+let run t ?(workers = 1) ?max_restarts ?shed_grace_ms
+    ?(config = Serve.default_config) () =
   let max_bytes = config.Serve.max_line_bytes in
   (* Compose, don't replace, the caller's probe and metrics view. *)
   let caller_view = config.Serve.extra_metrics in
@@ -523,8 +523,7 @@ let run t ?(workers = 1) ?(queue_depth = 64) ?max_restarts
       targets
   in
   let summary =
-    Pool.run ~workers ~config ~queue_depth ?max_restarts ?restart_backoff_ms
-      ?shed_grace_ms
+    Pool.run ~workers ~config ?max_restarts ?shed_grace_ms
       ~on_lame_duck:(fun () -> t.lame <- true)
       ~emit_oob ~next ~emit ()
   in

@@ -87,7 +87,6 @@ exception Bind_error of string
 type t
 
 val create :
-  ?backlog:int ->
   ?max_conns:int ->
   ?read_timeout_ms:int ->
   ?idle_timeout_ms:int ->
@@ -98,8 +97,8 @@ val create :
   unit ->
   t
 (** Bind and listen (raising {!Bind_error} on failure — [port = 0]
-    binds an ephemeral port, see {!port}). Defaults: backlog 64,
-    [max_conns] 256, [read_timeout_ms] 10000, [idle_timeout_ms] 60000
+    binds an ephemeral port, see {!port}), with a listen backlog of 64.
+    Defaults: [max_conns] 256, [read_timeout_ms] 10000, [idle_timeout_ms] 60000
     ([0] disables either deadline), [drain_timeout_ms] 5000,
     [on_drain_deadline] no-op. Also ignores SIGPIPE process-wide: a
     vanished client must surface as an EPIPE error on its own
@@ -122,9 +121,7 @@ val metrics_view : t -> Tc_obs.Metrics.t
 val run :
   t ->
   ?workers:int ->
-  ?queue_depth:int ->
   ?max_restarts:int ->
-  ?restart_backoff_ms:float ->
   ?shed_grace_ms:float ->
   ?config:Serve.config ->
   unit ->

@@ -4,16 +4,15 @@
 open Tc_support
 module Core = Tc_core_ir.Core
 
-let program ?(roots = []) (p : Core.program) : Core.program =
+let program (p : Core.program) : Core.program =
   let roots =
-    match (p.p_main, roots) with
-    | Some m, rs -> m :: rs
-    | None, [] ->
-        (* no main and no explicit roots: keep everything *)
+    match p.p_main with
+    | Some m -> [ m ]
+    | None ->
+        (* no main: keep everything *)
         List.concat_map
           (fun g -> List.map (fun (b : Core.bind) -> b.b_name) (Core.binds_of_group g))
           p.p_binds
-    | None, rs -> rs
   in
   let defs : Core.bind Ident.Tbl.t = Ident.Tbl.create 128 in
   List.iter

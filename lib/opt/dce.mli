@@ -1,6 +1,4 @@
 (** Dead-binding elimination: drop top-level bindings unreachable from
-    [main] (or the given roots; everything is kept when no roots exist). *)
+    [main] (everything is kept when there is no [main]). *)
 
-open Tc_support
-
-val program : ?roots:Ident.t list -> Tc_core_ir.Core.program -> Tc_core_ir.Core.program
+val program : Tc_core_ir.Core.program -> Tc_core_ir.Core.program

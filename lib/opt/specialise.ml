@@ -441,7 +441,7 @@ let program ?(policy = default_policy) (p : Core.program) :
   drain ();
   let clones = List.rev !clones in
   let p' = { p with p_binds = rewritten @ clones } in
-  let p' = Tc_core_ir.Scc.regroup p' in
+  let p' = Tc_core_ir.Core.regroup p' in
   let p' = Simplify.program p' in
   let sels_after, dicts_after = static_dict_ops p' in
   ( p',

@@ -54,7 +54,7 @@ type t = {
   mutable tick : int;
   mutable total_bytes : int;  (* entries' own parts + charged snapshots *)
   mutable bases : charged list;
-  max_bytes : int;  (* total byte budget; 0 = unbounded *)
+  max_bytes : int;  (* total byte budget; 0 = the memory tier holds nothing *)
   verify_every : int;
   reg : Metrics.t;
   persist : Persist.t option;  (* the [--cache-dir] disk tier *)
@@ -318,20 +318,19 @@ let set_occupancy t =
 (* Evict least-recently-used entries until the byte budget holds. Caller
    holds the lock. *)
 let evict_over_budget t =
-  if t.max_bytes > 0 then
-    while t.total_bytes > t.max_bytes && not (Ticks.is_empty t.lru) do
-      let q, k = Ticks.min_binding t.lru in
-      let e = Hashtbl.find t.table k in
-      if e.e_tick > q then begin
-        (* touched since it was queued: requeue it at its last touch *)
-        t.lru <- Ticks.add e.e_tick k (Ticks.remove q t.lru);
-        e.e_queued <- e.e_tick
-      end
-      else begin
-        remove t k e;
-        bump t "evictions"
-      end
-    done
+  while t.total_bytes > t.max_bytes && not (Ticks.is_empty t.lru) do
+    let q, k = Ticks.min_binding t.lru in
+    let e = Hashtbl.find t.table k in
+    if e.e_tick > q then begin
+      (* touched since it was queued: requeue it at its last touch *)
+      t.lru <- Ticks.add e.e_tick k (Ticks.remove q t.lru);
+      e.e_queued <- e.e_tick
+    end
+    else begin
+      remove t k e;
+      bump t "evictions"
+    end
+  done
 
 (* A hit touches the entry: returns its value plus whether this touch is
    a verification sample. *)

@@ -90,7 +90,9 @@ type t
 
 val create : ?max_bytes:int -> ?verify_every:int -> ?dir:string -> unit -> t
 (** [max_bytes] bounds the estimated total size of cached artifacts
-    (default 64 MiB; [0] = unbounded). [verify_every = n > 0] recompiles
+    (default 64 MiB). A budget of [0] keeps nothing in memory: every
+    insert is evicted at once, so only the disk tier (with [dir]) serves
+    repeats. [verify_every = n > 0] recompiles
     every [n]-th hit per entry and asserts fingerprint equality
     (default [0] = off). [dir] enables the persistent tier rooted at
     that directory (created if needed; opened disabled when another

@@ -3,6 +3,7 @@
 module Serve = Typeclasses.Serve
 module Metrics = Tc_obs.Metrics
 module Json = Tc_obs.Json
+module Mono = Tc_support.Mono
 
 type phase = {
   ph_label : string;
@@ -57,7 +58,7 @@ let request ~op ~variant =
 let invariant_holds (m : Metrics.t) =
   Metrics.hist_count (Serve.latency_total m) = Serve.requests m
 
-let run_phase ~label ~workers ~config ~clock (lines : string array) =
+let run_phase ~label ~workers ~config (lines : string array) =
   let i = ref 0 in
   let next () =
     if !i >= Array.length lines then None
@@ -67,9 +68,9 @@ let run_phase ~label ~workers ~config ~clock (lines : string array) =
       Some l
     end
   in
-  let t0 = clock () in
+  let t0 = Mono.now_s () in
   let summary = Pool.run ~workers ~config ~next ~emit:(fun _ -> ()) () in
-  let dt = clock () -. t0 in
+  let dt = Mono.now_s () -. t0 in
   let m = summary.Pool.metrics in
   let acc = Serve.latency_total m in
   let n = Array.length lines in
@@ -86,8 +87,7 @@ let run_phase ~label ~workers ~config ~clock (lines : string array) =
     summary )
 
 let run ?(clients = 4) ?(requests = 64) ?(workers = 1) ?(op = `Run)
-    ?(cache_mb = 64) ?(verify_every = 0) ?(deadline_ms = 0)
-    ?(clock = Tc_support.Mono.now_s) () =
+    ?(cache_mb = 64) ?(verify_every = 0) ?(deadline_ms = 0) () =
   let clients = max 1 clients in
   let requests = max clients requests in
   let op_name = match op with `Run -> "run" | `Check -> "check" in
@@ -120,10 +120,10 @@ let run ?(clients = 4) ?(requests = 64) ?(workers = 1) ?(op = `Run)
         request ~op:op_name ~variant:(requests + (i mod clients)))
   in
   let cold, cold_summary =
-    run_phase ~label:"cold" ~workers ~config ~clock cold_lines
+    run_phase ~label:"cold" ~workers ~config cold_lines
   in
   let hot, hot_summary =
-    run_phase ~label:"hot" ~workers ~config ~clock hot_lines
+    run_phase ~label:"hot" ~workers ~config hot_lines
   in
   let counter name =
     match List.assoc_opt name (Metrics.counters (Cache.metrics cache)) with
@@ -194,7 +194,7 @@ let roundtrip fd ic line =
   done;
   In_channel.input_line ic
 
-let socket_phase ~label ~clients ~requests ~op ~clock ~host ~port ~variant_of
+let socket_phase ~label ~clients ~requests ~op ~host ~port ~variant_of
     () =
   let lat = Array.make requests (-1) in
   let cls = Array.make requests "" in  (* failure class, "" = ok *)
@@ -204,11 +204,11 @@ let socket_phase ~label ~clients ~requests ~op ~clock ~host ~port ~variant_of
       let ic = Unix.in_channel_of_descr fd in
       for i = 0 to requests - 1 do
         if i mod clients = c then begin
-          let t0 = clock () in
+          let t0 = Mono.now_s () in
           match roundtrip fd ic (request ~op ~variant:(variant_of i)) with
           | None -> cls.(i) <- "connection-lost"
           | Some resp ->
-              lat.(i) <- int_of_float ((clock () -. t0) *. 1e6);
+              lat.(i) <- int_of_float ((Mono.now_s () -. t0) *. 1e6);
               cls.(i) <-
                 (match Json.parse resp with
                 | Ok r when Json.member "ok" r = Some (Json.Bool true) -> ""
@@ -232,10 +232,10 @@ let socket_phase ~label ~clients ~requests ~op ~clock ~host ~port ~variant_of
           cls.(i) <- "connection-lost"
       done
   in
-  let t0 = clock () in
+  let t0 = Mono.now_s () in
   let threads = List.init clients (fun c -> Thread.create (client c) ()) in
   List.iter Thread.join threads;
-  let dt = clock () -. t0 in
+  let dt = Mono.now_s () -. t0 in
   let ok = Array.fold_left (fun n c -> if c = "" then n + 1 else n) 0 cls in
   ( {
       ph_label = label;
@@ -298,17 +298,16 @@ let snapshot_invariant_ok snap =
           latency = requests
       | _ -> false)
 
-let run_socket ?(clients = 4) ?(requests = 64) ?(op = `Run)
-    ?(clock = Tc_support.Mono.now_s) ~host ~port () =
+let run_socket ?(clients = 4) ?(requests = 64) ?(op = `Run) ~host ~port () =
   let clients = max 1 clients in
   let requests = max clients requests in
   let op_name = match op with `Run -> "run" | `Check -> "check" in
   let cold, cold_cls =
-    socket_phase ~label:"cold" ~clients ~requests ~op:op_name ~clock ~host
+    socket_phase ~label:"cold" ~clients ~requests ~op:op_name ~host
       ~port ~variant_of:Fun.id ()
   in
   let hot, hot_cls =
-    socket_phase ~label:"hot" ~clients ~requests ~op:op_name ~clock ~host
+    socket_phase ~label:"hot" ~clients ~requests ~op:op_name ~host
       ~port
       ~variant_of:(fun i -> requests + (i mod clients))
       ()

@@ -66,20 +66,19 @@ val run :
   ?cache_mb:int ->
   ?verify_every:int ->
   ?deadline_ms:int ->
-  ?clock:(unit -> float) ->
   unit ->
   report
 (** Defaults: 4 clients, 64 requests per phase, 1 worker, [`Run],
-    64 MiB cache, no verification, no deadline ([deadline_ms = 0]; a
-    positive value sheds requests older than that when dequeued, and the
-    report's [shed] count lets the bench gate bound the shed rate under
-    overload), the monotonic [Tc_support.Mono.now_s]. *)
+    64 MiB cache ([cache_mb = 0] caches nothing), no verification, no
+    deadline ([deadline_ms = 0]; a positive value sheds requests older
+    than that when dequeued, and the report's [shed] count lets the
+    bench gate bound the shed rate under overload). Latencies are timed
+    on the monotonic [Tc_support.Mono.now_s]. *)
 
 val run_socket :
   ?clients:int ->
   ?requests:int ->
   ?op:[ `Run | `Check ] ->
-  ?clock:(unit -> float) ->
   host:string ->
   port:int ->
   unit ->

@@ -35,9 +35,16 @@ let sequential ~config ?stop ?emit_oob ~next ~emit () =
   let metrics = Serve.run ~config ?stop ?emit_oob ~next ~emit () in
   { metrics; workers = 1; restarts = 0 }
 
-let parallel ~workers ~config ~queue_depth ~max_restarts ~restart_backoff_ms
-    ~shed_grace_ms ~on_lame_duck ~stop ~snapshot_every ~emit_oob ~next ~emit
-    () =
+(* How far the coordinator reads ahead of the slowest worker, before
+   the clamp to the pool size. *)
+let queue_depth = 64
+
+(* The base respawn delay after a worker crash; it doubles per restart,
+   capped at 64x. *)
+let restart_backoff_ms = 1.
+
+let parallel ~workers ~config ~queue_depth ~max_restarts ~shed_grace_ms
+    ~on_lame_duck ~stop ~snapshot_every ~emit_oob ~next ~emit () =
   let lock = Mutex.create () in
   let nonempty = Condition.create () in
   let progress = Condition.create () in
@@ -421,17 +428,16 @@ let parallel ~workers ~config ~queue_depth ~max_restarts ~restart_backoff_ms
   Metrics.merge ~into:merged pool_reg;
   { metrics = merged; workers; restarts = !restarts }
 
-let run ?(workers = 1) ?(config = Serve.default_config) ?(queue_depth = 64)
-    ?(max_restarts = 8) ?(restart_backoff_ms = 1.) ?(shed_grace_ms = -1.)
-    ?(on_lame_duck = fun () -> ()) ?(stop = fun () -> false) ?emit_oob ~next
-    ~emit () =
+let run ?(workers = 1) ?(config = Serve.default_config) ?(max_restarts = 8)
+    ?(shed_grace_ms = -1.) ?(on_lame_duck = fun () -> ())
+    ?(stop = fun () -> false) ?emit_oob ~next ~emit () =
   if workers <= 1 then sequential ~config ~stop ?emit_oob ~next ~emit ()
   else
     (* a queue shallower than the pool would idle workers by
        construction, so the depth is clamped to at least [workers] *)
     parallel ~workers ~config
-      ~queue_depth:(max workers (max 1 queue_depth))
-      ~max_restarts ~restart_backoff_ms ~shed_grace_ms ~on_lame_duck ~stop
+      ~queue_depth:(max workers queue_depth)
+      ~max_restarts ~shed_grace_ms ~on_lame_duck ~stop
       ~snapshot_every:config.Serve.snapshot_every
       ~emit_oob:(match emit_oob with Some f -> f | None -> emit)
       ~next ~emit ()

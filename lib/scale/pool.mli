@@ -24,8 +24,8 @@
     gets exactly one response, in order — the coordinator never hangs on
     a dead worker), the dead incarnation's metrics registry is still
     merged into the pool totals, and a replacement domain is
-    spawned after an exponential backoff ([restart_backoff_ms],
-    doubling, capped at 64x), up to [max_restarts] restarts over the
+    spawned after an exponential backoff (1 ms, doubling, capped at
+    64x), up to [max_restarts] restarts over the
     pool's lifetime. Past the budget the pool shrinks; if the last
     worker dies over budget, it remains as a lame-duck drainer
     answering every remaining request with [worker-crash] so the
@@ -34,8 +34,8 @@
 
     {2 Overload}
 
-    [queue_depth] (clamped to at least [workers]) bounds how far the
-    coordinator reads ahead; the high-water mark is exported as the
+    {!queue_depth} (raised to [workers] for a larger pool) bounds how far
+    the coordinator reads ahead; the high-water mark is exported as the
     [scale/pool/queue_depth] gauge. Two shedding mechanisms bound tail
     latency under overload, both answering the [shed] failure class:
     requests whose queue age exceeds their deadline ([deadline_ms]
@@ -98,12 +98,15 @@ type summary = {
   restarts : int; (** worker domains respawned after a crash *)
 }
 
+(** Requests the coordinator reads ahead of the slowest worker: 64, or
+    [workers] when the pool is larger, so an input firehose cannot
+    buffer unboundedly. *)
+val queue_depth : int
+
 val run :
   ?workers:int ->
   ?config:Serve.config ->
-  ?queue_depth:int ->
   ?max_restarts:int ->
-  ?restart_backoff_ms:float ->
   ?shed_grace_ms:float ->
   ?on_lame_duck:(unit -> unit) ->
   ?stop:(unit -> bool) ->
@@ -112,12 +115,9 @@ val run :
   emit:(string -> unit) ->
   unit ->
   summary
-(** [workers] defaults to 1 (sequential); [queue_depth] (default 64,
-    clamped to at least [workers]) bounds how far the coordinator reads
-    ahead of the slowest worker, so an input firehose cannot buffer
-    unboundedly. [max_restarts] (default 8) bounds worker respawns per
-    pool lifetime; [restart_backoff_ms] (default 1) is the base respawn
-    delay, doubling per restart up to 64x. [shed_grace_ms] (default -1:
+(** [workers] defaults to 1 (sequential). [max_restarts] (default 8)
+    bounds worker respawns per pool lifetime; the first respawn waits
+    1 ms and each later one doubles that, up to 64x. [shed_grace_ms] (default -1:
     disabled) enables admission shedding once the queue has been full
     that long. [on_lame_duck] (default no-op) fires once, from the dying
     worker's domain, when the pool enters the lame-duck drain — the

@@ -318,8 +318,7 @@ let impl_bindings st : Core.bind list =
 (* ------------------------------------------------------------------ *)
 
 (** Translate a desugared program under the tag-dispatch strategy. *)
-let translate_program ?(lenient_files = [ "<prelude>" ]) (env : Class_env.t)
-    (groups : Kernel.group list) : Core.program =
+let translate_program (env : Class_env.t) (groups : Kernel.group list) : Core.program =
   let st = { env; used_methods = Ident.Map.empty; lenient = true } in
   let user =
     List.map
@@ -328,7 +327,7 @@ let translate_program ?(lenient_files = [ "<prelude>" ]) (env : Class_env.t)
         let cbinds =
           List.map
             (fun (b : Kernel.bind) ->
-              st.lenient <- List.mem b.kb_loc.Loc.file lenient_files;
+              st.lenient <- b.kb_loc.Loc.file = "<prelude>";
               { Core.b_name = b.kb_name;
                 b_expr = translate st Ident.Set.empty b.kb_expr })
             binds
@@ -365,4 +364,4 @@ let translate_program ?(lenient_files = [ "<prelude>" ]) (env : Class_env.t)
       p_main = (if has_main then Some main_id else None);
     }
   in
-  Tc_core_ir.Scc.regroup p
+  Tc_core_ir.Core.regroup p

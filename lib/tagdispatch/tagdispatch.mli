@@ -23,11 +23,9 @@ val check_dispatchable :
   Class_env.t -> loc:Loc.t -> Class_env.method_info -> int
 
 (** Translate a desugared program under the tag-dispatch strategy.
-    Bindings whose source file is in [lenient_files] (default: the
-    prelude) translate undispatchable method uses to run-time stubs
-    instead of failing. *)
+    Bindings from the prelude (source file ["<prelude>"]) translate
+    undispatchable method uses to run-time stubs instead of failing. *)
 val translate_program :
-  ?lenient_files:string list ->
   Class_env.t ->
   Kernel.group list ->
   Core.program

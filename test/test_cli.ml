@@ -99,6 +99,35 @@ let with_spec_profile src (f : string -> Tc_obs.Profile.spec -> unit) =
 
 let demo = "double :: Num a => a -> a\ndouble x = x + x\nmain = double 21\n"
 
+let first_line s =
+  match String.index_opt s '\n' with Some i -> String.sub s 0 i | None -> s
+
+(* [s] with its first occurrence of [sub] replaced by [by]. *)
+let replace_first ~sub ~by s =
+  let n = String.length sub in
+  let rec find i =
+    if i + n > String.length s then s
+    else if String.sub s i n = sub then
+      String.sub s 0 i ^ by ^ String.sub s (i + n) (String.length s - i - n)
+    else find (i + 1)
+  in
+  find 0
+
+(* Pipe [input] into [mhc repl]; returns the exit code and the output. *)
+let repl input =
+  let in_file = Filename.temp_file "repl" ".in" in
+  let out_file = Filename.temp_file "repl" ".out" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove in_file; Sys.remove out_file)
+    (fun () ->
+      Out_channel.with_open_bin in_file (fun oc -> output_string oc input);
+      let code =
+        Sys.command
+          (Printf.sprintf "%s repl < %s > %s 2>&1" (Filename.quote mhc)
+             (Filename.quote in_file) (Filename.quote out_file))
+      in
+      (code, In_channel.with_open_bin out_file In_channel.input_all))
+
 let tests =
   [
     ( "cli",
@@ -218,20 +247,7 @@ let tests =
                 Alcotest.(check bool) "snapshot inline" true
                   (Helpers.contains ~needle:{|"spans"|} out)));
         case "repl evaluates piped input" (fun () ->
-            let out_file = Filename.temp_file "repl" ".out" in
-            let cmd =
-              Printf.sprintf
-                "printf 'double x = x + x\\ndouble 4\\n:t double\\n:q\\n' | %s \
-                 repl > %s 2>&1"
-                (Filename.quote mhc) (Filename.quote out_file)
-            in
-            let code = Sys.command cmd in
-            let ic = open_in_bin out_file in
-            let text =
-              Fun.protect
-                ~finally:(fun () -> close_in_noerr ic; Sys.remove out_file)
-                (fun () -> really_input_string ic (in_channel_length ic))
-            in
+            let code, text = repl "double x = x + x\ndouble 4\n:t double\n:q\n" in
             Alcotest.(check int) "exit" 0 code;
             Alcotest.(check bool) "evaluated" true
               (Helpers.contains ~needle:"8" text);
@@ -729,6 +745,107 @@ let tests =
                  metrics);
             Alcotest.(check bool) "snapshot size reported" true
               (Helpers.contains ~needle:"\"prelude/snapshot_words\"" metrics));
+        case "run and serve report each failure class through one table"
+          (fun () ->
+            (* the first line mhc run prints equals serve's error message
+               for the same source (file name and ICE stage aside), and
+               the exit code follows the class *)
+            let loop = "loop n = loop (n + 1)\nmain = loop (0 :: Int)\n" in
+            List.iter
+              (fun (what, src, args, serve_args, fields, cls, code) ->
+                with_program src (fun path ->
+                    let got_code, out = run_mhc ([ "run" ] @ args @ [ path ]) in
+                    let req =
+                      Json.Obj
+                        ([ ("op", Json.Str "run"); ("src", Json.Str src) ]
+                        @ fields)
+                    in
+                    let _, lines = serve_lines serve_args [ req ] in
+                    let err =
+                      match json_field "error" (List.hd lines) with
+                      | Some e -> e
+                      | None -> Alcotest.failf "%s: serve answered ok" what
+                    in
+                    let field name =
+                      match Json.member name err with
+                      | Some (Json.Str s) -> s
+                      | _ -> Alcotest.failf "%s: no error.%s" what name
+                    in
+                    Alcotest.(check string) (what ^ ": class") cls (field "class");
+                    Alcotest.(check int) (what ^ ": exit") code got_code;
+                    let cli =
+                      first_line out
+                      |> replace_first ~sub:path ~by:"<serve>"
+                      |> replace_first ~sub:"internal error in mhc:"
+                           ~by:"internal error in serve:"
+                    in
+                    Alcotest.(check string) (what ^ ": message")
+                      (first_line (field "message")) cli))
+              [
+                ("compile error", "main = 1 + 'c'\n", [], [], [], "compile", 1);
+                ("runtime error", "main = div 1 (0 :: Int)\n", [], [], [],
+                 "runtime", 2);
+                ("pattern-match failure", "main = head ([] :: [Int])\n", [],
+                 [], [], "runtime", 2);
+                ("user error", "main = (error \"boom\" :: Int)\n", [], [], [],
+                 "runtime", 2);
+                ("fuel", loop, [ "--fuel"; "10000" ], [],
+                 [ ("fuel", Json.Int 10000) ], "resource", 3);
+                ("injected ICE", demo, [ "--inject"; "infer" ],
+                 [ "--inject"; "infer" ], [], "ice", 2);
+              ]);
+        case "every spelling works on both front doors alike" (fun () ->
+            let spellings =
+              List.map (fun (s, _) -> ("-s", "strategy", s)) Pipeline.strategies
+              @ List.map (fun (s, _) -> ("--backend", "backend", s))
+                  Pipeline.backends
+              @ List.map (fun (s, _) -> ("--eval", "mode", s)) Pipeline.modes
+            in
+            with_program demo (fun path ->
+                let _, lines =
+                  serve_lines []
+                    (List.map
+                       (fun (_, field, s) ->
+                         Json.Obj
+                           [ ("op", Json.Str "run"); ("src", Json.Str demo);
+                             (field, Json.Str s) ])
+                       spellings)
+                in
+                List.iter2
+                  (fun (flag, _, s) line ->
+                    let code, out = run_mhc [ "run"; flag; s; path ] in
+                    Alcotest.(check int) (flag ^ " " ^ s) 0 code;
+                    Alcotest.(check string) (flag ^ " " ^ s) "42\n" out;
+                    Alcotest.(check bool) ("serve " ^ s) true
+                      (json_field "value" line = Some (Json.Str "42")))
+                  spellings lines));
+        case "repl reports an unreadable :load and carries on" (fun () ->
+            let code, out = repl ":load /nonexistent/nope.mhs\n1 + 1\n:q\n" in
+            Alcotest.(check int) "exit" 0 code;
+            Alcotest.(check bool) "read error reported" true
+              (Helpers.contains
+                 ~needle:"error: cannot read /nonexistent/nope.mhs: No such file"
+                 out);
+            Alcotest.(check bool) "session goes on" true
+              (Helpers.contains ~needle:"mhs> 2\n" out));
+        case "repl reports a runtime error and carries on" (fun () ->
+            let code, out = repl "head ([] :: [Int])\n1 + 1\n" in
+            Alcotest.(check int) "exit" 0 code;
+            Alcotest.(check bool) "classified" true
+              (Helpers.contains
+                 ~needle:"pattern-match failure: non-exhaustive patterns in 'head'"
+                 out);
+            Alcotest.(check bool) "session goes on" true
+              (Helpers.contains ~needle:"mhs> 2\n" out));
+        case "bench serve --cache-mb 0 caches nothing" (fun () ->
+            let code, out =
+              run_mhc
+                [ "bench"; "serve"; "--cache-mb"; "0"; "--requests"; "8";
+                  "--clients"; "2" ]
+            in
+            Alcotest.(check int) "exit" 0 code;
+            Alcotest.(check bool) "no hits" true
+              (json_field "cache_hits" out = Some (Json.Int 0)));
         case "serve --listen rejects IPv6 literals with a clear diagnostic"
           (fun () ->
             List.iter

@@ -177,8 +177,8 @@ let cache_cases =
             (Cache.check c ~opts:default_opts
                ~src:(Printf.sprintf "main = %d" i))
         in
-        (* four answers of one size, measured without a budget *)
-        let sized = Cache.create ~max_bytes:0 () in
+        (* four answers of one size, measured under the default budget *)
+        let sized = Cache.create () in
         check sized 1;
         let one = Cache.bytes sized in
         List.iter (check sized) [ 2; 3; 4 ];
@@ -551,6 +551,34 @@ let entry_files dir =
 
 let persist_cases =
   [
+    case "a zero budget keeps nothing in memory; the disk tier serves"
+      (fun () ->
+        let dir = tmpdir () in
+        Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+        let check c =
+          List.iter
+            (fun i ->
+              ignore
+                (Cache.check c ~opts:default_opts
+                   ~src:(Printf.sprintf "main = %d" i)))
+            [ 1; 2; 3; 4; 5 ]
+        in
+        let empty what c =
+          Alcotest.(check int) (what ^ ": no entries") 0 (Cache.entries c);
+          Alcotest.(check int) (what ^ ": no bytes") 0 (Cache.bytes c);
+          Alcotest.(check int) (what ^ ": no memory hits") 0
+            (cache_counter c "hits")
+        in
+        let a = Cache.create ~max_bytes:0 ~dir () in
+        check a;
+        check a;
+        empty "first process" a;
+        Cache.close a;
+        let b = Cache.create ~max_bytes:0 ~dir () in
+        check b;
+        empty "restarted" b;
+        Alcotest.(check int) "the restart is answered from disk" 5
+          (cache_counter b "persist/hits"));
     case "a warm restart serves from disk with the front end skipped"
       (fun () ->
         let dir = tmpdir () in
