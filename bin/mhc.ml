@@ -830,7 +830,7 @@ let repl_cmd =
           with_errors (fun () ->
               let name = String.trim (String.sub input 6 (String.length input - 6)) in
               let c = compile_current "" in
-              let id = Tc_support.Ident.intern name in
+              let id = Pipeline.ident c name in
               let found = ref false in
               List.iter
                 (fun g ->
@@ -864,7 +864,7 @@ let repl_cmd =
                  come back to the prompt, not hang the session *)
               let r =
                 Pipeline.exec
-                  ~entry:(Tc_support.Ident.intern "replIt'")
+                  ~entry:(Pipeline.ident c "replIt'")
                   ~budget:
                     { (Budget.fuel 200_000_000) with Budget.wall_ms = 10_000. }
                   c

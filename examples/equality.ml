@@ -43,7 +43,7 @@ main = ( isMember 2 [1,2,3]              -- Eq Int
 |}
 
 let show_binding (compiled : Pipeline.compiled) name =
-  let id = Tc_support.Ident.intern name in
+  let id = Pipeline.ident compiled name in
   List.iter
     (fun g ->
       List.iter

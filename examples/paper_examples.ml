@@ -12,7 +12,7 @@ open Typeclasses
 module Core = Tc_core_ir.Core
 
 let show_binding (c : Pipeline.compiled) name =
-  let id = Tc_support.Ident.intern name in
+  let id = Pipeline.ident c name in
   List.iter
     (fun g ->
       List.iter

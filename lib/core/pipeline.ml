@@ -52,7 +52,7 @@ type strategy =
 
 let strategy_name = function
   | Dicts -> "dicts"
-  | Dicts_flat -> "dicts-flat"
+  | Dicts_flat -> "dict-flat"
   | Tags -> "tags"
 
 (* Every spelling the front doors accept, mapped to its value. *)
@@ -169,6 +169,7 @@ type compiled = {
   venv : Infer.venv;
   fixities : Fixity.env;
   base : base;  (* the snapshot this compile extended *)
+  names : Ident.scope;  (* its identifiers; never written once returned *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -376,7 +377,7 @@ let is_base_instance (base : base) (inst : Class_env.inst_info) =
     never re-reports) and checking continues with the remaining groups;
     with a raising sink, the first error raises. Also returns the front
     end's result, from which a snapshot is frozen. *)
-let extend ~sink ~faults ~(opts : options) ~(base : base)
+let extend ~sink ~faults ~(opts : options) ~(base : base) ~names
     (files : (string * string) list) : compiled * front =
   Stats.reset ();
   let metrics = opts.metrics in
@@ -632,6 +633,7 @@ let extend ~sink ~faults ~(opts : options) ~(base : base)
       venv;
       fixities = fr.f_fixities;
       base;
+      names;
     }
   in
   (compiled, fr)
@@ -718,6 +720,7 @@ let build_prelude (opts : options) : base =
   let sink = Diagnostic.Sink.create () in
   let c, fr =
     extend ~sink ~faults:false ~opts ~base:(empty_base ())
+      ~names:(Ident.scope ())
       [ ("<prelude>", Tc_prelude.Prelude.source) ]
   in
   (match Diagnostic.Sink.first_error sink with
@@ -752,7 +755,8 @@ let base_for (opts : options) : base =
     match List.find_opt (fun (k, _, _) -> k = key) !snapshots with
     | Some (_, b, _) -> b
     | None ->
-        let b = build_prelude opts in
+        (* interned process-wide: every compile shares these names *)
+        let b = Ident.unscoped (fun () -> build_prelude opts) in
         snapshots := (key, b, Obj.reachable_words (Obj.repr b)) :: !snapshots;
         incr snapshot_builds;
         b
@@ -829,6 +833,7 @@ let own_words (c : compiled) : int =
                groups,
                schemes,
                c.user_schemes,
+               c.names,
                (c.warnings, c.checker_stats, c.options, c.spec_report) ))
 
 (* ------------------------------------------------------------------ *)
@@ -855,8 +860,11 @@ let tag_translate (checked : compiled) fr : compiled =
 (* The one compile path: the dictionary-passing check of [files] on [base] —
    by default the snapshot for [opts], whose acquisition (a build, the
    first time) is the [prelude] phase span — then, under [Tags] and only
-   when no error was recorded, the §3 translation. *)
+   when no error was recorded, the §3 translation. In a fresh identifier
+   scope. *)
 let check_files ~sink ~(opts : options) ?base files : compiled =
+  let names = Ident.scope () in
+  Ident.with_scope names @@ fun () ->
   let checked, fr =
     Span.wrap opts.metrics "compile" @@ fun () ->
     let base =
@@ -866,7 +874,7 @@ let check_files ~sink ~(opts : options) ?base files : compiled =
           Span.wrap opts.metrics "prelude" (fun () ->
               base_for opts)
     in
-    extend ~sink ~faults:true ~opts ~base files
+    extend ~sink ~faults:true ~opts ~base ~names files
   in
   match opts.strategy with
   | Dicts | Dicts_flat -> checked
@@ -1004,6 +1012,7 @@ let exec ?(backend = `Tree) ?(mode = `Lazy) ?(budget = Budget.unlimited)
     but not translated, so its context is reported as attached to its type
     variables rather than generalized. *)
 let expression_type (c : compiled) (src : string) : string =
+  Ident.with_scope (Ident.copy c.names) @@ fun () ->
   let e = Parser.parse_expression ~file:"<interactive>" src in
   let e = Fixity.expr c.fixities e in
   let k = Tc_desugar.Desugar.expr c.env e in
@@ -1024,6 +1033,8 @@ let expression_type (c : compiled) (src : string) : string =
 let optimize (passes : Tc_opt.Opt.pass list) (c : compiled) : compiled =
   let tr = c.options.trace in
   let metrics = c.options.metrics in
+  let names = Ident.copy c.names in
+  Ident.with_scope names @@ fun () ->
   Span.wrap metrics "optimize" @@ fun () ->
   let spec_report = ref c.spec_report in
   (* the policy is rebuilt against the current core: profiled counts are
@@ -1101,4 +1112,7 @@ let optimize (passes : Tc_opt.Opt.pass list) (c : compiled) : compiled =
       c.core passes
   in
   if c.options.lint then Lint.check_program ~primitives:Prims.names core;
-  { c with core; spec_report = !spec_report }
+  { c with core; spec_report = !spec_report; names }
+
+let ident (c : compiled) (name : string) : Ident.t =
+  Ident.with_scope (Ident.copy c.names) (fun () -> Ident.intern name)

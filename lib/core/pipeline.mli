@@ -31,6 +31,7 @@ type strategy =
   | Dicts_flat  (** dictionary passing, flat layout (§8.1) *)
   | Tags        (** run-time tag dispatch (§3) *)
 
+(** The canonical spelling, one of {!strategies}. *)
 val strategy_name : strategy -> string
 
 (** Every spelling of a strategy that [mhc -s] and the serve [strategy]
@@ -116,6 +117,8 @@ type compiled = {
   venv : Infer.venv;     (** tooling: the final value environment *)
   fixities : Fixity.env; (** tooling: the program's fixity table *)
   base : base;           (** the snapshot this compile extended *)
+  names : Ident.scope;
+      (** its own identifiers; later passes continue them on a copy *)
 }
 
 (** Compile a program under [opts.strategy]. Raises {!Diagnostic.Error} on
@@ -134,7 +137,9 @@ type compiled = {
     and defaulting, then shared; with [include_prelude] off, the
     {!empty_base}; with [opts.trace] on, built afresh with the trace
     attached, so the trace lists the prelude's events too. Its
-    [checker_stats] count the program's own work only. *)
+    [checker_stats] count the program's own work only. Its own names are
+    in a fresh {!Tc_support.Ident.scope}, whatever the process compiled
+    before. *)
 val compile : ?opts:options -> ?file:string -> string -> compiled
 
 (** Builtin types and constructors and the primitives, nothing else.
@@ -244,3 +249,7 @@ val expression_type : compiled -> string -> string
     are cloned, and the pass's typed report lands in [spec_report], in
     [opt/spec/*] metrics counters, and in a [Spec_report] trace event. *)
 val optimize : Tc_opt.Opt.pass list -> compiled -> compiled
+
+(** The identifier [name] resolves to in [c]: a binding of [c.core], an
+    [entry] to {!exec}, or one equal to nothing in [c]. *)
+val ident : compiled -> string -> Ident.t

@@ -67,6 +67,12 @@ let bump t name = Metrics.incr (Metrics.counter t.reg ("scale/cache/" ^ name))
 (* For the paths that run outside the lock (disk IO, verification). *)
 let count t name = Mutex.protect t.lock (fun () -> bump t name)
 
+let set_occupancy t =
+  Metrics.set
+    (Metrics.gauge t.reg "scale/cache/entries")
+    (Hashtbl.length t.table);
+  Metrics.set (Metrics.gauge t.reg "scale/cache/bytes") t.total_bytes
+
 let create ?(max_bytes = 64 * 1024 * 1024) ?(verify_every = 0) ?dir () =
   let persist, report =
     match dir with
@@ -89,15 +95,14 @@ let create ?(max_bytes = 64 * 1024 * 1024) ?(verify_every = 0) ?dir () =
       persist;
     }
   in
-  (* not yet shared: no lock needed *)
-  (match report with
-  | None -> ()
-  | Some r ->
-      if not r.Persist.exclusive then bump t "persist/locked_out";
-      if r.Persist.wiped then bump t "persist/wiped";
-      Metrics.set
-        (Metrics.gauge t.reg "scale/cache/persist/adopted_idents")
-        r.Persist.adopted);
+  (* not yet shared: no lock needed; a zero budget never inserts, so the
+     gauges are set here *)
+  set_occupancy t;
+  Option.iter
+    (fun (r : Persist.init_report) ->
+      if not r.exclusive then bump t "persist/locked_out";
+      if r.wiped then bump t "persist/wiped")
+    report;
   t
 
 let metrics t = t.reg
@@ -216,9 +221,6 @@ let persist_write t k (v : value) =
   | Some p -> (
       match Marshal.to_string (persist_strip v) [] with
       | payload -> (
-          (* an artifact embeds interned stamps: the snapshot must cover
-             them before the entry appears. A check answer embeds none. *)
-          (match v with Artifact _ -> Persist.save_idents p | Checked _ -> ());
           match Persist.write p ~key:k ~payload with
           | `Written | `Torn ->
               (* a [`Torn] write (injected crash-mid-write) still counts:
@@ -232,9 +234,9 @@ let persist_remove t k =
 
 (* ---- fingerprints (verification mode) ---- *)
 
-(* Two compiles of the same source are not structurally equal — gensym
-   stamps differ — so verification compares a digest of the
-   gensym-invariant surface instead: what the user can observe. *)
+(* Two compiles of the same source are not structurally equal — type
+   variable and dispatch-site ids are process-wide — so verification
+   compares a digest of what the user can observe instead. *)
 let fingerprint (c : Pipeline.compiled) : string =
   let schemes =
     List.map
@@ -309,12 +311,6 @@ let remove t k e =
   t.total_bytes <- t.total_bytes - e.e_bytes;
   uncharge t e.e_base
 
-let set_occupancy t =
-  Metrics.set
-    (Metrics.gauge t.reg "scale/cache/entries")
-    (Hashtbl.length t.table);
-  Metrics.set (Metrics.gauge t.reg "scale/cache/bytes") t.total_bytes
-
 (* Evict least-recently-used entries until the byte budget holds. Caller
    holds the lock. *)
 let evict_over_budget t =
@@ -380,6 +376,8 @@ let drop t k =
 (* The common shape of both paths: [compile ()] must produce the same
    [value] constructor the key's entries hold, ready to store. *)
 let memo t ~k ~(compile : unit -> value) : value =
+  (* a zero budget would size and link every value only to evict it *)
+  let keep v = if t.max_bytes > 0 then insert t k v in
   match lookup t k with
   | None -> (
       (* memory miss: consult the disk tier before paying for a compile.
@@ -388,11 +386,11 @@ let memo t ~k ~(compile : unit -> value) : value =
          span). *)
       match persist_read t k with
       | Some v ->
-          insert t k v;
+          keep v;
           v
       | None ->
           let v = compile () in
-          insert t k v;
+          keep v;
           persist_write t k v;
           v)
   | Some (v, verify) ->

@@ -71,8 +71,10 @@
     per-entry checksum — so a server restart starts warm. Corrupt or
     torn entries are dropped and healed on read, never an exception;
     entries from a different executable (marshaled layouts may differ)
-    wipe the directory and start cold. Disk entries are exempt from the
-    LRU byte budget (disk is cheap; the directory persists exactly so
+    wipe the directory and start cold. A run artifact carries its own
+    identifier scope, so it reads back the same whatever the reading
+    process compiled before. Disk entries are exempt from the LRU byte
+    budget (disk is cheap; the directory persists exactly so
     restarts are warm). Compile errors are never persisted, matching the
     memory tier.
 
@@ -81,8 +83,8 @@
     [evictions], [verified], [verify_fail], and for the disk tier
     [scale/cache/persist/hits], [persist/misses], [persist/writes],
     [persist/corrupt] (torn/corrupt entries healed), [persist/errors],
-    [persist/wiped], [persist/locked_out]; gauges [scale/cache/entries],
-    [scale/cache/bytes], [scale/cache/persist/adopted_idents]. *)
+    [persist/wiped], [persist/locked_out]; gauges [scale/cache/entries]
+    and [scale/cache/bytes]. *)
 
 module Pipeline = Typeclasses.Pipeline
 
@@ -90,9 +92,9 @@ type t
 
 val create : ?max_bytes:int -> ?verify_every:int -> ?dir:string -> unit -> t
 (** [max_bytes] bounds the estimated total size of cached artifacts
-    (default 64 MiB). A budget of [0] keeps nothing in memory: every
-    insert is evicted at once, so only the disk tier (with [dir]) serves
-    repeats. [verify_every = n > 0] recompiles
+    (default 64 MiB). A budget of [0] keeps nothing in memory: no
+    value is sized or inserted, so only the disk tier (with [dir])
+    serves repeats. [verify_every = n > 0] recompiles
     every [n]-th hit per entry and asserts fingerprint equality
     (default [0] = off). [dir] enables the persistent tier rooted at
     that directory (created if needed; opened disabled when another

@@ -1,19 +1,17 @@
 (** Crash-safe persistent byte store; see the interface for the design. *)
 
-module Ident = Tc_support.Ident
 module Inject = Tc_resilience.Inject
 
 let magic = "mhc-persist"
 let version = 1
 
 (* Marshaled OCaml values are only safe to read back into the exact
-   binary that wrote them (type layouts must agree), and the intern
-   snapshot is only meaningful under the same deterministic module-init
-   interning order. The executable digest in every header enforces both;
-   a rebuild simply starts the cache cold. Computed once — hashing the
-   binary costs milliseconds, not per-entry time. Memoized under a
-   mutex rather than [lazy]: pool workers race to the first use, and
-   concurrently forcing a lazy from two domains raises
+   binary that wrote them (type layouts, and module initialisation's
+   identifier stamps, must agree). The executable digest in every header
+   enforces it; a rebuild simply starts the cache cold. Computed once —
+   hashing the binary costs milliseconds, not per-entry time. Memoized
+   under a mutex rather than [lazy]: pool workers race to the first use,
+   and concurrently forcing a lazy from two domains raises
    [CamlinternalLazy.Undefined]. *)
 let exe_digest =
   let memo = ref None in
@@ -32,7 +30,6 @@ let exe_digest =
 
 type init_report = {
   exclusive : bool;
-  adopted : int;
   wiped : bool;
 }
 
@@ -43,7 +40,7 @@ type t = {
 }
 
 let entry_file t key = Filename.concat t.dir ("entry-" ^ key ^ ".bin")
-let intern_file dir = Filename.concat dir "intern.bin"
+let writer_file dir = Filename.concat dir "writer"
 
 (* ---- file format ---- *)
 
@@ -99,18 +96,6 @@ let write_file_atomic ~dir ~path content : bool =
     (try Sys.remove tmp with Sys_error _ -> ());
     false
 
-(* ---- the intern snapshot ---- *)
-
-let marshal_snapshot snap = Marshal.to_string (snap : (string * int) list * int) []
-
-let save_idents t =
-  if t.exclusive then begin
-    let payload = marshal_snapshot (Ident.snapshot ()) in
-    ignore
-      (write_file_atomic ~dir:t.dir ~path:(intern_file t.dir)
-         (header ~payload ^ payload))
-  end
-
 (* ---- open / close ---- *)
 
 let list_entries dir =
@@ -121,12 +106,6 @@ let list_entries dir =
              String.starts_with ~prefix:"entry-" f
              && Filename.check_suffix f ".bin")
   | exception Sys_error _ -> []
-
-let wipe dir =
-  List.iter
-    (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
-    (list_entries dir);
-  (try Sys.remove (intern_file dir) with Sys_error _ -> ())
 
 let mkdir_p dir =
   let rec go d =
@@ -150,44 +129,31 @@ let try_lock dir =
       None
   with Unix.Unix_error _ -> None
 
-(* Adopt the directory's intern snapshot, or wipe what cannot be read
-   back without one: [(adopted, wiped)]. *)
-let adopt_dir dir =
-  let wipe_all () =
-    wipe dir;
-    (0, true)
-  in
-  match read_file (intern_file dir) with
-  | None ->
-      (* No snapshot: any entries present are unreadable leftovers (the
-         file was deleted, or a writer crashed before its first
-         snapshot) — clear them so reads cannot lie. *)
-      if list_entries dir <> [] then wipe_all () else (0, false)
-  | Some bytes -> (
-      match validate bytes with
-      | None -> wipe_all ()
-      | Some payload -> (
-          match (Marshal.from_string payload 0 : (string * int) list * int) with
-          | snap ->
-              (* adoption fails when stamps clash with names this process
-                 already interned differently: the on-disk artifacts are
-                 not expressible here *)
-              if Ident.adopt snap then (List.length (fst snap), false)
-              else wipe_all ()
-          | exception _ -> wipe_all ()))
+(* The [writer] file, a header with an empty payload, names the
+   executable the entries belong to. Entries under none, or under another
+   executable's, are unreadable leftovers: wipe them so reads cannot lie. *)
+let claim t =
+  let path = writer_file t.dir in
+  Option.bind (read_file path) validate <> Some ""
+  && begin
+       let leftovers = list_entries t.dir in
+       List.iter
+         (fun f ->
+           try Sys.remove (Filename.concat t.dir f) with Sys_error _ -> ())
+         leftovers;
+       ignore (write_file_atomic ~dir:t.dir ~path (header ~payload:""));
+       leftovers <> []
+     end
 
 let open_dir ~dir =
   (try mkdir_p dir with Unix.Unix_error _ -> ());
   match try_lock dir with
   | None ->
       ( { dir; exclusive = false; lock_fd = None },
-        { exclusive = false; adopted = 0; wiped = false } )
+        { exclusive = false; wiped = false } )
   | Some fd ->
       let t = { dir; exclusive = true; lock_fd = Some fd } in
-      let adopted, wiped = adopt_dir dir in
-      (* the directory has a snapshot before its first entry *)
-      save_idents t;
-      (t, { exclusive = true; adopted; wiped })
+      (t, { exclusive = true; wiped = claim t })
 
 let close t =
   t.exclusive <- false;

@@ -3,7 +3,7 @@
     A directory of content-addressed entries that must never take the
     server down, whatever is on disk. The defenses, in order:
 
-    - {b Atomic writes}: every file (entries and the intern snapshot) is
+    - {b Atomic writes}: every file (entries and the writer file) is
       written to a temp file in the same directory and [rename]d into
       place, so a reader never observes a half-written final file and a
       crash mid-write leaves at worst a stray temp.
@@ -12,15 +12,11 @@
       executable, the payload's MD5 and its length. A torn, truncated,
       corrupted or foreign file fails validation and is treated as a
       miss: unlinked (self-healed) and recompiled, never an exception.
-    - {b Identifier canonicality}: marshaled artifacts embed interned
-      {!Tc_support.Ident.t} stamps, which are only meaningful relative
-      to the writer's intern table. The store keeps a snapshot of that
-      table ([intern.bin]: written by {!open_dir}, then by
-      {!save_idents} before each entry that embeds identifiers, so it
-      always covers every entry on disk) and {!open_dir} replays it via
-      [Ident.adopt] at cold start. An incompatible snapshot — or one
-      written by a different executable, whose marshaled representations
-      may not even match — wipes the directory and starts fresh.
+    - {b One writer executable}: marshaled values (type layouts, module
+      initialisation's {!Tc_support.Ident.t} stamps) are only readable
+      by the executable that wrote them. {!open_dir} writes a
+      header-only [writer] file naming it once, and wipes entries under
+      no writer file or another executable's.
     - {b Single writer}: an advisory [Unix.lockf] lock on [<dir>/lock]
       is held for the store's lifetime. If another process holds it,
       this store opens {e disabled} (every operation a no-op) rather
@@ -37,13 +33,10 @@
 type t
 
 (** What {!open_dir} found. [exclusive] is false when another process
-    holds the writer lock (store disabled); [adopted] is the number of
-    interned spellings replayed from the directory's snapshot; [wiped]
-    is true when an unusable directory (corrupt or incompatible intern
-    snapshot, or one from a different executable) was cleared. *)
+    holds the writer lock (store disabled); [wiped] is true when entries
+    with no writer file, or another executable's, were cleared. *)
 type init_report = {
   exclusive : bool;
-  adopted : int;
   wiped : bool;
 }
 
@@ -58,13 +51,6 @@ val close : t -> unit
     means a file existed but failed validation (or the read-corruption
     injection fired) and has been unlinked. *)
 val read : t -> key:string -> [ `Hit of string | `Miss | `Corrupt ]
-
-(** Republish the intern snapshot ([intern.bin]) so it covers every
-    identifier interned so far. {!open_dir} writes one, so a directory
-    has a snapshot before its first entry; after that, a caller saves
-    before writing any payload that embeds identifiers. No-op when the
-    store is disabled. *)
-val save_idents : t -> unit
 
 (** [write t ~key ~payload] persists [payload] under [key]. [`Skipped] when the store is disabled or
     the write failed (a full disk must not take the server down);

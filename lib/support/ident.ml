@@ -9,88 +9,78 @@ type t = {
   text : string; (** user-visible spelling *)
 }
 
-(* The intern table and stamp counter are process-global (stamps must be
-   canonical across every compile, including compiles running on other
-   domains in the [Tc_scale.Pool] worker pool), so both are guarded by
-   one mutex. The critical sections are a hashtable probe and an
-   integer bump; uncontended lock/unlock costs a few nanoseconds. *)
-let table : (string, t) Hashtbl.t = Hashtbl.create 512
-let counter = ref 0
+type scope = {
+  names : (string, t) Hashtbl.t;  (* spellings first interned here *)
+  mutable next : int;             (* next stamp to mint *)
+}
+
+(* The process-wide names: module initialisation's and prelude snapshot
+   builds'. Snapshots are built lazily on whichever domain asks first, so
+   the table is guarded by one mutex. A compile's own names live in its
+   domain-local scope, whose stamps count up from [scope_base]: above
+   every process-wide stamp, in creation order, as in a fresh process. *)
+let global = { names = Hashtbl.create 512; next = 1 }
 let lock = Mutex.create ()
+let scope_base = 1 lsl 40
+let scope () = { names = Hashtbl.create 64; next = scope_base }
+let copy s = { names = Hashtbl.copy s.names; next = s.next }
 
-let locked f =
-  Mutex.lock lock;
-  match f () with
-  | v ->
-      Mutex.unlock lock;
-      v
-  | exception e ->
-      Mutex.unlock lock;
-      raise e
+(* The calling domain's scope; [None] interns process-wide. *)
+let current : scope option ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref None)
 
-let fresh_stamp () =
-  incr counter;
-  !counter
+let in_scope s f =
+  let cur = Domain.DLS.get current in
+  let saved = !cur in
+  cur := s;
+  Fun.protect ~finally:(fun () -> cur := saved) f
 
-(** [intern s] returns the canonical identifier spelled [s]. Two calls with
-    the same string yield physically equal identifiers, on any domain. *)
+let with_scope s f = in_scope (Some s) f
+let unscoped f = in_scope None f
+
+let next_stamp s =
+  let n = s.next in
+  if s == global && n >= scope_base then
+    failwith "Ident: process-wide stamps reached the scope range";
+  s.next <- n + 1;
+  n
+
+let add s text =
+  let id = { id = next_stamp s; text } in
+  Hashtbl.add s.names text id;
+  id
+
 let intern text =
-  locked @@ fun () ->
-  match Hashtbl.find_opt table text with
-  | Some id -> id
-  | None ->
-      let id = { id = fresh_stamp (); text } in
-      Hashtbl.add table text id;
-      id
+  match !(Domain.DLS.get current) with
+  | None -> (
+      Mutex.protect lock @@ fun () ->
+      match Hashtbl.find_opt global.names text with
+      | Some id -> id
+      | None -> add global text)
+  | Some s -> (
+      match Hashtbl.find_opt s.names text with
+      | Some id -> id
+      | None -> (
+          match
+            Mutex.protect lock (fun () -> Hashtbl.find_opt global.names text)
+          with
+          | Some id -> id
+          | None -> add s text))
 
-(** [gensym base] mints an identifier distinct from every other identifier,
-    interned or generated, with a spelling derived from [base]. *)
 let gensym base =
-  let stamp = locked fresh_stamp in
+  let stamp =
+    match !(Domain.DLS.get current) with
+    | None -> Mutex.protect lock (fun () -> next_stamp global)
+    | Some s -> next_stamp s
+  in
   { id = stamp; text = Printf.sprintf "%s_%d" base stamp }
 
-(* ---- persistence support ---- *)
-
-(* Marshaled artifacts (the scale layer's disk cache) embed identifiers,
-   and identifier equality is stamp equality — so bytes written by one
-   process are only meaningful to a process whose intern table agrees on
-   every shared spelling. [snapshot] captures the table; [adopt] replays
-   a saved snapshot into a compatible process (typically at cold start,
-   before any compile has interned request-specific names). *)
-
 let snapshot () : (string * int) list * int =
-  locked @@ fun () ->
-  let pairs = Hashtbl.fold (fun text id acc -> (text, id.id) :: acc) table [] in
-  (List.sort compare pairs, !counter)
-
-(** [adopt (pairs, ceiling)] merges a saved snapshot into the live table.
-    Compatible iff every saved spelling either already interns to the
-    same stamp here, or is new with a stamp above the current counter
-    (so it cannot collide with any stamp already minted). On success the
-    new spellings are installed and the counter is raised past the
-    snapshot's ceiling, so future [gensym]/[intern] stamps stay unique;
-    on failure the table is left untouched and the caller must treat the
-    persisted bytes as unusable. *)
-let adopt ((pairs, ceiling) : (string * int) list * int) : bool =
-  locked @@ fun () ->
-  let c0 = !counter in
-  let compatible =
-    List.for_all
-      (fun (text, stamp) ->
-        match Hashtbl.find_opt table text with
-        | Some id -> id.id = stamp
-        | None -> stamp > c0)
-      pairs
+  Mutex.protect lock @@ fun () ->
+  let pairs =
+    Hashtbl.fold (fun text id acc -> (text, id.id) :: acc) global.names []
   in
-  if compatible then begin
-    List.iter
-      (fun (text, stamp) ->
-        if not (Hashtbl.mem table text) then
-          Hashtbl.add table text { id = stamp; text })
-      pairs;
-    counter := max !counter ceiling
-  end;
-  compatible
+  (List.sort compare pairs, global.next - 1)
 
 let text t = t.text
 let stamp t = t.id

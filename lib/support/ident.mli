@@ -9,26 +9,35 @@ type t = {
   text : string; (** user-visible spelling *)
 }
 
-(** [intern s] returns the canonical identifier spelled [s]: two calls with
-    the same string yield equal identifiers. *)
+(** One compile's own names and gensyms. Its stamps are minted in
+    creation order from a fixed base above every process-wide stamp (the
+    names of module initialisation and prelude snapshot builds), so they
+    do not depend on what the process compiled before. *)
+type scope
+
+val scope : unit -> scope
+
+(** A copy to continue a finished compile on, leaving the original (which
+    cached artifacts share across domains) unwritten. *)
+val copy : scope -> scope
+
+(** [with_scope s f] runs [f] with [s] as the calling domain's scope. *)
+val with_scope : scope -> (unit -> 'a) -> 'a
+
+(** [unscoped f] runs [f] interning process-wide. *)
+val unscoped : (unit -> 'a) -> 'a
+
+(** [intern s] returns the identifier spelled [s]: the current scope's,
+    else the process-wide one, else a new one (in the scope, if any). *)
 val intern : string -> t
 
-(** [gensym base] mints an identifier distinct from every other identifier,
-    with a spelling derived from [base]. *)
+(** [gensym base] mints an identifier distinct from every other identifier
+    of its scope and the process, with a spelling derived from [base]. *)
 val gensym : string -> t
 
-(** [snapshot ()] captures the intern table (spelling, stamp pairs,
-    sorted) and the stamp counter. Persisted next to marshaled artifacts
-    so a later process can {!adopt} the stamps those artifacts embed. *)
+(** [snapshot ()] lists the process-wide table (spelling, stamp pairs,
+    sorted) and its stamp counter; scope names are not included. *)
 val snapshot : unit -> (string * int) list * int
-
-(** [adopt snap] merges a saved {!snapshot} into the live table: every
-    saved spelling must either already intern to the same stamp, or be
-    new with a stamp above the current counter. Returns [false] (table
-    untouched) when the snapshot is incompatible — persisted artifacts
-    from that snapshot must then be discarded. On success the counter is
-    raised past the snapshot's ceiling. *)
-val adopt : (string * int) list * int -> bool
 
 val text : t -> string
 val stamp : t -> int

@@ -190,25 +190,33 @@ let bound_case () =
   Alcotest.(check bool) "no snapshot charged" true
     (snapshot_bytes > 0 && Cache.bytes c < snapshot_bytes)
 
-(* Check answers embed no identifiers, so the disk tier writes them
-   without republishing the intern snapshot: however many fresh names
-   the programs intern, [intern.bin] keeps the size [open_dir] gave it,
-   and a restart still serves every entry. *)
-let intern_snapshot_case () =
+(* The disk tier keeps no identifier table: whatever names the programs
+   intern, its directory holds the entries, the lock and the header-only
+   [writer] file [open_dir] wrote once, and a restart still serves every
+   entry. *)
+let writer_file_case () =
   let dir = Test_scale.tmpdir () in
   Fun.protect ~finally:(fun () -> Test_scale.rm_rf dir) @@ fun () ->
-  let intern_size () =
-    (Unix.stat (Filename.concat dir "intern.bin")).Unix.st_size
+  let writer () =
+    In_channel.with_open_bin (Filename.concat dir "writer")
+      In_channel.input_all
   in
   let srcs = List.init 31 (fun i -> generated ~errors:(i mod 2) (5000 + i)) in
   let opts = Pipeline.default_options in
   let w = Cache.create ~dir () in
-  ignore (Cache.check w ~opts ~src:(List.hd srcs));
-  let before = intern_size () in
-  List.iter (fun src -> ignore (Cache.check w ~opts ~src)) (List.tl srcs);
-  Alcotest.(check int) "31 entries written" 31 (counter w "persist/writes");
-  Alcotest.(check int) "intern.bin unchanged by 30 check entries" before
-    (intern_size ());
+  let header = writer () in
+  List.iter (fun src -> ignore (Cache.check w ~opts ~src)) srcs;
+  ignore (Cache.compile_run w ~opts ~passes:[] ~src:(List.nth srcs 0));
+  Alcotest.(check int) "32 entries written" 32 (counter w "persist/writes");
+  Alcotest.(check string) "writer file unchanged" header (writer ());
+  Alcotest.(check int) "header only" 1
+    (List.length (String.split_on_char '\n' (String.trim header)));
+  let others =
+    Sys.readdir dir |> Array.to_list
+    |> List.filter (fun f -> not (String.starts_with ~prefix:"entry-" f))
+    |> List.sort compare
+  in
+  Alcotest.(check (list string)) "no intern table" [ "lock"; "writer" ] others;
   Cache.close w;
   let r = Cache.create ~dir () in
   List.iter (fun src -> ignore (Cache.check r ~opts ~src)) srcs;
@@ -241,7 +249,7 @@ let tests =
                        a.Serve.diagnostics))
               generated_with_errors);
         case "200 check entries stay small and charge no snapshot" bound_case;
-        case "check entries leave the intern snapshot as it is"
-          intern_snapshot_case;
+        case "the disk tier keeps a writer file and no intern table"
+          writer_file_case;
       ] );
   ]

@@ -99,6 +99,38 @@ let with_spec_profile src (f : string -> Tc_obs.Profile.spec -> unit) =
 
 let demo = "double :: Num a => a -> a\ndouble x = x + x\nmain = double 21\n"
 
+(* One class, then two: served in this order, a process-wide intern table
+   would stamp [Zed] before [Alpha] and print [f]'s context backwards. *)
+let zed_src =
+  "class Zed a where\n\
+  \  zed :: a -> Int\n\
+   instance Zed Int where\n\
+  \  zed x = x\n\
+   main = zed (1 :: Int)\n"
+
+let alpha_zed_src =
+  "class Alpha a where\n\
+  \  alpha :: a -> Int\n\
+   class Zed a where\n\
+  \  zed :: a -> Int\n\
+   instance Alpha Int where\n\
+  \  alpha x = x\n\
+   instance Zed Int where\n\
+  \  zed x = x + 1\n\
+   f x = alpha x + zed x\n\
+   main = f (1 :: Int)\n"
+
+(* The standard output of [mhc args]. *)
+let mhc_stdout args =
+  let out = Filename.temp_file "mhc_test" ".out" in
+  Fun.protect ~finally:(fun () -> Sys.remove out) @@ fun () ->
+  ignore
+    (Sys.command
+       (Printf.sprintf "%s %s > %s 2>/dev/null" (Filename.quote mhc)
+          (String.concat " " (List.map Filename.quote args))
+          (Filename.quote out)));
+  In_channel.with_open_bin out In_channel.input_all
+
 let first_line s =
   match String.index_opt s '\n' with Some i -> String.sub s 0 i | None -> s
 
@@ -686,20 +718,10 @@ let tests =
                   true
                   (Helpers.contains
                      ~needle:"\"prelude/snapshot_builds\": 1" metrics);
-                let adopted =
-                  match Tc_obs.Json.parse metrics with
-                  | Ok j -> (
-                      match
-                        Option.bind (Tc_obs.Json.member "gauges" j)
-                          (Tc_obs.Json.member
-                             "scale/cache/persist/adopted_idents")
-                      with
-                      | Some (Tc_obs.Json.Int n) -> n
-                      | _ -> 0)
-                  | Error e -> Alcotest.failf "metrics not JSON: %s" e
-                in
-                Alcotest.(check bool) "the saved intern table was adopted"
-                  true (adopted > 0);
+                Alcotest.(check bool) "the directory has a writer file" true
+                  (Sys.file_exists (Filename.concat dir "writer"));
+                Alcotest.(check bool) "and no intern table" false
+                  (Sys.file_exists (Filename.concat dir "intern.bin"));
                 Alcotest.(check bool) "the directory was not wiped" false
                   (Helpers.contains ~needle:"persist/wiped" metrics);
                 (* stats --json surfaces the directory summary *)
@@ -713,6 +735,118 @@ let tests =
                   (Helpers.contains ~needle:"\"entries\": 2" out);
                 Alcotest.(check bool) "nothing corrupt" true
                   (Helpers.contains ~needle:"\"corrupt\": 0" out)));
+        case "serve --cache-dir restarts warm across different histories"
+          (fun () ->
+            let dir = Filename.temp_file "mhc_histories" "" in
+            Sys.remove dir;
+            Sys.mkdir dir 0o755;
+            let mfile = Filename.temp_file "mhc_histories" ".json" in
+            Fun.protect
+              ~finally:(fun () ->
+                Array.iter
+                  (fun f -> Sys.remove (Filename.concat dir f))
+                  (Sys.readdir dir);
+                Sys.rmdir dir;
+                Sys.remove mfile)
+            @@ fun () ->
+            let programs =
+              (Sys.readdir "../examples/programs" |> Array.to_list
+              |> List.filter (fun f -> Filename.check_suffix f ".mhs")
+              |> List.sort compare
+              |> List.map (Filename.concat "../examples/programs"))
+              @ [ "alpha_zed" ]
+            in
+            let src p =
+              if p = "alpha_zed" then alpha_zed_src
+              else In_channel.with_open_bin p In_channel.input_all
+            in
+            let shared =
+              List.concat_map
+                (fun p ->
+                  List.map
+                    (fun op ->
+                      Json.Obj
+                        [ ("op", Json.Str op); ("src", Json.Str (src p)) ])
+                    [ "run"; "compile" ])
+                programs
+            in
+            let compile s =
+              Json.Obj [ ("op", Json.Str "compile"); ("src", Json.Str s) ]
+            in
+            (* the first process interns Zed first; the second, Alpha *)
+            let code, _ =
+              serve_lines [ "--cache-dir"; dir ] (compile zed_src :: shared)
+            in
+            Alcotest.(check int) "first server exits clean" 0 code;
+            let code, lines =
+              serve_lines
+                [ "--cache-dir"; dir; "--metrics"; mfile ]
+                (compile
+                   "class Alpha a where\n  alpha :: a -> Int\nmain = 1\n"
+                :: shared)
+            in
+            Alcotest.(check int) "second server exits clean" 0 code;
+            Alcotest.(check int) "every shared request from disk"
+              (List.length shared)
+              (metrics_counter mfile "scale/cache/persist/hits");
+            let words s = String.split_on_char ' ' (String.trim s) in
+            List.iteri
+              (fun k p ->
+                let file, cleanup =
+                  if p <> "alpha_zed" then (p, ignore)
+                  else begin
+                    let f = Filename.temp_file "alpha_zed" ".mhs" in
+                    Out_channel.with_open_bin f (fun oc ->
+                        output_string oc alpha_zed_src);
+                    (f, fun () -> Sys.remove f)
+                  end
+                in
+                Fun.protect ~finally:cleanup @@ fun () ->
+                let run = List.nth lines (1 + (2 * k))
+                and comp = List.nth lines (2 + (2 * k)) in
+                Alcotest.(check (option string)) (p ^ ": value")
+                  (Some (String.trim (mhc_stdout [ "run"; file ])))
+                  (match json_field "value" run with
+                   | Some (Json.Str v) -> Some v
+                   | _ -> None);
+                let cli_counters =
+                  words (List.nth (String.split_on_char '\n'
+                                     (mhc_stdout [ "counters"; file ])) 1)
+                in
+                List.iter
+                  (fun (field, word) ->
+                    match
+                      Option.bind (json_field "counters" run)
+                        (Json.member field)
+                    with
+                    | Some (Json.Int n) ->
+                        Alcotest.(check bool) (p ^ ": " ^ word) true
+                          (List.mem (Printf.sprintf "%s=%d" word n)
+                             cli_counters)
+                    | _ -> Alcotest.failf "%s: no %s counter" p field)
+                  [
+                    ("steps", "steps");
+                    ("dict_constructions", "dict-constructions");
+                    ("selections", "selections");
+                  ];
+                let served =
+                  match json_field "schemes" comp with
+                  | Some (Json.Obj ss) ->
+                      List.map
+                        (fun (n, v) ->
+                          match v with
+                          | Json.Str t -> n ^ " :: " ^ t
+                          | _ -> Alcotest.failf "%s: scheme of %s" p n)
+                        ss
+                  | _ -> Alcotest.failf "%s: no schemes in %s" p comp
+                in
+                Alcotest.(check (list string)) (p ^ ": schemes")
+                  (List.sort compare
+                     (List.filter (fun l -> Helpers.contains ~needle:" :: " l)
+                        (String.split_on_char '\n'
+                           (mhc_stdout [ "check"; file ]))))
+                  (List.sort compare served))
+              programs);
         case "serve --workers 4 builds one snapshot per option combination"
           (fun () ->
             let mfile = Filename.temp_file "mhc_snapshots" ".json" in
@@ -819,6 +953,13 @@ let tests =
                     Alcotest.(check bool) ("serve " ^ s) true
                       (json_field "value" line = Some (Json.Str "42")))
                   spellings lines));
+        case "each strategy's name is one of its spellings" (fun () ->
+            List.iter
+              (fun s ->
+                let name = Pipeline.strategy_name s in
+                Alcotest.(check bool) name true
+                  (List.assoc_opt name Pipeline.strategies = Some s))
+              [ Pipeline.Dicts; Pipeline.Dicts_flat; Pipeline.Tags ]);
         case "repl reports an unreadable :load and carries on" (fun () ->
             let code, out = repl ":load /nonexistent/nope.mhs\n1 + 1\n:q\n" in
             Alcotest.(check int) "exit" 0 code;

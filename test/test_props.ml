@@ -17,7 +17,7 @@ let prop name ?(count = 100) gen f =
 (* randomly generated core arguments.                                   *)
 (* ------------------------------------------------------------------ *)
 
-type session = { st : Eval.state }
+type session = { st : Eval.state; c : Pipeline.compiled }
 
 let make_session src : session =
   let c = Pipeline.compile ~file:"prop.mhs" src in
@@ -26,7 +26,7 @@ let make_session src : session =
     Eval.create_state ~budget:(Eval.Budget.fuel 100_000_000) cons
   in
   Eval.load_program st c.core;
-  { st }
+  { st; c }
 
 let nil = Core.Con (Ident.intern "[]")
 let cons_e h t = Core.apps (Core.Con (Ident.intern ":")) [ h; t ]
@@ -35,7 +35,7 @@ let list_e elts = List.fold_right cons_e elts nil
 let int_list_e ns = list_e (List.map int_e ns)
 
 let call (s : session) fn args : string =
-  let e = Core.apps (Core.Var (Ident.intern fn)) args in
+  let e = Core.apps (Core.Var (Pipeline.ident s.c fn)) args in
   Eval.render s.st (Eval.eval_expr s.st e)
 
 let render_int_list ns =
@@ -110,10 +110,13 @@ let tree_gen : tree QCheck2.Gen.t =
                  (self (n / 2));
              ]))
 
+(* the tree session's constructors *)
 let rec tree_expr = function
-  | Leaf -> Core.Con (Ident.intern "Leaf")
+  | Leaf -> Core.Con (Pipeline.ident (Lazy.force tree_session).c "Leaf")
   | Node (l, v, r) ->
-      Core.apps (Core.Con (Ident.intern "Node")) [ tree_expr l; int_e v; tree_expr r ]
+      Core.apps
+        (Core.Con (Pipeline.ident (Lazy.force tree_session).c "Node"))
+        [ tree_expr l; int_e v; tree_expr r ]
 
 (* OCaml reference for the derived Ord on Tree: constructor order first
    (Leaf < Node), then lexicographic fields *)

@@ -567,18 +567,49 @@ let persist_cases =
           Alcotest.(check int) (what ^ ": no entries") 0 (Cache.entries c);
           Alcotest.(check int) (what ^ ": no bytes") 0 (Cache.bytes c);
           Alcotest.(check int) (what ^ ": no memory hits") 0
-            (cache_counter c "hits")
+            (cache_counter c "hits");
+          (* nothing is sized and linked only to be evicted *)
+          Alcotest.(check int) (what ^ ": no inserts") 0
+            (cache_counter c "inserts");
+          Alcotest.(check int) (what ^ ": no evictions") 0
+            (cache_counter c "evictions")
         in
         let a = Cache.create ~max_bytes:0 ~dir () in
         check a;
         check a;
         empty "first process" a;
+        Alcotest.(check int) "each program written once" 5
+          (cache_counter a "persist/writes");
         Cache.close a;
         let b = Cache.create ~max_bytes:0 ~dir () in
         check b;
         empty "restarted" b;
         Alcotest.(check int) "the restart is answered from disk" 5
           (cache_counter b "persist/hits"));
+    case "entries under no writer file, or another executable's, are wiped"
+      (fun () ->
+        let dir = tmpdir () in
+        Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+        let writer = Filename.concat dir "writer" in
+        let reopen what ~wiped ~hits =
+          let c = Cache.create ~dir () in
+          Alcotest.(check int) (what ^ ": wiped") wiped
+            (cache_counter c "persist/wiped");
+          ignore (Cache.compile_run c ~opts:default_opts ~passes:[] ~src:demo);
+          Alcotest.(check int) (what ^ ": disk hits") hits
+            (cache_counter c "persist/hits");
+          Alcotest.(check bool) (what ^ ": writer file") true
+            (Sys.file_exists writer);
+          Cache.close c
+        in
+        reopen "first open" ~wiped:0 ~hits:0;
+        Sys.remove writer;
+        reopen "no writer file" ~wiped:1 ~hits:0;
+        Out_channel.with_open_bin writer (fun oc ->
+            output_string oc
+              "mhc-persist 1 another-exe d41d8cd98f00b204e9800998ecf8427e 0\n");
+        reopen "another executable's" ~wiped:1 ~hits:0;
+        reopen "our own" ~wiped:0 ~hits:1);
     case "a warm restart serves from disk with the front end skipped"
       (fun () ->
         let dir = tmpdir () in
@@ -590,13 +621,11 @@ let persist_cases =
         Cache.close a;
         (* a fresh cache over the same directory: the restarted server *)
         let b = Cache.create ~dir () in
-        (* both processes check against a prelude snapshot: the restarted
-           cache must still adopt the saved intern table, keep the
-           directory, and serve from it *)
-        Alcotest.(check bool) "intern table adopted" true
-          (List.assoc_opt "scale/cache/persist/adopted_idents"
-             (Metrics.gauges (Cache.metrics b))
-           |> Option.value ~default:0 > 0);
+        (* the restarted cache keeps the directory it wrote, whose one
+           file besides the entries and the lock names the writer *)
+        Alcotest.(check bool) "writer file, no intern table" true
+          (Sys.file_exists (Filename.concat dir "writer")
+           && not (Sys.file_exists (Filename.concat dir "intern.bin")));
         Alcotest.(check int) "directory kept" 0
           (cache_counter b "persist/wiped");
         ignore
@@ -710,19 +739,6 @@ let persist_cases =
         Alcotest.(check int) "request still served by recompiling" 1
           (cache_counter b "misses");
         Cache.close b);
-    case "the Ident intern snapshot adopts into a compatible process"
-      (fun () ->
-        let module Ident = Tc_support.Ident in
-        (* our own snapshot is trivially compatible *)
-        Alcotest.(check bool) "self-adopt" true
-          (Ident.adopt (Ident.snapshot ()));
-        (* a snapshot claiming an existing spelling at a clashing stamp
-           must be rejected, or persisted artifacts would lie *)
-        let x = Ident.intern "persist_adopt_probe" in
-        let _, ceiling = Ident.snapshot () in
-        Alcotest.(check bool) "clashing stamp rejected" false
-          (Ident.adopt
-             ([ (Ident.text x, Ident.stamp x + 1) ], ceiling + 1)));
   ]
 
 (* ------------------------------------------------------------------ *)

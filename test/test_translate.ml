@@ -11,7 +11,7 @@ let flat_opts =
 
 (* find a top-level binding's expression *)
 let binding (c : Pipeline.compiled) name =
-  let id = Tc_support.Ident.intern name in
+  let id = Pipeline.ident c name in
   let all = List.concat_map Core.binds_of_group c.core.p_binds in
   match List.find_opt (fun (b : Core.bind) -> Tc_support.Ident.equal b.b_name id) all with
   | Some b -> b.b_expr
@@ -218,7 +218,7 @@ main = 0
 |}
             in
             let slots =
-              Tc_dicts.Layout.flat_slots c.env (Tc_support.Ident.intern "D")
+              Tc_dicts.Layout.flat_slots c.env (Pipeline.ident c "D")
             in
             let names = List.map (fun (_, m) -> Tc_support.Ident.text m) slots in
             Alcotest.(check (list string)) "canonical order"
