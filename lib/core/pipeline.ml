@@ -989,7 +989,7 @@ let exec ?(backend = `Tree) ?(mode = `Lazy) ?(budget = Budget.unlimited)
         let v = Span.wrap metrics "eval" (fun () -> Eval.run ?entry st c.core) in
         Inject.hit Inject.Render;
         let rendered = Span.wrap metrics "render" (fun () -> Eval.render st v) in
-        finish ~meter:st.Eval.budget ~rendered ~counters:st.Eval.counters
+        finish ~meter:st.Eval.budget ~rendered ~counters:(Eval.counters st)
           ~value:(Some v)
       with Stack_overflow ->
         (* the native stack is the tree backend's frame resource; report

@@ -67,10 +67,19 @@ and state = {
   profile : Tc_obs.Profile.rt option;  (* per-site dispatch counts *)
   budget : Budget.meter;       (* step/frame/wall/alloc enforcement *)
   bools : (value * value) option;  (* True/False, built once per state *)
+  true_tag : int;              (* [if] branches on these; see Runtime *)
+  false_tag : int;
   mutable globals : env;       (* top-level bindings, for rendering etc. *)
 }
 
 let done_ v = { cell = Done v }
+
+(* Every allocation is counted here, so that passing the allocation cap
+   ends the step batch (see {!Budget.meter}). *)
+let count_alloc st =
+  let c = st.counters in
+  c.allocations <- c.allocations + 1;
+  Budget.allocated st.budget c.allocations
 
 (* ------------------------------------------------------------------ *)
 (* Forcing and evaluation.                                             *)
@@ -95,9 +104,10 @@ let rec force st (t : thunk) : value =
       v
 
 and eval st (env : env) (e : Core.expr) : value =
-  st.counters.steps <- st.counters.steps + 1;
-  Budget.step st.budget;
-  Budget.check_allocs st.budget st.counters.allocations;
+  (* [Budget.step], inlined; the meter owns the step count *)
+  let m = st.budget in
+  if m.Budget.fuel > 0 then m.Budget.fuel <- m.Budget.fuel - 1
+  else Budget.refill m ~allocs:st.counters.allocations;
   if !Inject.live then Inject.hit Inject.Eval_step;
   match e with
   | Core.Var x -> (
@@ -113,7 +123,7 @@ and eval st (env : env) (e : Core.expr) : value =
       | None -> bug "unknown constructor '%s'" (Ident.text c)
       | Some rc ->
           if rc.rc_arity = 0 then begin
-            st.counters.allocations <- st.counters.allocations + 1;
+            count_alloc st;
             VData (rc, [||])
           end
           else VConPartial (rc, []))
@@ -126,7 +136,7 @@ and eval st (env : env) (e : Core.expr) : value =
       in
       apply st vf arg
   | Core.Lam (vs, b) ->
-      st.counters.allocations <- st.counters.allocations + 1;
+      count_alloc st;
       VClosure (env, vs, b)
   | Core.Let (Core.Nonrec bd, body) ->
       let t =
@@ -140,11 +150,11 @@ and eval st (env : env) (e : Core.expr) : value =
       eval st env' body
   | Core.If (c, t, f) -> (
       match eval st env c with
-      | VData (rc, _) -> (
-          match Ident.text rc.rc_name with
-          | "True" -> eval st env t
-          | "False" -> eval st env f
-          | s -> bug "if: expected a Bool, got constructor '%s'" s)
+      | VData (rc, _) ->
+          if rc.rc_tag = st.true_tag then eval st env t
+          else if rc.rc_tag = st.false_tag then eval st env f
+          else bug "if: expected a Bool, got constructor '%s'"
+              (Ident.text rc.rc_name)
       | _ -> bug "if: condition is not a Bool")
   | Core.Case (s, alts, default) -> (
       let v = eval st env s in
@@ -186,7 +196,7 @@ and eval st (env : env) (e : Core.expr) : value =
   | Core.MkDict (tag, fields) ->
       st.counters.dict_constructions <- st.counters.dict_constructions + 1;
       st.counters.dict_fields <- st.counters.dict_fields + List.length fields;
-      st.counters.allocations <- st.counters.allocations + 1;
+      count_alloc st;
       (match st.profile with
        | Some p -> Tc_obs.Profile.hit_dict p tag
        | None -> ());
@@ -237,13 +247,13 @@ and apply st (vf : value) (arg : thunk) : value =
   match vf with
   | VClosure (cenv, [ v ], b) -> eval st (Ident.Map.add v arg cenv) b
   | VClosure (cenv, v :: vs, b) ->
-      st.counters.allocations <- st.counters.allocations + 1;
+      count_alloc st;
       VClosure (Ident.Map.add v arg cenv, vs, b)
   | VClosure (_, [], _) -> assert false
   | VConPartial (rc, args) ->
       let args' = arg :: args in
       if List.length args' = rc.rc_arity then begin
-        st.counters.allocations <- st.counters.allocations + 1;
+        count_alloc st;
         VData (rc, Array.of_list (List.rev args'))
       end
       else VConPartial (rc, args')
@@ -305,6 +315,7 @@ end)
 
 let create_state ?(mode = `Lazy) ?(budget = Budget.unlimited) ?profile
     (cons : con_table) : state =
+  let true_tag, false_tag = Runtime.bool_tags cons in
   {
     mode;
     cons;
@@ -312,17 +323,26 @@ let create_state ?(mode = `Lazy) ?(budget = Budget.unlimited) ?profile
     profile;
     budget = Budget.meter budget;
     bools = bools cons;
+    true_tag;
+    false_tag;
     globals = Ident.Map.empty;
   }
+
+(** The run's counters, with [steps] settled from the budget meter. *)
+let counters st : Counters.t =
+  st.counters.steps <- Budget.steps_spent st.budget;
+  st.counters
+
+(* The primitives as a global environment, built once: their cells are
+   [Done] and never written, so every state can share them. *)
+let prim_env : env =
+  List.fold_left
+    (fun m (name, pr) -> Ident.Map.add name (done_ (VPrim (pr, []))) m)
+    Ident.Map.empty primitives
 
 (** Install the top-level bindings of [p] (and the primitives) into the
     state's global environment. *)
 let load_program st (p : Core.program) : unit =
-  let env0 =
-    List.fold_left
-      (fun m (name, pr) -> Ident.Map.add name (done_ (VPrim (pr, []))) m)
-      Ident.Map.empty primitives
-  in
   let env =
     List.fold_left
       (fun env g ->
@@ -342,7 +362,7 @@ let load_program st (p : Core.program) : unit =
               (fun (bd : Core.bind) t -> t.cell <- Todo (env', bd.b_expr))
               bds thunks;
             env')
-      env0 p.p_binds
+      prim_env p.p_binds
   in
   st.globals <- env
 

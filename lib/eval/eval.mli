@@ -59,17 +59,24 @@ and prim = {
 and state = {
   mode : [ `Lazy | `Strict ];
   cons : con_table;
-  counters : Counters.t;
+  counters : Counters.t;  (** [steps] is settled only by {!counters} *)
   profile : Tc_obs.Profile.rt option;  (** per-site dispatch counts *)
   budget : Budget.meter;
       (** unified resource enforcement; exhaustion raises
           {!Tc_resilience.Budget.Exhausted}. Steps here are expression
           evaluations; frames count thunk-forcing depth. *)
   bools : (value * value) option;  (** [True]/[False], built once *)
+  true_tag : int;  (** {!Runtime.bool_tags}: what [if] branches on *)
+  false_tag : int;
   mutable globals : env;
 }
 
 val done_ : value -> thunk
+
+(** The state's counters, with [steps] settled from the budget meter: the
+    evaluator charges steps to the meter in batches and does not bump
+    [counters.steps] itself, so read the counters through this. *)
+val counters : state -> Counters.t
 
 (** Render a float unambiguously (always with '.' or exponent). *)
 val float_str : float -> string

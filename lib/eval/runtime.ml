@@ -91,6 +91,12 @@ let false_id = Ident.intern "False"
 let nil_id = Ident.intern "[]"
 let cons_id = Ident.intern ":"
 
+let bool_tags (cons : con_table) : int * int =
+  let tag id =
+    match Ident.Tbl.find_opt cons id with Some rc -> rc.rc_tag | None -> -1
+  in
+  (tag true_id, tag false_id)
+
 module Make (B : BACKEND) = struct
   let bools (cons : con_table) : (B.value * B.value) option =
     match (Ident.Tbl.find_opt cons true_id, Ident.Tbl.find_opt cons false_id) with

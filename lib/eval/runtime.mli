@@ -38,6 +38,11 @@ val con_table_of_env : Tc_types.Class_env.t -> con_table
 (** Render a float unambiguously (always with '.' or exponent). *)
 val float_str : float -> string
 
+(** The tags of [True] and [False] in a constructor table ([-1] for one
+    that is not defined): both back ends branch [if] on these rather than
+    on the constructor's spelling. *)
+val bool_tags : con_table -> int * int
+
 (** What the shared code needs to see of a backend value. *)
 type 'thunk view =
   | Int of int

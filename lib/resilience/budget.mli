@@ -66,38 +66,65 @@ val message_of_exn : exn -> string option
     enforced to within this many steps). *)
 val clock_interval : int
 
+(** Enforcement state for one run, beyond the batch counter below. *)
+type account
+
 (** Mutable enforcement state for one run. Creating a meter starts the
-    wall clock. *)
-type meter
+    wall clock.
+
+    {b Batched steps.} A back end charges a step on its hot path with
+    {[
+      if m.fuel > 0 then m.fuel <- m.fuel - 1
+      else Budget.refill m ~allocs
+    ]}
+    (which is what {!step} does). [fuel] counts down a batch of steps the
+    meter has already proved safe: none of them can exhaust the step
+    limit, and none of them is due a wall-clock read, so taking one costs
+    a decrement and a branch. When the batch runs out, {!refill} settles
+    it into the account, takes the next step exactly as an unbatched
+    meter would (raising on step or wall-clock exhaustion, reading the
+    clock every {!clock_interval} steps, then checking [allocs] against
+    the allocation cap) and grants the next batch: at most
+    {!batch_size} steps, fewer when the step limit or the next clock
+    read is closer. The allocation count can only pass the cap where the
+    back end counts an allocation, and it reports each one with
+    {!allocated}, which ends the batch once the cap is passed, so the
+    next step checks it. Every exhaustion therefore happens at the same
+    step, with the same [spent], as without batching.
+
+    Only the back end running the meter writes [fuel]. {!steps_spent}
+    counts the steps taken from the current batch too, so it is exact at
+    any time. *)
+type meter = { mutable fuel : int; acct : account }
 
 val meter : t -> meter
 
-val limits : meter -> t
-
-(** Steps consumed so far. *)
+(** Steps taken so far, including those taken from the current batch. *)
 val steps_spent : meter -> int
 
-(** Charge one step; raises {!Exhausted} on step or wall-clock
-    exhaustion. The hot-path entry point: one decrement and compare when
-    no deadline is set. *)
-val step : meter -> unit
+(** The most steps one batch grants. *)
+val batch_size : int
 
-(** [check_allocs m n] raises when the allocation count [n] (the back
-    end's [allocations] counter) exceeds the cap. *)
-val check_allocs : meter -> int -> unit
+(** Settle the spent batch, take one step exactly (see {!meter}) and grant
+    the next batch into [fuel]. [allocs] is the back end's [allocations]
+    counter, checked against the allocation cap after the step. Call it
+    only when [fuel] is [0]. *)
+val refill : meter -> allocs:int -> unit
+
+(** Charge one step: the function form of the hot-path test shown at
+    {!meter}. *)
+val step : meter -> allocs:int -> unit
+
+(** [allocated m n]: the back end's [allocations] counter has just
+    become [n]. Past the allocation cap, this ends the current batch, so
+    the next step checks the cap (and raises). *)
+val allocated : meter -> int -> unit
 
 (** Enter/leave one recursion level (tree backend). [exit_frame] need not
     be called on exceptional exits; the meter is discarded with the run. *)
 val enter_frame : meter -> unit
 
 val exit_frame : meter -> unit
-
-(** The frame bound as a plain limit, for back ends that already track
-    their own depth (the VM frame stack): [max_int] when unlimited. *)
-val frame_limit : meter -> int
-
-(** [check_frames m depth] raises when [depth] exceeds the frame bound. *)
-val check_frames : meter -> int -> unit
 
 (** [check_output m bytes] raises when [bytes] exceeds the output cap. *)
 val check_output : meter -> int -> unit

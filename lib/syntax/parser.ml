@@ -19,7 +19,15 @@ type state = {
   mutable furthest : (int * Diagnostic.t) option;
 }
 
-let make_state toks = { toks = Array.of_list toks; pos = 0; furthest = None }
+(* [Array.of_list] would fill the token array with its first (young)
+   token, and a young initial value makes every array above 256 words run
+   a minor collection first. Fill with this long-lived token instead. *)
+let filler : Token.spanned = { tok = Token.EOF; loc = Loc.none }
+
+let make_state toks =
+  let toks_a = Array.make (List.length toks) filler in
+  List.iteri (fun i t -> toks_a.(i) <- t) toks;
+  { toks = toks_a; pos = 0; furthest = None }
 
 let peek st = st.toks.(st.pos).Token.tok
 let peek_loc st = st.toks.(st.pos).Token.loc

@@ -22,7 +22,11 @@ type capture =
 
 type switch = {
   sw_scrut : int;  (** local slot stashing the forced scrutinee *)
-  sw_cons : (Ident.t * int) array;  (** constructor name → target pc *)
+  sw_tags : int array;
+      (** constructor tag ([rc_tag]) → target pc; tags past the end and
+          constructors without an alternative go to [sw_default] *)
+  sw_cons : (Ident.t * int) array;
+      (** constructor name → target pc, as written (for disassembly) *)
   sw_lits : (Ast.lit * int) array;  (** literal → target pc *)
   sw_default : int;  (** target pc of the default alternative, or -1 *)
 }
@@ -70,7 +74,9 @@ type proto = {
 (** How a global slot is initialised at load time. *)
 type ginit =
   | Gproto of int  (** a delayed CAF: thunk of the given proto *)
-  | Gprim of string  (** a built-in primitive, by name *)
+  | Gprim of int
+      (** a built-in primitive: its index in [Eval.primitives], resolved
+          when the program is lowered *)
 
 type program = {
   protos : proto array;
@@ -160,6 +166,8 @@ let pp_proto ppf (ix : int) (p : proto) =
                   p.p_captures))));
   Array.iteri (fun pc i -> Fmt.pf ppf "  %4d  %a@." pc pp_instr i) p.p_code
 
+let prims = Array.of_list Eval.primitives
+
 let pp_program ppf (p : program) =
   Fmt.pf ppf "; constants: %d, globals: %d, protos: %d@." (Array.length p.consts)
     (Array.length p.globals) (Array.length p.protos);
@@ -172,7 +180,7 @@ let pp_program ppf (p : program) =
     (fun i (name, init) ->
       Fmt.pf ppf "  %4d  %s = %s@." i (Ident.text name)
         (match init with
-         | Gprim s -> Printf.sprintf "<prim %s>" s
+         | Gprim ix -> Printf.sprintf "<prim %s>" (Ident.text (fst prims.(ix)))
          | Gproto p -> Printf.sprintf "proto %d" p))
     p.globals;
   Fmt.pf ppf "@.";

@@ -15,7 +15,11 @@ type capture =
 
 type switch = {
   sw_scrut : int;  (** local slot stashing the forced scrutinee *)
-  sw_cons : (Ident.t * int) array;  (** constructor name → target pc *)
+  sw_tags : int array;
+      (** constructor tag ([rc_tag]) → target pc; tags past the end and
+          constructors without an alternative go to [sw_default] *)
+  sw_cons : (Ident.t * int) array;
+      (** constructor name → target pc, as written (for disassembly) *)
   sw_lits : (Ast.lit * int) array;  (** literal → target pc *)
   sw_default : int;  (** target pc of the default alternative, or -1 *)
 }
@@ -57,7 +61,7 @@ type proto = {
 
 type ginit =
   | Gproto of int
-  | Gprim of string
+  | Gprim of int  (** index in [Eval.primitives] *)
 
 type program = {
   protos : proto array;

@@ -112,6 +112,23 @@ let emit_con (b : builder) (c : Ident.t) : unit =
   | None ->
       emit b (B.FAIL (Printf.sprintf "unknown constructor '%s'" (Ident.text c)))
 
+(** [SWITCH]'s dispatch table: constructor tag → target pc, [default]
+    where no alternative names the constructor. The first alternative for
+    a constructor wins, as in the tree evaluator's scan; a constructor
+    missing from [cons] builds no value the switch could see. *)
+let tag_table (cons : Eval.con_table) (alts : (Ident.t * int) list)
+    ~(default : int) : int array =
+  let tagged =
+    List.filter_map
+      (fun (c, pc) ->
+        Option.map (fun rc -> (rc.Eval.rc_tag, pc)) (Ident.Tbl.find_opt cons c))
+      alts
+  in
+  let n = List.fold_left (fun n (tag, _) -> max n (tag + 1)) 0 tagged in
+  let tbl = Array.make n default in
+  List.iter (fun (tag, pc) -> tbl.(tag) <- pc) (List.rev tagged);
+  tbl
+
 (** Compile [e] so its (forced) value ends up on the operand stack. In
     tail position, ends the proto ([RETURN]/[TAILCALL]). *)
 let rec compile_value (b : builder) (scope : scope) (e : Core.expr)
@@ -231,6 +248,7 @@ let rec compile_value (b : builder) (scope : scope) (e : Core.expr)
         (B.SWITCH
            {
              B.sw_scrut = scrut;
+             sw_tags = tag_table b.g.cons cons ~default:sw_default;
              sw_cons = Array.of_list cons;
              sw_lits = Array.of_list lits;
              sw_default;
@@ -336,11 +354,11 @@ let program ?(mode : mode = `Lazy) ~(cons : Eval.con_table)
       nconsts = 0;
     }
   in
-  let gtab = ref (Array.make 64 (Ident.intern "", B.Gprim "")) in
+  let gtab = ref (Array.make 64 (Ident.intern "", B.Gprim 0)) in
   let nglobals = ref 0 in
   let add_global name init =
     if !nglobals = Array.length !gtab then begin
-      let a = Array.make (2 * !nglobals) (Ident.intern "", B.Gprim "") in
+      let a = Array.make (2 * !nglobals) (Ident.intern "", B.Gprim 0) in
       Array.blit !gtab 0 a 0 !nglobals;
       gtab := a
     end;
@@ -353,10 +371,11 @@ let program ?(mode : mode = `Lazy) ~(cons : Eval.con_table)
      from the end, like the evaluator's environment override) *)
   let scope0 =
     List.fold_left
-      (fun sc (name, (pr : Eval.prim)) ->
-        let ix = add_global name (B.Gprim pr.Eval.pr_name) in
-        Ident.Map.add name (Lglobal ix) sc)
-      Ident.Map.empty Eval.primitives
+      (fun (sc, i) (name, _) ->
+        let ix = add_global name (B.Gprim i) in
+        (Ident.Map.add name (Lglobal ix) sc, i + 1))
+      (Ident.Map.empty, 0) Eval.primitives
+    |> fst
   in
   (* top-level groups, in dependency order; a Nonrec binding sees only the
      bindings before it, a Rec group also sees itself — mirroring

@@ -6,6 +6,12 @@
     bound) instead of a native stack overflow, and the step budget is
     honoured per instruction.
 
+    An instruction's fixed cost is kept small: the step budget is charged
+    through {!Budget}'s batch counter (one decrement and one branch; the
+    meter owns the step count, which {!counters} settles), a call
+    allocates a fresh frame record (see [frame]), [SWITCH] indexes a table
+    by constructor tag, and [IFELSE] compares the tag with [True]'s.
+
     Laziness lives in slots: a slot is a mutable cell holding either a
     value, a delayed closure (thunk) or a black hole. Forcing pushes an
     update frame; when it returns, the result is written back into the
@@ -60,17 +66,18 @@ and prim = {
   pr_fn : state -> slot list -> value;
 }
 
-(* Frames are mutated in place and reused from a preallocated pool (the
-   frame stack), so a call allocates no frame record. *)
+(* Each call allocates its frame. The young record is initialised
+   without write barriers and only its [f_pc] (an immediate) changes
+   afterwards; storing it into the frame stack is the call's one
+   barriered write. A pool of reused records would be promoted by the
+   first minor collection and then pay the barrier on every field. *)
 and frame = {
-  mutable f_proto : B.proto;
-  mutable f_code : B.instr array;
+  f_code : B.instr array;
   mutable f_pc : int;
-  mutable f_locals : slot array;
-  mutable f_env : slot array;
-  mutable f_base : int;   (* operand-stack watermark to restore on return *)
-  mutable f_update : slot option;
-                          (* thunk cell to update instead of pushing *)
+  f_locals : slot array;
+  f_env : slot array;
+  f_base : int;           (* operand-stack watermark to restore on return *)
+  f_update : slot option; (* thunk cell to update instead of pushing *)
 }
 
 and state = {
@@ -82,8 +89,9 @@ and state = {
   mutable protos : B.proto array;
   mutable consts : slot array;
   mutable globals : slot array;
-  mutable global_names : (Ident.t * int) list;  (* latest binding first *)
   bools : (value * value) option;  (* True/False, built once per state *)
+  true_tag : int;           (* IFELSE branches on these; see Runtime *)
+  false_tag : int;
   (* operand stack *)
   mutable stack : slot array;
   mutable sp : int;
@@ -92,25 +100,28 @@ and state = {
   mutable fp : int;
 }
 
-let counters (st : state) : Counters.t = st.counters
+(* The meter owns the step count; settle it into the counters here. *)
+let counters (st : state) : Counters.t =
+  st.counters.Counters.steps <- Budget.steps_spent st.budget;
+  st.counters
+
 let meter (st : state) : Budget.meter = st.budget
+
+(* Every allocation is counted here, so that passing the allocation cap
+   ends the step batch (see {!Budget.meter}). *)
+let count_alloc (st : state) : unit =
+  let c = st.counters in
+  c.Counters.allocations <- c.Counters.allocations + 1;
+  Budget.allocated st.budget c.Counters.allocations
 
 let ready v = { cell = Ready v }
 
 let dummy_slot = { cell = Busy }
 
-let fresh_frame () =
-  {
-    f_proto =
-      { B.p_name = "<none>"; p_arity = 0; p_nlocals = 0;
-        p_captures = [||]; p_code = [||] };
-    f_code = [||];
-    f_pc = 0;
-    f_locals = [||];
-    f_env = [||];
-    f_base = 0;
-    f_update = None;
-  }
+(* Filler for unused frame-stack entries. *)
+let dummy_frame =
+  { f_code = [||]; f_pc = 0; f_locals = [||]; f_env = [||]; f_base = 0;
+    f_update = None }
 
 (* ------------------------------------------------------------------ *)
 (* Stacks.                                                             *)
@@ -129,45 +140,79 @@ let pop (st : state) : slot =
   st.sp <- st.sp - 1;
   st.stack.(st.sp)
 
+(* Closure environments and frame locals of up to a few slots are built
+   as array literals: a literal's initialising stores need neither the
+   write barrier nor a C call, and [Array.make] and [Array.blit] are both
+   C calls. *)
+let captured (fr : frame) (c : B.capture) : slot =
+  match c with
+  | B.Cap_local j -> fr.f_locals.(j)
+  | B.Cap_env j -> fr.f_env.(j)
+
 let make_closure (fr : frame) (proto : B.proto) : closure =
   let caps = proto.B.p_captures in
-  let n = Array.length caps in
-  if n = 0 then { c_proto = proto; c_env = [||] }
-  else begin
-    let env = Array.make n dummy_slot in
-    for i = 0 to n - 1 do
-      env.(i) <-
-        (match Array.unsafe_get caps i with
-         | B.Cap_local j -> fr.f_locals.(j)
-         | B.Cap_env j -> fr.f_env.(j))
-    done;
-    { c_proto = proto; c_env = env }
-  end
+  let env =
+    match Array.length caps with
+    | 0 -> [||]
+    | 1 -> [| captured fr caps.(0) |]
+    | 2 -> [| captured fr caps.(0); captured fr caps.(1) |]
+    | 3 ->
+        [| captured fr caps.(0); captured fr caps.(1);
+           captured fr caps.(2) |]
+    | n ->
+        let env = Array.make n dummy_slot in
+        for i = 0 to n - 1 do
+          env.(i) <- captured fr caps.(i)
+        done;
+        env
+  in
+  { c_proto = proto; c_env = env }
 
 (* A proto with no locals never reads or writes a slot, so all its frames
    can share one array. *)
 let no_locals = [| dummy_slot |]
 
 let make_locals (proto : B.proto) : slot array =
-  if proto.B.p_nlocals = 0 then no_locals
-  else Array.make proto.B.p_nlocals dummy_slot
+  let d = dummy_slot in
+  match proto.B.p_nlocals with
+  | 0 -> no_locals
+  | 1 -> [| d |]
+  | 2 -> [| d; d |]
+  | 3 -> [| d; d; d |]
+  | 4 -> [| d; d; d; d |]
+  | n -> Array.make n d
+
+(* The locals of a saturated call to [proto], its [n] arguments copied
+   from the top of the operand stack ([n] = arity >= 1). *)
+let stack_args (st : state) (proto : B.proto) (n : int) : slot array =
+  let s = st.stack and b = st.sp - n in
+  let d = dummy_slot in
+  match proto.B.p_nlocals with
+  | 1 -> [| s.(b) |]
+  | 2 -> [| s.(b); (if n > 1 then s.(b + 1) else d) |]
+  | 3 ->
+      [| s.(b); (if n > 1 then s.(b + 1) else d);
+         (if n > 2 then s.(b + 2) else d) |]
+  | 4 ->
+      [| s.(b); (if n > 1 then s.(b + 1) else d);
+         (if n > 2 then s.(b + 2) else d); (if n > 3 then s.(b + 3) else d) |]
+  | m ->
+      let l = Array.make m d in
+      Array.blit s b l 0 n;
+      l
 
 let push_frame (st : state) (proto : B.proto) ~(env : slot array)
     ~(locals : slot array) ~(update : slot option) : unit =
   if st.fp >= st.max_frames then
     Budget.exhausted Budget.Frames ~spent:st.fp ~limit:st.max_frames;
-  if st.fp = Array.length st.frames then
-    st.frames <-
-      Array.init (2 * st.fp) (fun i ->
-          if i < st.fp then st.frames.(i) else fresh_frame ());
-  let fr = st.frames.(st.fp) in
-  fr.f_proto <- proto;
-  fr.f_code <- proto.B.p_code;
-  fr.f_pc <- 0;
-  fr.f_locals <- locals;
-  fr.f_env <- env;
-  fr.f_base <- st.sp;
-  fr.f_update <- update;
+  if st.fp = Array.length st.frames then begin
+    let a = Array.make (2 * st.fp) dummy_frame in
+    Array.blit st.frames 0 a 0 st.fp;
+    st.frames <- a
+  end;
+  st.frames.(st.fp) <-
+    { f_code = proto.B.p_code; f_pc = 0; f_locals = locals; f_env = env;
+      f_base = st.sp; f_update = update };
   st.fp <- st.fp + 1
 
 (** Begin forcing [s] if it is a thunk (the update frame completes the
@@ -229,6 +274,25 @@ let lit_matches (l : Ast.lit) (v : value) : bool =
   | Ast.LString a, VStr b -> a = b  (* tag-dispatch branches on type tags *)
   | _ -> false
 
+(* The target pc of [sw] for the forced scrutinee [v]: [sw_default] when
+   no alternative matches. *)
+let switch_target (sw : B.switch) (v : value) : int =
+  match v with
+  | VData (rc, _) ->
+      let tag = rc.Eval.rc_tag in
+      if tag < Array.length sw.B.sw_tags then sw.B.sw_tags.(tag)
+      else sw.B.sw_default
+  | VInt _ | VFloat _ | VChar _ | VStr _ ->
+      let lits = sw.B.sw_lits in
+      let rec go i =
+        if i >= Array.length lits then sw.B.sw_default
+        else
+          let l, pc = lits.(i) in
+          if lit_matches l v then pc else go (i + 1)
+      in
+      go 0
+  | _ -> bug "case: scrutinee is not a data value"
+
 let return_value (st : state) (v : value) : unit =
   let fr = st.frames.(st.fp - 1) in
   st.sp <- fr.f_base;
@@ -258,7 +322,7 @@ and apply_closure (st : state) ~tail (clo : closure) (args : slot list) : unit =
   let m = clo.c_proto.B.p_arity in
   let n = List.length args in
   if n < m then begin
-    st.counters.Counters.allocations <- st.counters.Counters.allocations + 1;
+    count_alloc st;
     finish st ~tail (VPap (clo, args))
   end
   else begin
@@ -303,8 +367,7 @@ and apply_con (st : state) ~tail (rc : Eval.rcon) (prev : slot list)
     | a :: rest ->
         let acc' = a :: acc in
         if List.length acc' = rc.Eval.rc_arity then begin
-          st.counters.Counters.allocations <-
-            st.counters.Counters.allocations + 1;
+          count_alloc st;
           let v = VData (rc, Array.of_list (List.rev acc')) in
           if rest = [] then finish st ~tail v
           else apply_value st ~tail v rest (* errors: data is not a function *)
@@ -339,10 +402,11 @@ and finish (st : state) ~tail (v : value) : unit =
 and run_loop (st : state) ~(stop : int) : unit =
   while st.fp > stop do
     let fr = st.frames.(st.fp - 1) in
-    Budget.step st.budget;
-    Budget.check_allocs st.budget st.counters.Counters.allocations;
+    (* [Budget.step], inlined; the meter owns the step count *)
+    let m = st.budget in
+    if m.Budget.fuel > 0 then m.Budget.fuel <- m.Budget.fuel - 1
+    else Budget.refill m ~allocs:st.counters.Counters.allocations;
     if !Inject.live then Inject.hit Inject.Vm_step;
-    st.counters.Counters.steps <- st.counters.Counters.steps + 1;
     let i = fr.f_code.(fr.f_pc) in
     fr.f_pc <- fr.f_pc + 1;
     match i with
@@ -364,14 +428,12 @@ and run_loop (st : state) ~(stop : int) : unit =
         start_force st s
     | B.CON rc ->
         if rc.Eval.rc_arity = 0 then begin
-          st.counters.Counters.allocations <-
-            st.counters.Counters.allocations + 1;
+          count_alloc st;
           push st (ready (VData (rc, [||])))
         end
         else push st (ready (VConPartial (rc, [])))
     | B.CLOSURE p ->
-        st.counters.Counters.allocations <-
-          st.counters.Counters.allocations + 1;
+        count_alloc st;
         push st (ready (VClosure (make_closure fr st.protos.(p))))
     | B.DELAY p -> push st { cell = Delay (make_closure fr st.protos.(p)) }
     | B.STORE i -> fr.f_locals.(i) <- pop st
@@ -382,45 +444,18 @@ and run_loop (st : state) ~(stop : int) : unit =
     | B.JUMP pc -> fr.f_pc <- pc
     | B.IFELSE pc_false -> (
         match value_of (pop st) with
-        | VData (rc, _) -> (
-            match Ident.text rc.Eval.rc_name with
-            | "True" -> ()
-            | "False" -> fr.f_pc <- pc_false
-            | s -> bug "if: expected a Bool, got constructor '%s'" s)
+        | VData (rc, _) ->
+            if rc.Eval.rc_tag = st.true_tag then ()
+            else if rc.Eval.rc_tag = st.false_tag then fr.f_pc <- pc_false
+            else bug "if: expected a Bool, got constructor '%s'"
+                (Ident.text rc.Eval.rc_name)
         | _ -> bug "if: condition is not a Bool")
-    | B.SWITCH sw -> (
+    | B.SWITCH sw ->
         let s = pop st in
         fr.f_locals.(sw.B.sw_scrut) <- s;
-        let find_con name =
-          let n = Array.length sw.B.sw_cons in
-          let rec go i =
-            if i >= n then None
-            else
-              let c, pc = sw.B.sw_cons.(i) in
-              if Ident.equal c name then Some pc else go (i + 1)
-          in
-          go 0
-        in
-        let find_lit v =
-          let n = Array.length sw.B.sw_lits in
-          let rec go i =
-            if i >= n then None
-            else
-              let l, pc = sw.B.sw_lits.(i) in
-              if lit_matches l v then Some pc else go (i + 1)
-          in
-          go 0
-        in
-        let jump = function
-          | Some pc -> fr.f_pc <- pc
-          | None ->
-              if sw.B.sw_default >= 0 then fr.f_pc <- sw.B.sw_default
-              else bug "case: no matching alternative"
-        in
-        match value_of s with
-        | VData (rc, _) -> jump (find_con rc.Eval.rc_name)
-        | (VInt _ | VFloat _ | VChar _ | VStr _) as v -> jump (find_lit v)
-        | _ -> bug "case: scrutinee is not a data value")
+        let pc = switch_target sw (value_of s) in
+        if pc >= 0 then fr.f_pc <- pc
+        else bug "case: no matching alternative"
     | B.FIELD (l, i) -> (
         match fr.f_locals.(l).cell with
         | Ready (VData (_, fields)) -> push st fields.(i)
@@ -430,8 +465,7 @@ and run_loop (st : state) ~(stop : int) : unit =
           st.counters.Counters.dict_constructions + 1;
         st.counters.Counters.dict_fields <-
           st.counters.Counters.dict_fields + n;
-        st.counters.Counters.allocations <-
-          st.counters.Counters.allocations + 1;
+        count_alloc st;
         (match st.profile with
          | Some p -> Tc_obs.Profile.hit_dict p tag
          | None -> ());
@@ -464,8 +498,7 @@ and run_loop (st : state) ~(stop : int) : unit =
         | Ready (VClosure clo) when clo.c_proto.B.p_arity = n ->
             st.counters.Counters.applications <-
               st.counters.Counters.applications + n;
-            let locals = make_locals clo.c_proto in
-            Array.blit st.stack (st.sp - n) locals 0 n;
+            let locals = stack_args st clo.c_proto n in
             st.sp <- st.sp - n;
             push_frame st clo.c_proto ~env:clo.c_env ~locals ~update:None
         (* fast path: saturated primitive call *)
@@ -496,8 +529,7 @@ and run_loop (st : state) ~(stop : int) : unit =
         | Ready (VClosure clo) when clo.c_proto.B.p_arity = n ->
             st.counters.Counters.applications <-
               st.counters.Counters.applications + n;
-            let locals = make_locals clo.c_proto in
-            Array.blit st.stack (st.sp - n) locals 0 n;
+            let locals = stack_args st clo.c_proto n in
             let update = fr.f_update in
             st.sp <- fr.f_base;
             st.fp <- st.fp - 1;
@@ -600,6 +632,7 @@ end)
 
 let create_state ?(budget = Budget.unlimited) ?profile
     (cons : Eval.con_table) : state =
+  let true_tag, false_tag = Runtime.bool_tags cons in
   {
     cons;
     counters = Counters.create ();
@@ -613,11 +646,12 @@ let create_state ?(budget = Budget.unlimited) ?profile
     protos = [||];
     consts = [||];
     globals = [||];
-    global_names = [];
     bools = bools cons;
+    true_tag;
+    false_tag;
     stack = Array.make 256 dummy_slot;
     sp = 0;
-    frames = Array.init 64 (fun _ -> fresh_frame ());
+    frames = Array.make 64 dummy_frame;
     fp = 0;
   }
 
@@ -628,6 +662,17 @@ let value_of_lit (l : Ast.lit) : value =
   | Ast.LChar c -> VChar c
   | Ast.LString s -> VStr s
 
+(* The primitives as values, indexed like [Eval.primitives] (which
+   [B.Gprim] indexes) and resolved once per process. *)
+let prim_values : value array =
+  Array.of_list
+    (List.map
+       (fun (name, _) ->
+         match List.find_opt (fun (n, _) -> Ident.equal n name) primitives with
+         | Some (_, pr) -> VPrim (pr, [])
+         | None -> bug "unknown primitive '%s'" (Ident.text name))
+       Eval.primitives)
+
 (** Install a program's constant pool and global table (primitives plus
     delayed CAFs) into the state. *)
 let load_program (st : state) (p : B.program) : unit =
@@ -637,19 +682,10 @@ let load_program (st : state) (p : B.program) : unit =
     Array.map
       (fun (_, init) ->
         match init with
-        | B.Gprim name -> (
-            match
-              List.find_opt
-                (fun (n, _) -> Ident.text n = name)
-                primitives
-            with
-            | Some (_, pr) -> ready (VPrim (pr, []))
-            | None -> bug "unknown primitive '%s'" name)
+        | B.Gprim ix -> ready prim_values.(ix)
         | B.Gproto ix ->
             { cell = Delay { c_proto = p.B.protos.(ix); c_env = [||] } })
-      p.B.globals;
-  st.global_names <-
-    List.rev (Array.to_list (Array.mapi (fun i (n, _) -> (n, i)) p.B.globals))
+      p.B.globals
 
 (** Run the requested [entry], or the program's [main]. *)
 let run ?entry (st : state) (p : B.program) : value =

@@ -42,6 +42,8 @@ and prim = {
 
 and state
 
+(** The state's counters, with [steps] settled from the budget meter
+    (the loop charges steps to the meter, not to the counters). *)
 val counters : state -> Counters.t
 
 (** The state's budget meter (for post-run checks such as the output

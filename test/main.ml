@@ -9,4 +9,5 @@ let () =
     @ Test_differential.tests @ Test_vm.tests @ Test_obs.tests
     @ Test_resilience.tests @ Test_metrics.tests @ Test_rtrace.tests
     @ Test_scale.tests @ Test_check_cache.tests @ Test_net.tests
-    @ Test_snapshot.tests @ Test_compile_paths.tests @ Test_scope.tests)
+    @ Test_snapshot.tests @ Test_compile_paths.tests @ Test_scope.tests
+    @ Test_counters.tests)

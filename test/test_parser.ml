@@ -31,8 +31,24 @@ let check_fails name src =
       | exception Tc_support.Diagnostic.Error _ -> ()
       | _ -> Alcotest.fail "expected a parse error")
 
+(* A young initial value makes [Array.make] above 256 words run a minor
+   collection first; the token array must not be built from one. The
+   corpus programs are small enough that lexing and parsing one allocate
+   well under a minor heap, so any collection here is a forced one. *)
+let no_forced_minor_gc name =
+  Helpers.case (name ^ " parses without a minor collection") (fun () ->
+      let src = Test_programs.program name in
+      Gc.minor ();
+      let before = (Gc.quick_stat ()).Gc.minor_collections in
+      ignore (parse src);
+      let after = (Gc.quick_stat ()).Gc.minor_collections in
+      Alcotest.(check int) "minor collections" 0 (after - before))
+
 let tests =
   [
+    ( "parser-gc",
+      List.map (fun (name, _, _) -> no_forced_minor_gc name)
+        Test_programs.golden );
     ( "parser-expr",
       [
         check_expr "application binds tighter than operators" "f x + g y"

@@ -109,6 +109,134 @@ let budget_cases =
   ]
 
 (* ------------------------------------------------------------------ *)
+(* The batched step meter: exact at every batch boundary.              *)
+(* ------------------------------------------------------------------ *)
+
+let batch = Budget.batch_size
+
+(* Step limits on, next to and across batch and clock-interval
+   boundaries. *)
+let limits =
+  [ 1; 2; batch - 1; batch; batch + 1; batch + 2; 2 * batch; (2 * batch) + 1;
+    Budget.clock_interval - 1; Budget.clock_interval;
+    Budget.clock_interval + 1; 5_000 ]
+
+let expect_exhausted ~what f =
+  match f () with
+  | () -> Alcotest.failf "%s: expected exhaustion" what
+  | exception Budget.Exhausted { resource; spent; limit } ->
+      (resource, spent, limit)
+
+let exhaustion = Alcotest.(triple string int int)
+
+let as_triple (r, spent, limit) = (Budget.resource_name r, spent, limit)
+
+(* A program that needs exactly [s] steps completes under [fuel s] and
+   exhausts under [fuel (s - 1)] with [spent s, limit s - 1], also with a
+   deadline set, which shortens batches to the next clock read. *)
+let check_exact_fuel ~backend c s =
+  List.iter
+    (fun wall_ms ->
+      let budget steps = { Budget.unlimited with steps; wall_ms } in
+      let r = Pipeline.exec ~backend ~budget:(budget s) c in
+      Alcotest.(check int) "steps under fuel S" s r.Pipeline.counters.steps;
+      match Pipeline.exec ~backend ~budget:(budget (s - 1)) c with
+      | r ->
+          Alcotest.failf "fuel %d: completed with %s" (s - 1)
+            r.Pipeline.rendered
+      | exception Budget.Exhausted { resource; spent; limit } ->
+          Alcotest.check exhaustion
+            (Printf.sprintf "fuel S-1 (S = %d)" s)
+            ("steps", s, s - 1)
+            (as_triple (resource, spent, limit)))
+    [ 0.; 60_000. ]
+
+let count_src n =
+  Printf.sprintf
+    "count :: Int -> Int\ncount n = if n == 0 then 0 else count (n - 1)\n\
+     main = count %d"
+    n
+
+let steps_of ~backend n =
+  (Pipeline.exec ~backend (compile (count_src n))).Pipeline.counters.steps
+
+let batch_cases =
+  [
+    case "meter: S steps fit a limit of S, step S+1 is reported exactly"
+      (fun () ->
+        List.iter
+          (fun wall_ms ->
+            List.iter
+              (fun l ->
+                let m =
+                  Budget.meter { Budget.unlimited with steps = l; wall_ms }
+                in
+                for i = 1 to l do
+                  Budget.step m ~allocs:0;
+                  if Budget.steps_spent m <> i then
+                    Alcotest.failf "limit %d: steps_spent %d after %d steps" l
+                      (Budget.steps_spent m) i
+                done;
+                Alcotest.check exhaustion
+                  (Printf.sprintf "limit %d" l)
+                  ("steps", l + 1, l)
+                  (as_triple
+                     (expect_exhausted ~what:"step past the limit" (fun () ->
+                          Budget.step m ~allocs:0))))
+              limits)
+          [ 0.; 60_000. ]);
+    case "meter: the clock is read on every clock_interval-th step" (fun () ->
+        let m = Budget.meter (Budget.deadline 0.001) in
+        Unix.sleepf 0.002;
+        for _ = 1 to Budget.clock_interval - 1 do
+          Budget.step m ~allocs:0
+        done;
+        let r, _, limit =
+          expect_exhausted ~what:"the first clock read" (fun () ->
+              Budget.step m ~allocs:0)
+        in
+        Alcotest.(check string) "resource" "wall-clock" (Budget.resource_name r);
+        Alcotest.(check int) "limit" 0 limit;
+        Alcotest.(check int) "at step" Budget.clock_interval
+          (Budget.steps_spent m));
+    case "meter: the step after the cap is passed reports it" (fun () ->
+        List.iter
+          (fun taken ->
+            let m = Budget.meter { Budget.unlimited with allocations = 5 } in
+            for _ = 1 to taken do
+              Budget.step m ~allocs:5
+            done;
+            (* the back end counts the sixth allocation mid-step *)
+            Budget.allocated m 6;
+            Alcotest.check exhaustion "allocations" ("allocations", 6, 5)
+              (as_triple
+                 (expect_exhausted ~what:"the step after the sixth" (fun () ->
+                      Budget.step m ~allocs:6)));
+            Alcotest.(check int) "steps" (taken + 1) (Budget.steps_spent m))
+          [ 1; 2; batch - 1; batch; batch + 1; 3 * batch ]);
+    case "programs: fuel S completes and S-1 exhausts, across a batch"
+      (fun () ->
+        List.iter
+          (fun backend ->
+            (* the largest run within one batch and the smallest past it *)
+            let rec straddle n =
+              let s = steps_of ~backend n and s' = steps_of ~backend (n + 1) in
+              if s' > batch then (n, n + 1)
+              else if s' <= s then Alcotest.fail "count n must grow with n"
+              else straddle (n + 1)
+            in
+            if steps_of ~backend 0 > batch then
+              Alcotest.fail "count 0 takes more than a batch";
+            let below, above = straddle 0 in
+            List.iter
+              (fun n ->
+                check_exact_fuel ~backend (compile (count_src n))
+                  (steps_of ~backend n))
+              [ 0; below; above; above + 1; 4 * above ])
+          [ `Tree; `Vm ]);
+  ]
+
+(* ------------------------------------------------------------------ *)
 (* The injector: deterministic, seeded, contained.                     *)
 (* ------------------------------------------------------------------ *)
 
@@ -672,6 +800,7 @@ let json_cases =
 let tests =
   [
     ("resilience-budget", budget_cases);
+    ("resilience-batch", batch_cases);
     ("resilience-inject", injector_cases @ front_chaos_cases);
     ("resilience-serve", serve_cases @ retry_cases);
     ("resilience-chaos", serve_chaos_cases);
