@@ -991,11 +991,13 @@ let serve_cmd =
       & info [ "metrics-every" ] ~docv:"N"
           ~doc:
             "Emit a spontaneous $(b,metrics-snapshot) line every $(docv) \
-             requests ($(b,0) disables). Snapshot lines are out-of-band: \
-             with $(b,--workers) > 1 they ride the emitter thread \
-             (reporting the pool and cache registries), and with \
-             $(b,--listen) each one is broadcast to every connected \
-             client — responses stay strictly one-per-request.")
+             requests ($(b,0) disables). Each line reads the same view as \
+             the $(b,metrics) op and the $(b,--metrics) summary: every \
+             worker, the pool, the compile cache and the listener. \
+             Snapshot lines are out-of-band: with $(b,--workers) > 1 \
+             they ride the emitter thread, and with $(b,--listen) each \
+             one is broadcast to every connected client — responses \
+             stay strictly one-per-request.")
   in
   let trace_sample_arg =
     Arg.(
@@ -1129,12 +1131,6 @@ let serve_cmd =
         snapshot_every = every;
         max_line_bytes = max_line;
         default_deadline_ms = deadline_ms;
-        extra_metrics =
-          (* in-band [stats]/[metrics] requests see the shared cache
-             registry alongside the handling worker's own *)
-          Option.map
-            (fun c () -> Tc_scale.Cache.metrics_view c)
-            cache;
         rtrace;
         hooks =
           {
@@ -1144,15 +1140,15 @@ let serve_cmd =
           };
       }
     in
-    (* Shared postlude: fold the cache registry into the summary's,
-       write the metrics file, print the stderr recap. *)
+    (* The process's one view of its registries, which every reading
+       folds: the pool's, with the compile cache's registry joined in
+       (and, under --listen, the listener's). *)
+    let view, config = Tc_scale.Pool.view config in
+    Option.iter (fun c -> Metrics.join view (Tc_scale.Cache.metrics c)) cache;
+    (* Shared postlude: write the metrics file, print the stderr recap. *)
     let finish (summary : Tc_scale.Pool.summary) =
       Option.iter Tc_scale.Cache.close cache;
       let merged = summary.Tc_scale.Pool.metrics in
-      Option.iter
-        (fun c -> Metrics.merge ~into:merged (Tc_scale.Cache.metrics c))
-        cache;
-      Metrics.merge ~into:merged (Pipeline.snapshot_metrics ());
       write_metrics mfile merged;
       write_rtrace tfile rtrace;
       let requests = Serve.requests merged and failed = Serve.failed merged in
@@ -1214,21 +1210,12 @@ let serve_cmd =
               Fmt.epr "mhc serve: bad --listen %S: %s@." spec m;
               exit 2
         in
-        let server_ref = ref None in
         let on_drain_deadline () =
           (* The in-flight tail outlived --drain-timeout: a bounded exit
-             was promised, so emit what the listener knows and exit 0.
+             was promised, so write the view as it stands and exit 0.
              (The pool summary never materialized; its workers are shed
              with the process.) *)
-          (match !server_ref with
-          | None -> ()
-          | Some srv ->
-              let m = Tc_net.Net.metrics_view srv in
-              Option.iter
-                (fun c ->
-                  Metrics.merge ~into:m (Tc_scale.Cache.metrics_view c))
-                cache;
-              write_metrics mfile m);
+          write_metrics mfile view;
           (try write_rtrace tfile rtrace with Sys_error _ -> ());
           Fmt.epr "serve: drain timeout reached; remaining work shed@.";
           exit 0
@@ -1242,7 +1229,6 @@ let serve_cmd =
             Fmt.epr "mhc serve: %s@." m;
             exit 2
         | server ->
-            server_ref := Some server;
             set_signals (fun _ -> Tc_net.Net.drain server);
             Fmt.epr "serve: listening on %s:%d (%d worker%s)@." host
               (Tc_net.Net.port server) workers

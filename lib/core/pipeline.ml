@@ -737,7 +737,17 @@ let build_prelude (opts : options) : base =
    with the lock held, so each combination is built exactly once. *)
 let snapshots : ((Layout.strategy * bool * bool) * base * int) list ref = ref []
 let snapshots_lock = Mutex.create ()
-let snapshot_builds = ref 0
+
+(* The process's own instruments. The memory gauges are probes: read
+   when a view is, never per request. *)
+let process_metrics = Metrics.create ()
+let snapshot_builds = Metrics.counter process_metrics "prelude/snapshot_builds"
+let snapshot_words = Metrics.gauge process_metrics "prelude/snapshot_words"
+
+let () =
+  Metrics.probe process_metrics "ident/interned" Ident.interned;
+  Metrics.probe process_metrics "gc/major_heap_words" (fun () ->
+      (Gc.quick_stat ()).Gc.heap_words)
 
 (** The snapshot a compile under [opts] extends: the empty one without
     the prelude; a fresh, unshared build when [opts.trace] is on (so the
@@ -758,7 +768,9 @@ let base_for (opts : options) : base =
         (* interned process-wide: every compile shares these names *)
         let b = Ident.unscoped (fun () -> build_prelude opts) in
         snapshots := (key, b, Obj.reachable_words (Obj.repr b)) :: !snapshots;
-        incr snapshot_builds;
+        Metrics.incr snapshot_builds;
+        Metrics.set snapshot_words
+          (List.fold_left (fun n (_, _, w) -> n + w) 0 !snapshots);
         b
 
 let shared_base (c : compiled) : (base * int) option =
@@ -766,16 +778,6 @@ let shared_base (c : compiled) : (base * int) option =
   List.find_map
     (fun (_, b, words) -> if b == c.base then Some (b, words) else None)
     !snapshots
-
-let snapshot_metrics () : Metrics.t =
-  let builds, words =
-    Mutex.protect snapshots_lock @@ fun () ->
-    (!snapshot_builds, List.fold_left (fun n (_, _, w) -> n + w) 0 !snapshots)
-  in
-  let m = Metrics.create () in
-  Metrics.add (Metrics.counter m "prelude/snapshot_builds") builds;
-  Metrics.set (Metrics.gauge m "prelude/snapshot_words") words;
-  m
 
 (** Words reachable from [c] that it does not share with its snapshot:
     the whole artifact when the snapshot is private (traced, unmarshaled

@@ -148,10 +148,13 @@ val compile : ?opts:options -> ?file:string -> string -> compiled
     with the files, and must mean exactly what the snapshot path does. *)
 val empty_base : unit -> base
 
-(** Process-wide snapshot instruments, as a fresh registry: the counter
-    [prelude/snapshot_builds] (memoized snapshots built so far) and the
-    gauge [prelude/snapshot_words] (their total reachable size). *)
-val snapshot_metrics : unit -> Tc_obs.Metrics.t
+(** The process's own registry: the counter [prelude/snapshot_builds]
+    (memoized snapshots built so far), the gauge [prelude/snapshot_words]
+    (their total reachable size), and two gauges computed whenever the
+    registry is read: [ident/interned] (names in the process-wide
+    identifier table) and [gc/major_heap_words] (the major heap's size).
+    Every server view folds it in. *)
+val process_metrics : Tc_obs.Metrics.t
 
 (** The memoized snapshot [c] extended, with its size in words, when [c]
     shares one (not after unmarshaling, nor for a traced or prelude-less

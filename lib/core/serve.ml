@@ -83,8 +83,8 @@ let default_config =
 
 type t = {
   config : config;
-  totals : Counters.t;
-  metrics : Metrics.t;  (* always live: latency histograms + pipeline spans *)
+  metrics : Metrics.t;
+      (* always live: latency histograms, run counters, pipeline spans *)
   started : float;      (* config.clock at creation, for uptime *)
   mutable cur_trace : int;
       (* trace ID of the request being handled, 0 between requests;
@@ -94,7 +94,6 @@ type t = {
 let create ?(config = default_config) () =
   {
     config;
-    totals = Counters.create ();
     metrics = Metrics.create ~recorder:config.rtrace ();
     started = config.clock ();
     cur_trace = 0;
@@ -256,6 +255,9 @@ let do_check t ~id ~op req =
     @ [ ("artifact", Json.Bool (schemes <> None)) ]
     @ extra)
 
+(* The run counters every [run] adds to, one per [Counters] field. *)
+let run_prefix = "run/"
+
 let do_run t ~id req =
   let src = require_src req in
   let opts = opts_for t req in
@@ -277,7 +279,10 @@ let do_run t ~id req =
     | None -> c
   in
   let r = Pipeline.exec ~backend ~mode ~budget c in
-  Counters.merge t.totals r.Pipeline.counters;
+  List.iter
+    (fun (name, n) ->
+      Metrics.add (Metrics.counter t.metrics (run_prefix ^ name)) n)
+    (Counters.pairs r.Pipeline.counters);
   ok_response t ~id ~op:"run"
     [
       ("value", Json.Str r.Pipeline.rendered);
@@ -321,15 +326,31 @@ let latency_total m =
 let uptime_ms t =
   int_of_float ((t.config.clock () -. t.started) *. 1000.)
 
-(* The stats op's body, derived from the registry. The registry holds
-   finished requests only, so the stats request being handled counts in
+(* What the stats/metrics ops and the snapshot lines report: one fold of
+   the server's registry, the process's ([Pipeline.process_metrics]) and
+   the [extra_metrics] view. A registry reachable twice counts once, so
+   a pool's view, which holds this server's registry, adds nothing
+   twice. *)
+let view t =
+  Metrics.fold
+    (t.metrics :: Pipeline.process_metrics
+    :: Option.fold ~none:[] ~some:(fun v -> [ v () ]) t.config.extra_metrics)
+
+(* The stats op's body, derived from the view. The view holds finished
+   requests only, so the stats request being handled counts in
    [requests] and [by_op] but not yet in [responses] or [ok]. *)
 let stats_json t =
-  let m = t.metrics in
+  let m = view t in
   let answered = requests m and failed = failed m in
   let tally assoc =
     Json.Obj
       (List.sort compare (List.map (fun (k, v) -> (k, Json.Int v)) assoc))
+  in
+  let named prefixes =
+    List.filter
+      (fun (name, _) ->
+        List.exists (fun prefix -> String.starts_with ~prefix name) prefixes)
+      (Metrics.counters m @ Metrics.gauges m)
   in
   let by_op =
     let ops = counts_under latency_prefix m in
@@ -337,59 +358,39 @@ let stats_json t =
     ("stats", n + 1) :: List.remove_assoc "stats" ops
   in
   let latency = latency_total m in
-  (* scale-layer counters and gauges (pool restarts, queue depth,
-     persistent-cache hits, ...) folded into the stats op whenever the
-     config exposes an extra registry *)
-  let scale_fields =
-    match t.config.extra_metrics with
-    | None -> []
-    | Some view ->
-        let m = view () in
-        [ ("scale", tally (Metrics.counters m @ Metrics.gauges m)) ]
-  in
-  (* the process-wide prelude snapshots every compile extends *)
-  let prelude =
-    let m = Pipeline.snapshot_metrics () in
-    tally (Metrics.counters m @ Metrics.gauges m)
+  (* the run counters summed over every run the view holds, in the
+     order of a [run] response's [counters] *)
+  let runs =
+    Json.Obj
+      (List.map
+         (fun (name, _) -> (name, Json.Int (counter_in m (run_prefix ^ name))))
+         (Counters.pairs (Counters.create ())))
   in
   Json.Obj
-    ([
-       ("requests", Json.Int (answered + 1));
-       ("responses", Json.Int answered);
-       ("ok", Json.Int (answered - failed));
-       ("failed", Json.Int failed);
-       ("retried", Json.Int (retries m));
-       ("uptime_ms", Json.Int (uptime_ms t));
-       ( "latency",
-         Json.Obj
-           [
-             ("count", Json.Int (Metrics.hist_count latency));
-             ("p50_us", Json.Int (Metrics.quantile latency 0.5));
-             ("p99_us", Json.Int (Metrics.quantile latency 0.99));
-           ] );
-       ("by_op", tally by_op);
-       ("by_class", tally (failures m));
-       ("counters", Counters.to_json t.totals);
-       ("prelude", prelude);
-     ]
-    @ scale_fields)
+    [
+      ("requests", Json.Int (answered + 1));
+      ("responses", Json.Int answered);
+      ("ok", Json.Int (answered - failed));
+      ("failed", Json.Int failed);
+      ("retried", Json.Int (retries m));
+      ("uptime_ms", Json.Int (uptime_ms t));
+      ( "latency",
+        Json.Obj
+          [
+            ("count", Json.Int (Metrics.hist_count latency));
+            ("p50_us", Json.Int (Metrics.quantile latency 0.5));
+            ("p99_us", Json.Int (Metrics.quantile latency 0.99));
+          ] );
+      ("by_op", tally by_op);
+      ("by_class", tally (failures m));
+      ("counters", runs);
+      ("prelude", tally (named [ "prelude/" ]));
+      ("memory", tally (named [ "ident/"; "gc/" ]));
+      (* pool restarts, queue depth, cache hits, connections, ... *)
+      ("scale", tally (named [ "scale/"; "net/" ]));
+    ]
 
 let do_stats t ~id = ok_response t ~id ~op:"stats" [ ("stats", stats_json t) ]
-
-(* The registry the stats/metrics ops report: the server's own, the
-   process's prelude snapshot instruments, and a merged-in copy of the
-   [extra_metrics] view when configured (the scale layer surfaces pool
-   and cache counters this way). The extra registry must not contain
-   serve/* instruments, or the requests-vs-latency invariant of the
-   combined snapshot would break. *)
-let reported_metrics t =
-  let m = Metrics.create () in
-  Metrics.merge ~into:m t.metrics;
-  Metrics.merge ~into:m (Pipeline.snapshot_metrics ());
-  Option.iter
-    (fun view -> Metrics.merge ~into:m (view ()))
-    t.config.extra_metrics;
-  m
 
 (* metrics: the whole registry as one deterministic snapshot; [stable]
    redacts machine-dependent quantities for golden comparison. The
@@ -400,7 +401,7 @@ let do_metrics t ~id req =
     match Json.member "stable" req with Some (Json.Bool b) -> b | _ -> false
   in
   ok_response t ~id ~op:"metrics"
-    [ ("metrics", Metrics.snapshot ~stable (reported_metrics t)) ]
+    [ ("metrics", Metrics.snapshot ~stable (view t)) ]
 
 (* trace: the flight recorder's current window as a Chrome trace-event
    document. With the recorder disabled this still answers ok (an empty
@@ -432,16 +433,21 @@ let with_retries t f =
 (* The one bookkeeping point per answered request: the [serve/requests]
    counter and the op's latency histogram are bumped together, and a
    failure also observes its latency under its class. Every count the
-   stats op and the pool summary report derives from these. *)
+   stats op and the pool summary report derives from these. The bumps
+   run under the registry's lock, so a view read from another domain
+   sees all of them or none: the per-op latency counts sum to
+   [serve/requests] in every snapshot. *)
 let account t ~op ~cls us =
-  Metrics.incr (Metrics.counter t.metrics "serve/requests");
-  Metrics.observe (Metrics.histogram t.metrics (latency_prefix ^ op)) us;
-  Option.iter
-    (fun cls ->
-      Metrics.observe
-        (Metrics.histogram t.metrics ("serve/failures/" ^ cls))
-        us)
-    cls
+  let m = t.metrics in
+  let requests = Metrics.counter m "serve/requests" in
+  let latency = Metrics.histogram m (latency_prefix ^ op) in
+  let failure =
+    Option.map (fun cls -> Metrics.histogram m ("serve/failures/" ^ cls)) cls
+  in
+  Metrics.atomically m (fun () ->
+      Metrics.incr requests;
+      Metrics.observe latency us;
+      Option.iter (fun h -> Metrics.observe h us) failure)
 
 let handle_line ?(queued_us = 0) ?trace_id t line =
   let t0 = t.config.clock () in
@@ -584,7 +590,7 @@ let snapshot_event_line ~after_requests m =
        ])
 
 let snapshot_line t =
-  snapshot_event_line ~after_requests:(requests t.metrics) t.metrics
+  snapshot_event_line ~after_requests:(requests t.metrics) (view t)
 
 (* The line-cap rule, shared with the TCP reader: bytes past
    [max_bytes] are discarded as they stream in, keeping exactly one
@@ -662,15 +668,14 @@ let run ?(config = default_config) ?server ?(stop = fun () -> false)
      requesting connection (the TCP emitter) supplies its own broadcast
      here so a snapshot never consumes a response's routing slot. *)
   let emit_oob = match emit_oob with Some f -> f | None -> emit in
-  let rec loop () =
+  let rec loop n =
     if not (stop ()) then
       match next () with
       | None -> ()
       | Some line ->
           emit (handle_line t line);
-          if every > 0 && requests t.metrics mod every = 0 then
-            emit_oob (snapshot_line t);
-          loop ()
+          if every > 0 && n mod every = 0 then emit_oob (snapshot_line t);
+          loop (n + 1)
   in
-  loop ();
+  loop 1;
   t.metrics

@@ -18,17 +18,21 @@
     {!Tc_obs.Metrics} registry — a histogram per op
     ([serve/latency/<op>]), a histogram per failure class
     ([serve/failures/<class>]) and the [serve/requests] counter, all
-    bumped together after the response is built, so in any snapshot the
-    per-op latency counts sum exactly to the request counter. Transient
-    retries count in [serve/retries]. The [stats] op is derived from
-    these instruments; the server keeps no other tally. Requests
-    compile with the same registry, so pipeline phase spans accumulate
-    across requests. The [metrics] op returns the snapshot, with the
-    process's prelude snapshot instruments ([prelude/snapshot_builds],
-    [prelude/snapshot_words]) merged in, and the [stats] op reports them
-    under [prelude]; with
-    [snapshot_every] > 0 the loop also emits a spontaneous
-    [{"event": "metrics-snapshot", ...}] line every N requests.
+    bumped together under the registry's lock after the response is
+    built, so in any snapshot, read from any domain, the per-op latency
+    counts sum exactly to the request counter. Transient retries count
+    in [serve/retries]; each [run] adds its operation counters to
+    [run/<counter>]. Requests compile with the same registry, so
+    pipeline phase spans accumulate across requests.
+
+    Every reading — the [metrics] op, the [stats] op, and the
+    spontaneous [{"event": "metrics-snapshot", ...}] line emitted every
+    N requests when [snapshot_every] > 0 — reads one view: a
+    {!Tc_obs.Metrics.fold} of the server's registry, the process's
+    ({!Pipeline.process_metrics}: prelude snapshots, interned names, the
+    major heap) and the [extra_metrics] registry, each counted once. The
+    [stats] op is derived from that view; the server keeps no other
+    tally.
 
     Probes: the [health] op answers liveness (status + uptime) whenever
     the loop is handling requests at all; the [ready] op answers whether
@@ -140,11 +144,11 @@ type config = {
           [0] (default) disables shedding *)
   extra_metrics : (unit -> Tc_obs.Metrics.t) option;
       (** a view of scale-layer instruments (pool restarts, queue depth,
-          persistent-cache counters) merged into the [stats]/[metrics]
-          ops' reported registry. The view is called per request and
-          must return a registry safe to read on this domain; it must
-          not contain [serve/*] instruments or the snapshot's
-          requests-vs-latency invariant breaks *)
+          persistent-cache counters) folded into every reading of the
+          server: the [stats]/[metrics] ops and the snapshot lines. It is
+          called per reading. Registries reachable from it count once, so
+          it may hold this server's own registry: a pool's view
+          ({!Tc_scale.Pool.view}) holds every worker's *)
   ready : unit -> bool;
       (** the [ready] op's verdict — whether new work should be routed
           to this server. The network front end wires this to "not
@@ -171,7 +175,8 @@ val create : ?config:config -> unit -> t
 
 val metrics : t -> Tc_obs.Metrics.t
 (** The server's (always live) registry: request latency histograms,
-    the [serve/requests] counter, and pipeline phase spans. *)
+    the [serve/requests] counter, the [run/*] counters and pipeline
+    phase spans. *)
 
 val uptime_ms : t -> int
 (** Milliseconds since [create], by the config clock. *)
@@ -180,7 +185,7 @@ val uptime_ms : t -> int
 
     Every count the [stats] op, the pool summary and the [mhc serve]
     recap report is derived from the serve instruments of a registry —
-    one server's {!metrics} or a pool's merged summary. *)
+    one server's {!metrics} or a pool's view. *)
 
 val requests : Tc_obs.Metrics.t -> int
 (** [serve/requests]: requests answered, synthetic failures included. *)

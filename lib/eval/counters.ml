@@ -62,14 +62,3 @@ let pp ppf t =
      forces=%d allocations=%d prim-calls=%d tag-dispatches=%d"
     t.steps t.applications t.dict_constructions t.dict_fields t.selections
     t.thunk_forces t.allocations t.prim_calls t.tag_dispatches
-
-let merge dst src =
-  dst.steps <- dst.steps + src.steps;
-  dst.applications <- dst.applications + src.applications;
-  dst.dict_constructions <- dst.dict_constructions + src.dict_constructions;
-  dst.dict_fields <- dst.dict_fields + src.dict_fields;
-  dst.selections <- dst.selections + src.selections;
-  dst.thunk_forces <- dst.thunk_forces + src.thunk_forces;
-  dst.allocations <- dst.allocations + src.allocations;
-  dst.prim_calls <- dst.prim_calls + src.prim_calls;
-  dst.tag_dispatches <- dst.tag_dispatches + src.tag_dispatches

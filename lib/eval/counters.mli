@@ -16,10 +16,6 @@ type t = {
 val create : unit -> t
 val reset : t -> unit
 
-(** [merge dst src] adds [src]'s counts into [dst] — cumulative totals
-    across runs (used by [mhc serve] statistics). *)
-val merge : t -> t -> unit
-
 (** Every counter as a (name, value) pair, in declaration order. *)
 val pairs : t -> (string * int) list
 

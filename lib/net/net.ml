@@ -3,10 +3,9 @@
     Thread layout: one accept thread (also the drain-flag poller), one
     reader thread per connection, and the caller's thread driving
     {!Pool.run} as coordinator. Workers are the pool's domains and
-    never touch a socket. Locks, in nesting order: [t.lock] (connection
-    set, ingest queue, drain state) may be held while taking
-    [t.reg_lock] (the registry is not domain-safe); a connection's
-    [wlock] (serializing writes to its fd) nests inside neither.
+    never touch a socket. Locks: [t.lock] (connection set, ingest queue,
+    drain state); a connection's [wlock] (serializing writes to its fd)
+    is never taken under it.
 
     Response routing needs no map: the pool contract says [emit] calls
     mirror [next] pops one-to-one in order, so a FIFO of connection
@@ -48,7 +47,10 @@ type t = {
   drain_timeout_ms : int;
   on_drain_deadline : unit -> unit;
   reg : Metrics.t;
-  reg_lock : Mutex.t;
+      (* bumped by the listener's threads, which all run on the domain
+         that called [run]: a bump through a handle has no safepoint, so
+         none interleaves with another, and a new name registers under
+         the registry's own lock *)
   lock : Mutex.t;
   ingest_nonempty : Condition.t;
   ingest_room : Condition.t;
@@ -62,39 +64,19 @@ type t = {
   mutable finished : bool;        (* run returned; disarms the watchdog *)
 }
 
-(* ---- registry (always through reg_lock; t.lock -> reg_lock nesting
-   is permitted, never the reverse) ---- *)
-
-let with_lock lock f =
-  Mutex.lock lock;
-  match f () with
-  | v ->
-      Mutex.unlock lock;
-      v
-  | exception e ->
-      Mutex.unlock lock;
-      raise e
+(* ---- registry ---- *)
 
 let bump t name =
-  with_lock t.reg_lock @@ fun () ->
   Metrics.incr (Metrics.counter t.reg ("net/" ^ name))
 
 (* Caller holds [t.lock]; [t.conns] is current. *)
 let set_conns_gauges t =
-  with_lock t.reg_lock @@ fun () ->
   Metrics.set (Metrics.gauge t.reg "net/conns") t.conns;
   let peak = Metrics.gauge t.reg "net/conns_peak" in
   if t.conns > Metrics.gauge_value peak then Metrics.set peak t.conns
 
 let observe_lifetime t ms =
-  with_lock t.reg_lock @@ fun () ->
   Metrics.observe (Metrics.histogram t.reg "net/conn_lifetime_ms") ms
-
-let metrics_view t =
-  with_lock t.reg_lock @@ fun () ->
-  let m = Metrics.create () in
-  Metrics.merge ~into:m t.reg;
-  m
 
 (* ---- lifecycle ---- *)
 
@@ -149,7 +131,6 @@ let create ?(max_conns = 256) ?(read_timeout_ms = 10_000)
     drain_timeout_ms;
     on_drain_deadline;
     reg = Metrics.create ();
-    reg_lock = Mutex.create ();
     lock = Mutex.create ();
     ingest_nonempty = Condition.create ();
     ingest_room = Condition.create ();
@@ -200,7 +181,7 @@ let shutdown_conn conn =
 let write_deadline_s = 5.0
 
 let write_all conn s =
-  with_lock conn.wlock @@ fun () ->
+  Mutex.protect conn.wlock @@ fun () ->
   let deadline = Mono.now_s () +. write_deadline_s in
   let b = Bytes.of_string s in
   let len = Bytes.length b in
@@ -414,20 +395,14 @@ let accept_loop t ~max_bytes () =
 let run t ?(workers = 1) ?max_restarts ?shed_grace_ms
     ?(config = Serve.default_config) () =
   let max_bytes = config.Serve.max_line_bytes in
-  (* Compose, don't replace, the caller's probe and metrics view. *)
-  let caller_view = config.Serve.extra_metrics in
-  let net_view () =
-    let m = metrics_view t in
-    (match caller_view with
-    | None -> ()
-    | Some view -> Metrics.merge ~into:m (view ()));
-    m
-  in
+  (* The listener's registry joins the pool's view; the caller's probe
+     is composed with, not replaced by, the listener's. *)
+  let view, config = Pool.view config in
+  Metrics.join view t.reg;
   let caller_ready = config.Serve.ready in
   let config =
     {
       config with
-      Serve.extra_metrics = Some net_view;
       (* unsynchronized cross-domain bool reads: stale by at most a
          beat, never torn — fine for a probe *)
       ready =
@@ -449,7 +424,7 @@ let run t ?(workers = 1) ?max_restarts ?shed_grace_ms
         let conn, line = Queue.pop t.ingest in
         Condition.signal t.ingest_room;
         Mutex.unlock t.lock;
-        with_lock pending_lock (fun () -> Queue.push conn pending);
+        Mutex.protect pending_lock (fun () -> Queue.push conn pending);
         Some line
       end
       else if t.draining && t.readers = 0 then begin
@@ -464,7 +439,7 @@ let run t ?(workers = 1) ?max_restarts ?shed_grace_ms
     wait ()
   in
   let emit resp =
-    let conn = with_lock pending_lock (fun () -> Queue.pop pending) in
+    let conn = Mutex.protect pending_lock (fun () -> Queue.pop pending) in
     (if conn.alive then
        try write_all conn (resp ^ "\n")
        with
@@ -494,7 +469,7 @@ let run t ?(workers = 1) ?max_restarts ?shed_grace_ms
      interleave mid-line. *)
   let emit_oob line =
     let targets =
-      with_lock t.lock (fun () ->
+      Mutex.protect t.lock (fun () ->
           let live =
             List.filter (fun c -> c.alive && not c.released) t.peers
           in
@@ -529,6 +504,4 @@ let run t ?(workers = 1) ?max_restarts ?shed_grace_ms
   in
   t.finished <- true;
   Thread.join accept_thr;
-  with_lock t.reg_lock (fun () ->
-      Metrics.merge ~into:summary.Pool.metrics t.reg);
   summary

@@ -49,15 +49,16 @@
 
     {2 Telemetry}
 
-    The listener's own registry (merged into the pool summary and into
-    in-band [stats]/[metrics] views): counters [net/accepted],
+    The listener's registry is a member of the pool's one view
+    ({!Tc_scale.Pool.view}), which every reading of the server folds:
+    counters [net/accepted],
     [net/rejected], [net/reaped], [net/dropped] (injected connection
     drops), [net/accept_fails], [net/write_drops], [net/oob_broadcasts]
     (spontaneous snapshot lines fanned out); gauges [net/conns]
     (current) and [net/conns_peak] (high-water); histogram
     [net/conn_lifetime_ms]. None of it is [serve/*], so the serve
     invariant — per-op latency counts summing exactly to
-    [serve/requests] — keeps holding in every merged snapshot.
+    [serve/requests] — keeps holding in every snapshot of the view.
 
     {2 Out-of-band lines}
 
@@ -114,10 +115,6 @@ val drain : t -> unit
 
 val draining : t -> bool
 
-val metrics_view : t -> Tc_obs.Metrics.t
-(** A point-in-time copy of the listener registry, safe to merge from
-    any domain. *)
-
 val run :
   t ->
   ?workers:int ->
@@ -130,8 +127,8 @@ val run :
     through a {!Pool.run} with the given knobs (same defaults), and
     block until the drain completes — every request read before the
     drain has its response written (or counted [net/write_drops]) and
-    all connections are closed. The given [config]'s [ready] and
-    [extra_metrics] are composed with (not replaced by) the listener's
-    own: readiness additionally requires "not draining, not lame-duck",
-    and the listener registry joins the reported metrics view. The
-    returned summary's registry includes the [net/*] instruments. *)
+    all connections are closed. The given [config]'s [ready] is composed
+    with (not replaced by) the listener's own: readiness additionally
+    requires "not draining, not lame-duck". The listener registry joins
+    {!Tc_scale.Pool.view}[ config], so the summary's registry includes
+    the [net/*] instruments. *)

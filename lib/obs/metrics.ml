@@ -10,6 +10,11 @@
       shared dummy handle, and every bump ([incr]/[add]/[set]/[observe])
       is a plain mutation of preallocated state. No closure, no boxing,
       no hashtable traffic on the disabled path.
+    - {e Readable while written.} One writer at a time, readers on any
+      domain. The registry's mutex is taken to register a name, while a
+      reader folds the registry, and by {!atomically}; a bump through a
+      handle stays a plain store. {!join} makes a view: a registry whose
+      reads fold in its members', each counted once.
     - {e Deterministic snapshots.} [snapshot] orders counters, gauges and
       histograms by name and spans by first-registration order, and
       carries no timestamps. Under [~stable:true] every
@@ -53,10 +58,13 @@ type span_stat = {
 }
 
 type registry = {
+  r_lock : Mutex.t;  (* registration, reads, [atomically] *)
   r_counters : (string, counter) Hashtbl.t;
   r_gauges : (string, gauge) Hashtbl.t;
+  r_probes : (string, unit -> int) Hashtbl.t;  (* gauges computed on read *)
   r_hists : (string, histogram) Hashtbl.t;
   r_spans : (string, span_stat) Hashtbl.t;
+  mutable r_members : registry list;  (* folded into every read *)
   mutable r_stack : string list;  (* active span paths, innermost first *)
   mutable r_seq : int;
   r_recorder : Rtrace.t;  (* flight recorder every span also feeds *)
@@ -66,17 +74,21 @@ type t = registry option
 
 let disabled : t = None
 
-let create ?(recorder = Rtrace.disabled) () : t =
-  Some
-    {
-      r_counters = Hashtbl.create 16;
-      r_gauges = Hashtbl.create 16;
-      r_hists = Hashtbl.create 16;
-      r_spans = Hashtbl.create 16;
-      r_stack = [];
-      r_seq = 0;
-      r_recorder = recorder;
-    }
+let fresh ?(recorder = Rtrace.disabled) () =
+  {
+    r_lock = Mutex.create ();
+    r_counters = Hashtbl.create 16;
+    r_gauges = Hashtbl.create 16;
+    r_probes = Hashtbl.create 4;
+    r_hists = Hashtbl.create 16;
+    r_spans = Hashtbl.create 16;
+    r_members = [];
+    r_stack = [];
+    r_seq = 0;
+    r_recorder = recorder;
+  }
+
+let create ?recorder () : t = Some (fresh ?recorder ())
 
 let is_on : t -> bool = Option.is_some
 
@@ -101,30 +113,56 @@ let fresh_hist name =
 
 let null_hist = fresh_hist ""
 
-let find_or_add tbl name make =
+(* A name already registered is found without the lock: only its writer
+   adds to a table, and readers never change it. A new name is added
+   under the lock, so a reader copying the registry never sees a table
+   mid-insert. *)
+let find_or_add r tbl name make =
   match Hashtbl.find_opt tbl name with
   | Some v -> v
-  | None ->
-      let v = make () in
-      Hashtbl.add tbl name v;
-      v
+  | None -> (
+      Mutex.protect r.r_lock @@ fun () ->
+      match Hashtbl.find_opt tbl name with
+      | Some v -> v
+      | None ->
+          let v = make () in
+          Hashtbl.add tbl name v;
+          v)
 
 let counter (t : t) name : counter =
   match t with
   | None -> null_counter
   | Some r ->
-      find_or_add r.r_counters name (fun () -> { c_name = name; c_value = 0 })
+      find_or_add r r.r_counters name (fun () ->
+          { c_name = name; c_value = 0 })
 
 let gauge (t : t) name : gauge =
   match t with
   | None -> null_gauge
   | Some r ->
-      find_or_add r.r_gauges name (fun () -> { g_name = name; g_value = 0 })
+      find_or_add r r.r_gauges name (fun () -> { g_name = name; g_value = 0 })
 
 let histogram (t : t) name : histogram =
   match t with
   | None -> null_hist
-  | Some r -> find_or_add r.r_hists name (fun () -> fresh_hist name)
+  | Some r -> find_or_add r r.r_hists name (fun () -> fresh_hist name)
+
+let probe (t : t) name (read : unit -> int) : unit =
+  match t with
+  | None -> ()
+  | Some r ->
+      Mutex.protect r.r_lock (fun () -> Hashtbl.replace r.r_probes name read)
+
+let atomically (t : t) (f : unit -> 'a) : 'a =
+  match t with None -> f () | Some r -> Mutex.protect r.r_lock f
+
+let join (view : t) (member : t) : unit =
+  match (view, member) with
+  | Some v, Some m when v != m ->
+      Mutex.protect v.r_lock (fun () ->
+          if not (List.memq m v.r_members) then
+            v.r_members <- v.r_members @ [ m ])
+  | _ -> ()
 
 let incr (c : counter) = c.c_value <- c.c_value + 1
 let add (c : counter) n = c.c_value <- c.c_value + n
@@ -194,59 +232,20 @@ let merge_hist ~(into : histogram) (src : histogram) : unit =
   if src.h_min < into.h_min then into.h_min <- src.h_min;
   if src.h_max > into.h_max then into.h_max <- src.h_max
 
-(** Fold every instrument of [src] into [into]: counters add, gauges
-    take the maximum (last-write-wins has no cross-registry order, and
-    the peak is the useful aggregate for e.g. cache occupancy),
-    histograms merge elementwise, and span stats are found-or-minted in
-    [into] (keeping [into]'s own registration order for names it already
-    has) with counts, nanoseconds and allocation totals added. Merging a
-    disabled registry, or into one, is a no-op. *)
-let merge ~(into : t) (src : t) : unit =
-  match (into, src) with
-  | None, _ | _, None -> ()
-  | Some dst, Some src ->
-      Hashtbl.iter
-        (fun name (c : counter) ->
-          let d =
-            find_or_add dst.r_counters name (fun () ->
-                { c_name = name; c_value = 0 })
-          in
-          d.c_value <- d.c_value + c.c_value)
-        src.r_counters;
-      Hashtbl.iter
-        (fun name (g : gauge) ->
-          let d =
-            find_or_add dst.r_gauges name (fun () ->
-                { g_name = name; g_value = g.g_value })
-          in
-          if g.g_value > d.g_value then d.g_value <- g.g_value)
-        src.r_gauges;
-      Hashtbl.iter
-        (fun name (h : histogram) ->
-          let d = find_or_add dst.r_hists name (fun () -> fresh_hist name) in
-          merge_hist ~into:d h)
-        src.r_hists;
-      (* Merge spans in the source's first-entered order so paths new to
-         [dst] keep their relative order (parents before children). *)
-      Hashtbl.fold (fun _ s acc -> s :: acc) src.r_spans []
-      |> List.sort (fun a b -> compare a.sp_seq b.sp_seq)
-      |> List.iter (fun (s : span_stat) ->
-             let d =
-               find_or_add dst.r_spans s.sp_name (fun () ->
-                   let d =
-                     { sp_name = s.sp_name; sp_seq = dst.r_seq; sp_count = 0;
-                       sp_ns = 0; sp_words = 0 }
-                   in
-                   dst.r_seq <- dst.r_seq + 1;
-                   d)
-             in
-             d.sp_count <- d.sp_count + s.sp_count;
-             d.sp_ns <- sat_add d.sp_ns s.sp_ns;
-             d.sp_words <- sat_add d.sp_words s.sp_words)
-
 (* ------------------------------------------------------------------ *)
 (* Spans (recording half; the timing half is {!Span}).                 *)
 (* ------------------------------------------------------------------ *)
+
+(* A span's stat record, minted at its first entry in first-entered
+   order. *)
+let mint_span r path =
+  find_or_add r r.r_spans path (fun () ->
+      let s =
+        { sp_name = path; sp_seq = r.r_seq; sp_count = 0; sp_ns = 0;
+          sp_words = 0 }
+      in
+      r.r_seq <- r.r_seq + 1;
+      s)
 
 (** Push a span name, returning its full nesting path ("" when
     disabled). The span's stat record is minted at push, so listing order
@@ -258,13 +257,7 @@ let span_push (t : t) (name : string) : string =
       let path =
         match r.r_stack with [] -> name | p :: _ -> p ^ "/" ^ name
       in
-      (match Hashtbl.find_opt r.r_spans path with
-       | Some _ -> ()
-       | None ->
-           Hashtbl.add r.r_spans path
-             { sp_name = path; sp_seq = r.r_seq; sp_count = 0; sp_ns = 0;
-               sp_words = 0 };
-           r.r_seq <- r.r_seq + 1);
+      ignore (mint_span r path);
       r.r_stack <- path :: r.r_stack;
       path
 
@@ -286,6 +279,58 @@ let span_record (t : t) (path : string) ~(ns : int) ~(words : int) : unit =
           s.sp_words <- sat_add s.sp_words words)
 
 (* ------------------------------------------------------------------ *)
+(* Folding registries together.                                        *)
+(* ------------------------------------------------------------------ *)
+
+let spans_of r =
+  Hashtbl.fold (fun _ s acc -> s :: acc) r.r_spans []
+  |> List.sort (fun a b -> compare a.sp_seq b.sp_seq)
+
+(* Every registry reachable from [roots] through members, each once, in
+   depth-first order from the first root. *)
+let closure (roots : registry list) : registry list =
+  let rec visit seen r =
+    if List.memq r seen then seen
+    else
+      let members = Mutex.protect r.r_lock (fun () -> r.r_members) in
+      List.fold_left visit (r :: seen) members
+  in
+  List.rev (List.fold_left visit [] roots)
+
+(* Add [src]'s own instruments into [dst], under [src]'s lock: counters
+   add, gauges take the maximum (last-write-wins has no cross-registry
+   order, and the peak is the useful aggregate for e.g. cache
+   occupancy), histograms merge elementwise, and span stats accumulate
+   (paths new to [dst] keep [src]'s relative order). *)
+let add_own ~(dst : registry) (src : registry) : unit =
+  let into = Some dst in
+  let max_gauge n v =
+    let g =
+      find_or_add dst dst.r_gauges n (fun () -> { g_name = n; g_value = v })
+    in
+    if v > g.g_value then g.g_value <- v
+  in
+  Mutex.protect src.r_lock @@ fun () ->
+  Hashtbl.iter (fun n c -> add (counter into n) c.c_value) src.r_counters;
+  Hashtbl.iter (fun n g -> max_gauge n g.g_value) src.r_gauges;
+  Hashtbl.iter (fun n read -> max_gauge n (read ())) src.r_probes;
+  Hashtbl.iter (fun n h -> merge_hist ~into:(histogram into n) h) src.r_hists;
+  List.iter
+    (fun s ->
+      let d = mint_span dst s.sp_name in
+      d.sp_count <- d.sp_count + s.sp_count;
+      d.sp_ns <- sat_add d.sp_ns s.sp_ns;
+      d.sp_words <- sat_add d.sp_words s.sp_words)
+    (spans_of src)
+
+let fold_regs (ts : t list) : registry =
+  let dst = fresh () in
+  List.iter (add_own ~dst) (closure (List.filter_map Fun.id ts));
+  dst
+
+let fold ts : t = Some (fold_regs ts)
+
+(* ------------------------------------------------------------------ *)
 (* Listing and snapshots.                                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -293,27 +338,22 @@ let sorted_by_name tbl value =
   Hashtbl.fold (fun k v acc -> (k, value v) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
-let counters (t : t) : (string * int) list =
+(* A registry without members or probes is listed in place, under its
+   lock, as cheaply as before views existed; any other through a
+   private fold. Either way a read sees one instant of each registry. *)
+let read f (t : t) =
   match t with
-  | None -> []
-  | Some r -> sorted_by_name r.r_counters (fun c -> c.c_value)
+  | Some r when r.r_members = [] && Hashtbl.length r.r_probes = 0 ->
+      Mutex.protect r.r_lock (fun () -> f r)
+  | _ -> f (fold_regs [ t ])
 
-let gauges (t : t) : (string * int) list =
-  match t with
-  | None -> []
-  | Some r -> sorted_by_name r.r_gauges (fun g -> g.g_value)
-
-let histograms (t : t) : (string * histogram) list =
-  match t with
-  | None -> []
-  | Some r -> sorted_by_name r.r_hists (fun h -> h)
-
-let spans (t : t) : span_stat list =
-  match t with
-  | None -> []
-  | Some r ->
-      Hashtbl.fold (fun _ s acc -> s :: acc) r.r_spans []
-      |> List.sort (fun a b -> compare a.sp_seq b.sp_seq)
+let counters_of r = sorted_by_name r.r_counters (fun c -> c.c_value)
+let gauges_of r = sorted_by_name r.r_gauges (fun g -> g.g_value)
+let hists_of r = sorted_by_name r.r_hists (fun h -> h)
+let counters = read counters_of
+let gauges = read gauges_of
+let histograms = read hists_of
+let spans = read spans_of
 
 let hist_json ~stable (h : histogram) : Json.t =
   if stable then Json.Obj [ ("count", Json.Int h.h_count) ]
@@ -349,20 +389,23 @@ let span_json ~stable (s : span_stat) : Json.t =
         ("total_words", Json.Int s.sp_words);
       ]
 
-(** One deterministic JSON object for the whole registry. Counters,
-    gauges and histograms list alphabetically; spans list in
-    first-entered order (parents before children). [~stable:true]
-    redacts durations, allocation totals and histogram value detail,
-    keeping only counts — the golden-test rendering. *)
+(** One deterministic JSON object for the whole registry, members
+    folded in. Counters, gauges and histograms list alphabetically; spans
+    list in first-entered order (parents before children).
+    [~stable:true] redacts durations, allocation totals and histogram
+    value detail, keeping only counts — the golden-test rendering. *)
 let snapshot ?(stable = false) (t : t) : Json.t =
-  Json.Obj
-    [
-      ( "counters",
-        Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) (counters t)) );
-      ( "gauges",
-        Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) (gauges t)) );
-      ( "histograms",
-        Json.Obj
-          (List.map (fun (k, h) -> (k, hist_json ~stable h)) (histograms t)) );
-      ("spans", Json.List (List.map (span_json ~stable) (spans t)));
-    ]
+  let ints l = Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) l) in
+  let body r =
+    Json.Obj
+      [
+        ("counters", ints (counters_of r));
+        ("gauges", ints (gauges_of r));
+        ( "histograms",
+          Json.Obj
+            (List.map (fun (k, h) -> (k, hist_json ~stable h)) (hists_of r))
+        );
+        ("spans", Json.List (List.map (span_json ~stable) (spans_of r)));
+      ]
+  in
+  read body t

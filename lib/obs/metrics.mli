@@ -5,7 +5,11 @@
     live registry or {!disabled} (the default everywhere); instruments are
     looked up by name once and then bumped through their handle, and every
     bump on either path is a plain mutation — no allocation, no hashtable
-    traffic. {!snapshot} renders the whole registry as one deterministic
+    traffic. A registry has one writer at a time and readers on any
+    domain: its mutex is taken to register a name, while a reader folds
+    it, and by {!atomically} — never by a bump through a handle.
+
+    {!snapshot} renders the whole registry as one deterministic
     {!Json.t}: instruments ordered by name, spans by first-entered order,
     no timestamps; [~stable:true] further redacts machine-dependent
     quantities (durations, allocation totals, histogram value detail) so
@@ -47,6 +51,15 @@ val gauge : t -> string -> gauge
 val set : gauge -> int -> unit
 val gauge_value : gauge -> int
 
+val probe : t -> string -> (unit -> int) -> unit
+(** [probe t name read]: the gauge [name], computed by [read] whenever
+    [t] is read (under [t]'s lock, so [read] must not touch a registry). *)
+
+val atomically : t -> (unit -> 'a) -> 'a
+(** [atomically t f] runs [f] under [t]'s lock, so a reader sees all of
+    the bumps [f] makes or none. Look handles up before: [f] must not
+    register names in [t] nor read it. *)
+
 (** {1 Histograms} — log-bucketed distributions.
 
     Bucket 0 holds [v <= 0]; bucket [i >= 1] holds [2^(i-1) <= v < 2^i];
@@ -70,13 +83,18 @@ val merge_hist : into:histogram -> histogram -> unit
 (** Elementwise addition; counts, sums and extrema combine so the merge
     equals observing both streams into one histogram. *)
 
-val merge : into:t -> t -> unit
-(** Fold every instrument of the source registry into [into]: counters
-    add, gauges take the maximum, histograms {!merge_hist}, and span
-    stats accumulate counts/durations/allocations (span paths new to
-    [into] keep their relative first-entered order). Used to combine
-    per-worker registries into one serve-wide view; no-op when either
-    side is {!disabled}. *)
+val fold : t list -> t
+(** One fresh registry holding every instrument of the given registries
+    and of their members ({!join}), each registry read under its lock
+    and counted once: counters add, gauges take the maximum, histograms
+    {!merge_hist}, and span stats accumulate counts/durations/allocations
+    (span paths keep their first-entered order). {!disabled} registries
+    add nothing. *)
+
+val join : t -> t -> unit
+(** [join view r] makes [r] a member of [view]: every later read of
+    [view] folds [r] in, and [r]'s members. Handles looked up in [view]
+    name its own instruments only. *)
 
 val bucket_of : int -> int
 (** The bucket index a value bins into (total over all of [int]). *)
@@ -103,7 +121,7 @@ val span_pop : t -> unit
 
 val span_record : t -> string -> ns:int -> words:int -> unit
 
-(** {1 Reading and snapshots} *)
+(** {1 Reading and snapshots} — of a {!fold}, members and probes in. *)
 
 val counters : t -> (string * int) list  (** sorted by name *)
 

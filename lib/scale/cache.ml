@@ -60,8 +60,8 @@ type t = {
   persist : Persist.t option;  (* the [--cache-dir] disk tier *)
 }
 
-(* Caller holds the lock: the registry is not domain-safe, and the cache
-   is shared across workers. *)
+(* Caller holds the lock: the cache is shared across workers, and the
+   registry takes one writer at a time. *)
 let bump t name = Metrics.incr (Metrics.counter t.reg ("scale/cache/" ^ name))
 
 (* For the paths that run outside the lock (disk IO, verification). *)
@@ -107,14 +107,7 @@ let create ?(max_bytes = 64 * 1024 * 1024) ?(verify_every = 0) ?dir () =
 
 let metrics t = t.reg
 
-(* A point-in-time copy of the registry, safe to merge on any domain:
-   handing out the live registry (e.g. into a serve [extra_metrics] view
-   read by workers) would race with insert-path bumps. *)
-let metrics_view t =
-  Mutex.protect t.lock @@ fun () ->
-  let m = Metrics.create () in
-  Metrics.merge ~into:m t.reg;
-  m
+let metrics_view t = Metrics.fold [ t.reg ]
 
 let close t =
   match t.persist with None -> () | Some p -> Persist.close p

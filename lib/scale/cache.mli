@@ -101,14 +101,12 @@ val create : ?max_bytes:int -> ?verify_every:int -> ?dir:string -> unit -> t
     process holds its writer lock). *)
 
 val metrics : t -> Tc_obs.Metrics.t
-(** The cache's own registry (see the counter/gauge list above). Merge
-    it into a server-wide view with {!Tc_obs.Metrics.merge}. Guarded by
-    the cache's lock — read it through {!metrics_view} from other
-    domains. *)
+(** The cache's own registry (see the counter/gauge list above), bumped
+    under the cache's lock and readable from any domain; join it into a
+    server's view with {!Tc_obs.Metrics.join}. *)
 
 val metrics_view : t -> Tc_obs.Metrics.t
-(** A point-in-time copy of {!metrics}, taken under the cache lock —
-    safe to merge from any domain (the serve [extra_metrics] seam). *)
+(** A point-in-time copy of {!metrics} ({!Tc_obs.Metrics.fold}). *)
 
 val close : t -> unit
 (** Release the persistent tier's writer lock (no-op without [dir]).

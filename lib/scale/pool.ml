@@ -1,28 +1,27 @@
 (** Supervised domain worker pool (see the interface for the contract).
 
     Concurrency layout: one mutex guards the work queue, the reorder
-    buffer, the sequence counters, the pool registry and the
-    supervision state (restart budget, live-worker count, dead-worker
-    accumulators). Workers wait on [nonempty] (work arrived, or EOF);
-    the coordinator waits on [progress] (queue room opened, or a
-    response completed). Request handling, [next] and [emit] all run
-    outside the lock.
+    buffer, the sequence counters, the pool's instruments and the
+    supervision state (restart budget, live-worker count). Workers wait
+    on [nonempty] (work arrived, or EOF); the coordinator waits on
+    [progress] (queue room opened, or a response completed). Request
+    handling, [next] and [emit] all run outside the lock.
 
     Supervision: the worker loop runs under a catch-all. An escaped
     exception — the wedge that used to hang the coordinator forever on
     the dead worker's sequence number — now posts a synthetic
     [worker-crash] response for the in-flight request (order
-    preserved), folds the dead incarnation's registry into the pool
-    accumulator, and respawns a replacement domain after an
-    exponential backoff, up to [max_restarts] across the pool's
-    lifetime. When the budget is spent, the worker count just shrinks;
-    if the {e last} worker dies over budget, it stays behind as a
-    lame-duck drainer answering every remaining request with a
-    synthetic [worker-crash] — degraded service, but every request
-    still gets exactly one response and the coordinator always
-    drains. *)
+    preserved), leaves the dead incarnation's registry in the view, and
+    respawns a replacement domain after an exponential backoff, up to
+    [max_restarts] across the pool's lifetime. When the budget is spent,
+    the worker count just shrinks; if the {e last} worker dies over
+    budget, it stays behind as a lame-duck drainer answering every
+    remaining request with a synthetic [worker-crash] — degraded
+    service, but every request still gets exactly one response and the
+    coordinator always drains. *)
 
 module Serve = Typeclasses.Serve
+module Pipeline = Typeclasses.Pipeline
 module Metrics = Tc_obs.Metrics
 module Rtrace = Tc_obs.Rtrace
 module Mono = Tc_support.Mono
@@ -30,10 +29,31 @@ module Inject = Tc_resilience.Inject
 
 type summary = { metrics : Metrics.t; workers : int; restarts : int }
 
-(* The loop's fresh server is done with its registry when [run] returns. *)
+(* The registry every reading of the pool folds: the caller's
+   [extra_metrics] registry (the CLI's holds the compile cache and the
+   listener), else a fresh one, with the process's registry joined in.
+   Every server of the pool reports it through [extra_metrics]. *)
+let view (config : Serve.config) =
+  let view =
+    match config.Serve.extra_metrics with
+    | Some v -> v ()
+    | None -> Metrics.create ()
+  in
+  Metrics.join view Pipeline.process_metrics;
+  (view, { config with Serve.extra_metrics = Some (fun () -> view) })
+
+(* A server whose registry is part of [view] from its first request to
+   the end of the process, whether it drains or dies. *)
+let server_in view config =
+  let server = Serve.create ~config () in
+  Metrics.join view (Serve.metrics server);
+  server
+
 let sequential ~config ?stop ?emit_oob ~next ~emit () =
-  let metrics = Serve.run ~config ?stop ?emit_oob ~next ~emit () in
-  { metrics; workers = 1; restarts = 0 }
+  let view, config = view config in
+  let server = server_in view config in
+  ignore (Serve.run ~server ?stop ?emit_oob ~next ~emit ());
+  { metrics = view; workers = 1; restarts = 0 }
 
 (* How far the coordinator reads ahead of the slowest worker, before
    the clamp to the pool size. *)
@@ -57,17 +77,16 @@ let parallel ~workers ~config ~queue_depth ~max_restarts ~shed_grace_ms
   (* seq -> (response, trace): the emitter charges its write to the
      response's own trace *)
   let ready : (int, string * int) Hashtbl.t = Hashtbl.create 64 in
-  (* Spontaneous lines (metrics snapshots) ride the emitter thread too,
-     but out-of-band: they never consume a sequence number, so response
-     routing downstream stays strictly one [next] per [emit]. *)
-  let oob : string Queue.t = Queue.create () in
   let eof = ref false in
   (* Both counters are written by the coordinator only. *)
   let next_seq = ref 0 in
   let next_emit = ref 0 in
 
-  (* Pool-wide telemetry and supervision state, all guarded by [lock]. *)
+  (* Pool-wide telemetry, registered in the view, and supervision state;
+     bumps and supervision state are guarded by [lock]. *)
+  let view, config = view config in
   let pool_reg = Metrics.create () in
+  Metrics.join view pool_reg;
   let restarts_ctr = Metrics.counter pool_reg "scale/pool/restarts" in
   let depth_gauge = Metrics.gauge pool_reg "scale/pool/queue_depth" in
   (* instantaneous depth, refreshed on every push and pop, so a live
@@ -75,35 +94,9 @@ let parallel ~workers ~config ~queue_depth ~max_restarts ~shed_grace_ms
      deep the queue is *now*, not just the high-water mark *)
   let depth_now_gauge = Metrics.gauge pool_reg "scale/pool/queue_depth_now" in
   let shed_ctr = Metrics.counter pool_reg "scale/pool/shed" in
-  let acc_metrics = Metrics.create () in
   let restarts = ref 0 in
   let live = ref workers in
   let replacements : unit Domain.t list ref = ref [] in
-
-  (* Fold a (finished or dead) incarnation's private registry into the
-     accumulator — a crashed worker's partial counts are part of the
-     pool's story, not lost with its domain. *)
-  let merge_server server =
-    Mutex.lock lock;
-    Metrics.merge ~into:acc_metrics (Serve.metrics server);
-    Mutex.unlock lock
-  in
-
-  (* The registry in-band stats/metrics requests see: a locked copy of
-     the pool registry, composed with whatever view the caller already
-     configured (the CLI passes the compile cache's). *)
-  let caller_view = config.Serve.extra_metrics in
-  let pool_view () =
-    let m = Metrics.create () in
-    Mutex.lock lock;
-    Metrics.merge ~into:m pool_reg;
-    Mutex.unlock lock;
-    (match caller_view with
-    | None -> ()
-    | Some view -> Metrics.merge ~into:m (view ()));
-    m
-  in
-  let config = { config with Serve.extra_metrics = Some pool_view } in
   let clock = config.Serve.clock in
 
   let post seq ~trace resp =
@@ -131,7 +124,7 @@ let parallel ~workers ~config ~queue_depth ~max_restarts ~shed_grace_ms
   in
 
   let rec worker () =
-    let server = Serve.create ~config () in
+    let server = server_in view config in
     (* the request this incarnation holds, for crash accounting *)
     let inflight = ref None in
     let outcome =
@@ -170,7 +163,6 @@ let parallel ~workers ~config ~queue_depth ~max_restarts ~shed_grace_ms
     in
     match outcome with
     | `Done ->
-        merge_server server;
         Mutex.lock lock;
         decr live;
         Mutex.unlock lock
@@ -189,7 +181,6 @@ let parallel ~workers ~config ~queue_depth ~max_restarts ~shed_grace_ms
                    (Printf.sprintf "worker crashed mid-request (%s: %s)" cls
                       msg)
                  line));
-        merge_server server;
         Mutex.lock lock;
         if !restarts < max_restarts then begin
           incr restarts;
@@ -230,7 +221,7 @@ let parallel ~workers ~config ~queue_depth ~max_restarts ~shed_grace_ms
        so it can flip its readiness probe off — a load balancer should
        stop routing here once every answer is a synthetic failure. *)
     on_lame_duck ();
-    let server = Serve.create ~config () in
+    let server = server_in view config in
     let rec loop () =
       Mutex.lock lock;
       match take () with
@@ -248,14 +239,13 @@ let parallel ~workers ~config ~queue_depth ~max_restarts ~shed_grace_ms
                line);
           loop ()
     in
-    loop ();
-    merge_server server
+    loop ()
   in
   let domains = List.init workers (fun _ -> Domain.spawn worker) in
 
   (* Admission control: the coordinator owns a server solely to account
      for requests it sheds before they ever reach a worker. *)
-  let ctl = Serve.create ~config () in
+  let ctl = server_in view config in
 
   (* Emit every response as soon as it is next in sequence, from a
      dedicated thread. The coordinator cannot do this between [next]
@@ -265,7 +255,13 @@ let parallel ~workers ~config ~queue_depth ~max_restarts ~shed_grace_ms
      would deadlock the connection. [emit] is still called from exactly
      one thread, in sequence order. Collects under the lock, emits
      outside it; exits when the coordinator has seen EOF and every
-     sequenced response is out. *)
+     sequenced response is out.
+
+     Spontaneous snapshots ride this thread too, as in the sequential
+     loop: one after every [snapshot_every]-th response, reading the
+     view. They go to [emit_oob] and never consume a sequence number,
+     so response routing downstream stays strictly one [next] per
+     [emit]. *)
   let emitter =
     Thread.create
       (fun () ->
@@ -281,11 +277,24 @@ let parallel ~workers ~config ~queue_depth ~max_restarts ~shed_grace_ms
           end
           else emit resp
         in
+        (* the view is read before the response is written, so the
+           snapshot after response N never holds a request its client
+           sent after reading response N *)
+        let emitted = ref 0 in
+        let emit_one entry =
+          incr emitted;
+          let snapshot =
+            if snapshot_every > 0 && !emitted mod snapshot_every = 0 then
+              Some (Serve.snapshot_event_line ~after_requests:!emitted view)
+            else None
+          in
+          emit_traced entry;
+          Option.iter emit_oob snapshot
+        in
         let rec loop () =
           Mutex.lock lock;
           while
             (not (Hashtbl.mem ready !next_emit))
-            && Queue.is_empty oob
             && not (!eof && !next_emit >= !next_seq)
           do
             Condition.wait progress lock
@@ -301,42 +310,15 @@ let parallel ~workers ~config ~queue_depth ~max_restarts ~shed_grace_ms
                 collect ()
           in
           collect ();
-          let oob_batch = ref [] in
-          while not (Queue.is_empty oob) do
-            oob_batch := Queue.pop oob :: !oob_batch
-          done;
           let finished = !eof && !next_emit >= !next_seq in
           Mutex.unlock lock;
-          List.iter emit_traced (List.rev !batch);
-          (* out-of-band lines after the responses of the same wakeup:
-             they are unordered with respect to requests by contract,
-             and this way a snapshot taken after request N tends to
-             follow response N on stdio *)
-          List.iter emit_oob (List.rev !oob_batch);
+          List.iter emit_one (List.rev !batch);
           if not finished then loop ()
         in
         loop ())
       ()
   in
 
-  (* Spontaneous snapshots in pooled mode: counted off lines read by
-     the coordinator, framed like the sequential loop's, but carrying
-     the pool/caller registries (the workers' private serve registries
-     are not safely readable while their domains run) and routed
-     through the emitter thread out-of-band. *)
-  let fed = ref 0 in
-  let maybe_snapshot () =
-    incr fed;
-    if snapshot_every > 0 && !fed mod snapshot_every = 0 then begin
-      let line =
-        Serve.snapshot_event_line ~after_requests:!fed (pool_view ())
-      in
-      Mutex.lock lock;
-      Queue.push line oob;
-      Condition.broadcast progress;
-      Mutex.unlock lock
-    end
-  in
   let rec feed () =
     if not (stop ()) then
       match next () with
@@ -388,7 +370,6 @@ let parallel ~workers ~config ~queue_depth ~max_restarts ~shed_grace_ms
             Condition.signal nonempty;
             Mutex.unlock lock
           end;
-          maybe_snapshot ();
           feed ()
   in
   feed ();
@@ -420,13 +401,7 @@ let parallel ~workers ~config ~queue_depth ~max_restarts ~shed_grace_ms
         join_replacements ()
   in
   join_replacements ();
-
-  (* All domains joined: the accumulators are quiescent. *)
-  merge_server ctl;
-  let merged = Metrics.create () in
-  Metrics.merge ~into:merged acc_metrics;
-  Metrics.merge ~into:merged pool_reg;
-  { metrics = merged; workers; restarts = !restarts }
+  { metrics = view; workers; restarts = !restarts }
 
 let run ?(workers = 1) ?(config = Serve.default_config) ?(max_restarts = 8)
     ?(shed_grace_ms = -1.) ?(on_lame_duck = fun () -> ())

@@ -8,11 +8,12 @@
     the coordinator is blocked in [next], so a closed-loop client (one
     that awaits each response before sending the next request, the TCP
     front end's normal case) never deadlocks; each worker owns a private
-    {!Typeclasses.Serve.t} — its own registry and evaluator state — so request handling needs no locking beyond the
-    bounded work queue, and per-request isolation and budget enforcement
-    are exactly the sequential server's. Responses are re-sequenced
-    through a reorder buffer, so output order equals input order
-    regardless of which worker finishes first.
+    {!Typeclasses.Serve.t} — its own registry and evaluator state — so
+    request handling needs no locking beyond the bounded work queue and
+    one uncontended registry lock per request, and per-request isolation
+    and budget enforcement are exactly the sequential server's.
+    Responses are re-sequenced through a reorder buffer, so output order
+    equals input order regardless of which worker finishes first.
 
     {2 Supervision}
 
@@ -22,8 +23,8 @@
     survives it: the in-flight request is answered with a synthetic
     [worker-crash] response at its own sequence number (every request
     gets exactly one response, in order — the coordinator never hangs on
-    a dead worker), the dead incarnation's metrics registry is still
-    merged into the pool totals, and a replacement domain is
+    a dead worker), the dead incarnation's metrics registry stays in the
+    pool's view, and a replacement domain is
     spawned after an exponential backoff (1 ms, doubling, capped at
     64x), up to [max_restarts] restarts over the
     pool's lifetime. Past the budget the pool shrinks; if the last
@@ -45,12 +46,17 @@
     queue has been full past the grace window ([scale/pool/shed]
     counts these).
 
-    On completion the per-worker registries are folded into one fresh
-    registry with {!Tc_obs.Metrics.merge} along with the pool registry;
-    counters add and histograms merge elementwise, so the serve
-    telemetry invariant — the per-op [serve/latency] counts summing
-    exactly to [serve/requests] — holds in the merged view whenever it
-    holds per worker, synthetic responses included.
+    {2 The view}
+
+    The in-band [stats] and [metrics] ops on any worker, every
+    out-of-band snapshot line and the summary read one registry,
+    {!view}, whose members ({!Tc_obs.Metrics.join}) are every worker
+    incarnation's registry, dead ones included, the admission-control
+    server's, the pool's, the process's and the caller's (the CLI's
+    compile cache and listener). Workers account each request under
+    their registry's lock, so the serve telemetry invariant — the per-op
+    [serve/latency] counts summing exactly to [serve/requests] — holds
+    in every reading, live or final, synthetic responses included.
 
     {2 Tracing and out-of-band lines}
 
@@ -65,34 +71,27 @@
     trace ID too.
 
     Spontaneous metrics-snapshot lines ([config.snapshot_every] > 0)
-    are counted off lines read by the coordinator and routed through
-    the emitter thread {e out-of-band} ([emit_oob], defaulting to
-    [emit]) — they never consume a sequence number, so a front end
-    that pairs every [emit] with a routing slot stays consistent.
+    follow every N-th response, as in the sequential loop: the emitter
+    thread reads the {!view} as it writes that response and sends the
+    line after it, {e out-of-band} ([emit_oob], defaulting to [emit]) — it never
+    consumes a sequence number, so a front end that pairs every [emit]
+    with a routing slot stays consistent.
 
-    Pooled-mode deviations from the sequential loop, by design:
-
-    - out-of-band snapshots carry the pool/caller registries
-      ([scale/pool/*] plus the [extra_metrics] view), not the workers'
-      private serve registries (which are not safely readable while
-      their domains run — the merged view exists only at summary time);
-    - in-band [stats]/[metrics] requests likewise report the handling
-      worker's view plus the shared pool/cache registries;
-    - a live [config.base_opts.trace] sink is unsupported (sinks are not
-      domain-safe).
+    Pooled-mode deviation from the sequential loop, by design: a live
+    [config.base_opts.trace] sink is unsupported (sinks are not
+    domain-safe).
 
     With [workers <= 1] this is exactly [Serve.run] (same loop, same
-    snapshot behaviour), and the summary's registry is that server's. *)
+    snapshot behaviour) on a server whose registry is in the view. *)
 
 module Serve = Typeclasses.Serve
 
 type summary = {
   metrics : Tc_obs.Metrics.t;
-      (** all workers' registries — crashed incarnations' partial counts
-          and the coordinator's admission sheds included — plus the pool
-          registry ([scale/pool/restarts], [scale/pool/queue_depth],
-          [scale/pool/shed]) merged into one fresh registry (with one
-          worker, the server's own). Read the request tallies with
+      (** the pool's {!view}; with more than one worker it holds the
+          pool's instruments [scale/pool/restarts],
+          [scale/pool/queue_depth], [scale/pool/queue_depth_now] and
+          [scale/pool/shed]. Read the request tallies with
           {!Typeclasses.Serve.requests} and its siblings. *)
   workers : int;  (** domains initially spawned to handle requests *)
   restarts : int; (** worker domains respawned after a crash *)
@@ -102,6 +101,14 @@ type summary = {
     [workers] when the pool is larger, so an input firehose cannot
     buffer unboundedly. *)
 val queue_depth : int
+
+val view : Serve.config -> Tc_obs.Metrics.t * Serve.config
+(** The view of a pool run under the returned config: the registry
+    [config.extra_metrics] returns (fresh when [None]) with the process's
+    joined in, and a config whose [extra_metrics] returns it. A caller
+    joins its own registries into it before {!run} and may read it from
+    any domain at any time — when a drain never completes, say. [view]
+    of the returned config is the same registry. *)
 
 val run :
   ?workers:int ->

@@ -82,6 +82,8 @@ let snapshot () : (string * int) list * int =
   in
   (List.sort compare pairs, global.next - 1)
 
+let interned () = Mutex.protect lock (fun () -> Hashtbl.length global.names)
+
 let text t = t.text
 let stamp t = t.id
 let equal a b = a.id = b.id

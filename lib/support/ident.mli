@@ -39,6 +39,10 @@ val gensym : string -> t
     sorted) and its stamp counter; scope names are not included. *)
 val snapshot : unit -> (string * int) list * int
 
+(** The number of names in the process-wide table: what a long-running
+    server must keep from growing with the requests it answers. *)
+val interned : unit -> int
+
 val text : t -> string
 val stamp : t -> int
 val equal : t -> t -> bool

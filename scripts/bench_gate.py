@@ -3,15 +3,20 @@
 committed trajectory (BENCH_E<k>.json files at the repo root).
 
 Wall-clock numbers are machine-dependent, so raw new/old ratios are
-useless across CI runners. Instead the gate normalizes by the median
-ratio across every compared *_ms metric: a uniformly slower machine
-shifts all ratios equally and the median divides that shift out, while a
-genuine regression in one experiment sticks out above the rest. A metric
-fails when its normalized ratio exceeds the threshold (default 1.25,
-i.e. >25% slower than the run's overall speed shift).
+useless across CI runners. Instead the gate normalizes each backend's
+rows by the median ratio across that backend's compared *_ms metrics: a
+uniformly slower machine shifts all ratios equally and the median
+divides that shift out, while a genuine regression in one experiment
+sticks out above the rest. The median is taken per backend because the
+backends change independently: when the VM rows get a third faster, a
+median across both backends would drop and push unchanged tree rows
+over the threshold. A metric fails when its normalized ratio exceeds the
+threshold (default 1.25, i.e. >25% slower than its backend's overall
+speed shift).
 
 Only the experiments named with --gate (default e2 and e11) can fail the
-gate; every other shared experiment still contributes to the median.
+gate; every other shared experiment still contributes to its backend's
+median.
 Missing baselines are a clean skip (exit 0 with a message), so the gate
 never blocks a fresh repo or a new experiment.
 
@@ -139,7 +144,7 @@ def main():
         return 1 if slo_failures else 0
 
     # ratios over every shared wall-clock metric, for the machine-speed
-    # median; tiny baselines are noise, not signal
+    # medians; tiny baselines are noise, not signal
     ratios = {}
     for name, base, new in pairs:
         b, n = load(base), load(new)
@@ -157,13 +162,19 @@ def main():
         print("bench-gate: no comparable *_ms metrics — skipping")
         return 1 if slo_failures else 0
 
-    median = statistics.median(ratios.values())
-    print(f"bench-gate: {len(ratios)} wall-clock metrics, "
-          f"median new/old ratio {median:.3f} (machine-speed shift)")
+    # one machine-speed shift per backend
+    by_backend = {}
+    for (_, backend, _), ratio in ratios.items():
+        by_backend.setdefault(backend, []).append(ratio)
+    medians = {b: statistics.median(rs) for b, rs in by_backend.items()}
+    print(f"bench-gate: {len(ratios)} wall-clock metrics; median new/old "
+          f"ratio per backend (machine-speed shift): " +
+          ", ".join(f"{b} {m:.3f} ({len(by_backend[b])} rows)"
+                    for b, m in sorted(medians.items())))
 
     failures = []
     for (exp, backend, metric), ratio in sorted(ratios.items()):
-        norm = ratio / median
+        norm = ratio / medians[backend]
         flag = ""
         if exp in gated and norm > args.threshold:
             failures.append((exp, backend, metric, norm))
@@ -175,7 +186,7 @@ def main():
     if failures:
         print(f"bench-gate: FAIL — {len(failures)} metric(s) more than "
               f"{(args.threshold - 1) * 100:.0f}% slower than the "
-              f"trajectory after normalization:")
+              f"trajectory after per-backend normalization:")
         for exp, backend, metric, norm in failures:
             print(f"  {exp}/{backend}/{metric}: {norm:.2f}x")
         return 1

@@ -184,7 +184,7 @@ let bound_case () =
   let snapshot_bytes =
     Option.value ~default:0
       (List.assoc_opt "prelude/snapshot_words"
-         (Metrics.gauges (Pipeline.snapshot_metrics ())))
+         (Metrics.gauges Pipeline.process_metrics))
     * (Sys.word_size / 8)
   in
   Alcotest.(check bool) "no snapshot charged" true

@@ -160,6 +160,133 @@ let repl input =
       in
       (code, In_channel.with_open_bin out_file In_channel.input_all))
 
+(* ---- one live metrics view, over a real [mhc serve] ---- *)
+
+(* [mhc serve args] as a child process: [f] writes requests to its stdin
+   and reads its stdout; then stdin closes, which drains the server.
+   Returns [f]'s result, the lines written after it, and the exit code. *)
+let with_serve args f =
+  let in_r, in_w = Unix.pipe ~cloexec:true () in
+  let out_r, out_w = Unix.pipe ~cloexec:true () in
+  let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+  let pid =
+    Unix.create_process mhc
+      (Array.of_list (mhc :: "serve" :: args))
+      in_r out_w null
+  in
+  List.iter Unix.close [ in_r; out_w; null ];
+  let oc = Unix.out_channel_of_descr in_w in
+  let ic = Unix.in_channel_of_descr out_r in
+  let v = Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () -> f oc ic) in
+  let rest = In_channel.input_all ic in
+  close_in ic;
+  let code =
+    match Unix.waitpid [] pid with
+    | _, Unix.WEXITED c -> c
+    | _ -> -1
+  in
+  (v, List.filter (( <> ) "") (String.split_on_char '\n' rest), code)
+
+let send oc (r : Json.t) =
+  output_string oc (Json.to_line r ^ "\n");
+  flush oc
+
+let decode line =
+  match Json.parse line with
+  | Ok j -> j
+  | Error e -> Alcotest.failf "not JSON (%s): %s" e line
+
+(* The next response, collecting the snapshot lines before it. *)
+let rec response ic events =
+  let j = decode (input_line ic) in
+  if Json.member "event" j <> None then begin
+    events := j :: !events;
+    response ic events
+  end
+  else j
+
+let member name j =
+  match Json.member name j with
+  | Some v -> v
+  | None -> Alcotest.failf "no %S in %s" name (Json.to_string j)
+
+let int_pairs j =
+  match j with
+  | Json.Obj kvs ->
+      List.sort compare
+        (List.map
+           (fun (k, v) ->
+             match v with
+             | Json.Int n -> (k, n)
+             | Json.Obj _ -> (k, Option.value ~default:0 (Option.bind (Json.member "count" v) Json.to_int))
+             | _ -> Alcotest.failf "%s is not a count" k)
+           kvs)
+  | _ -> Alcotest.fail "not an object"
+
+(* What two readings of the view must agree on: counters, gauges (less
+   the major heap, which is read at the instant of the reading) and
+   histogram and span counts. *)
+let reading snap =
+  let spans =
+    match member "spans" snap with
+    | Json.List l ->
+        List.sort compare
+          (List.map
+             (fun s ->
+               ( Option.get (Option.bind (Json.member "span" s) Json.to_str),
+                 Option.get (Option.bind (Json.member "count" s) Json.to_int) ))
+             l)
+    | _ -> Alcotest.fail "spans not a list"
+  in
+  ( int_pairs (member "counters" snap),
+    List.remove_assoc "gc/major_heap_words" (int_pairs (member "gauges" snap)),
+    int_pairs (member "histograms" snap),
+    spans )
+
+(* [reading] less one answered request of [op] *)
+let less_one op (counters, gauges, hists, spans) =
+  let dec k l =
+    List.filter_map
+      (fun (k', n) ->
+        if k' <> k then Some (k', n) else if n > 1 then Some (k', n - 1) else None)
+      l
+  in
+  (dec "serve/requests" counters, gauges, dec ("serve/latency/" ^ op) hists, spans)
+
+let latency_invariant snap =
+  let counters, _, hists, _ = reading snap in
+  let requests = Option.value ~default:0 (List.assoc_opt "serve/requests" counters) in
+  let latency =
+    List.fold_left
+      (fun n (k, c) ->
+        if String.starts_with ~prefix:"serve/latency/" k then n + c else n)
+      0 hists
+  in
+  (requests, latency)
+
+let reading_t =
+  Alcotest.(
+    pair
+      (pair (list (pair string int)) (list (pair string int)))
+      (pair (list (pair string int)) (list (pair string int))))
+
+let pairs4 (a, b, c, d) = ((a, b), (c, d))
+
+let view_requests =
+  List.init 60 (fun i ->
+      if i mod 3 = 0 then
+        Json.Obj
+          [ ("op", Json.Str "run");
+            ("backend", Json.Str (if i mod 2 = 0 then "tree" else "vm"));
+            ("src", Json.Str (Printf.sprintf "main = %d + %d" i i)) ]
+      else
+        Json.Obj
+          [ ("op", Json.Str "check");
+            ( "src",
+              Json.Str
+                (if i mod 7 = 0 then Printf.sprintf "main = \"x%d\" + 1" i
+                 else Printf.sprintf "h%d x = x + %d\nmain = h%d 1" i i i) ) ])
+
 let tests =
   [
     ( "cli",
@@ -996,5 +1123,131 @@ let tests =
                 Alcotest.(check bool) (addr ^ " says IPv4-only") true
                   (Helpers.contains ~needle:"IPv4-only" out))
               [ "[::1]:8080"; "::1:8080" ]);
+      ] );
+    ( "cli live view",
+      [
+        case "at quiescence a live metrics equals the drain summary, less itself"
+          (fun () ->
+            List.iter
+              (fun workers ->
+                let mfile = Filename.temp_file "mhc_view" ".json" in
+                Fun.protect ~finally:(fun () -> Sys.remove mfile) @@ fun () ->
+                let events = ref [] in
+                let live, rest, code =
+                  with_serve
+                    [ "--workers"; workers; "--metrics-every"; "20";
+                      "--metrics"; mfile ]
+                    (fun oc ic ->
+                      List.iter (send oc) view_requests;
+                      List.iter (fun _ -> ignore (response ic events)) view_requests;
+                      send oc (Json.Obj [ ("op", Json.Str "metrics") ]);
+                      member "metrics" (response ic events))
+                in
+                let events = List.rev !events @ List.map decode rest in
+                let w = " (--workers " ^ workers ^ ")" in
+                Alcotest.(check int) ("exit" ^ w) 0 code;
+                let drained =
+                  decode (In_channel.with_open_bin mfile In_channel.input_all)
+                in
+                Alcotest.(check reading_t) ("live = drained less itself" ^ w)
+                  (pairs4 (less_one "metrics" (reading drained)))
+                  (pairs4 (reading live));
+                Alcotest.(check bool) ("the runs' counters" ^ w) true
+                  (List.mem_assoc "run/steps"
+                     (int_pairs (member "counters" live)));
+                Alcotest.(check int) ("three snapshot lines" ^ w) 3
+                  (List.length events);
+                let last = List.nth events 2 in
+                Alcotest.(check (option int)) ("last after 60" ^ w) (Some 60)
+                  (Json.to_int (member "after_requests" last));
+                Alcotest.(check reading_t) ("the last line = live" ^ w)
+                  (pairs4 (reading live))
+                  (pairs4 (reading (member "metrics" last)));
+                List.iter
+                  (fun snap ->
+                    let requests, latency = latency_invariant snap in
+                    Alcotest.(check int) ("invariant" ^ w) requests latency)
+                  (drained :: live :: List.map (member "metrics") events))
+              [ "1"; "2"; "4" ]);
+        case "--workers 1 snapshot lines carry the compile cache" (fun () ->
+            let code, lines =
+              serve_lines
+                [ "--workers"; "1"; "--metrics-every"; "2" ]
+                (List.init 4 (fun i ->
+                     Json.Obj
+                       [ ("op", Json.Str "check");
+                         ("src", Json.Str (Printf.sprintf "main = %d" i)) ]))
+            in
+            Alcotest.(check int) "exit" 0 code;
+            let events =
+              List.filter (fun l -> Json.member "event" (decode l) <> None) lines
+            in
+            Alcotest.(check int) "two snapshot lines" 2 (List.length events);
+            List.iter
+              (fun l ->
+                Alcotest.(check bool) "scale/cache/misses in the line" true
+                  (Helpers.contains ~needle:"\"scale/cache/misses\"" l))
+              events);
+        case "the drain-deadline file holds the requests and the pool" (fun () ->
+            let mfile = Filename.temp_file "mhc_deadline" ".json" in
+            Fun.protect ~finally:(fun () -> Sys.remove mfile) @@ fun () ->
+            let err_r, err_w = Unix.pipe ~cloexec:true () in
+            let null_in = Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 in
+            let null_out = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+            let pid =
+              Unix.create_process mhc
+                [| mhc; "serve"; "--listen"; "127.0.0.1:0"; "--workers"; "2";
+                   "--drain-timeout"; "300"; "--metrics"; mfile |]
+                null_in null_out err_w
+            in
+            List.iter Unix.close [ err_w; null_in; null_out ];
+            let errs = Unix.in_channel_of_descr err_r in
+            let port =
+              Scanf.sscanf (input_line errs) "serve: listening on %_s@:%d"
+                Fun.id
+            in
+            let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+            Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+            let oc = Unix.out_channel_of_descr fd in
+            let ic = Unix.in_channel_of_descr fd in
+            send oc (Json.Obj [ ("op", Json.Str "ping") ]);
+            ignore (response ic (ref []));
+            (* a request that outlives the drain timeout *)
+            send oc
+              (Json.Obj
+                 [ ("op", Json.Str "run"); ("timeout_ms", Json.Int 60_000);
+                   ("src", Json.Str "loop n = loop (n + 1)\nmain = loop (0 :: Int)") ]);
+            Unix.sleepf 0.3;
+            Unix.kill pid Sys.sigterm;
+            (* the drain must end within its timeout; give it 20 s *)
+            let rec wait_exit n =
+              match Unix.waitpid [ Unix.WNOHANG ] pid with
+              | 0, _ when n > 0 ->
+                  Unix.sleepf 0.05;
+                  wait_exit (n - 1)
+              | 0, _ ->
+                  Unix.kill pid Sys.sigkill;
+                  ignore (Unix.waitpid [] pid);
+                  Alcotest.fail "the drain outlived its timeout"
+              | _, Unix.WEXITED c -> c
+              | _ -> -1
+            in
+            let code = wait_exit 400 in
+            (try Unix.close fd with Unix.Unix_error _ -> ());
+            close_in_noerr errs;
+            Alcotest.(check int) "a bounded exit 0" 0 code;
+            let m = decode (In_channel.with_open_bin mfile In_channel.input_all) in
+            let counters = int_pairs (member "counters" m) in
+            let gauges = int_pairs (member "gauges" m) in
+            Alcotest.(check (option int)) "the answered ping" (Some 1)
+              (List.assoc_opt "serve/requests" counters);
+            Alcotest.(check (option int)) "the listener" (Some 1)
+              (List.assoc_opt "net/accepted" counters);
+            List.iter
+              (fun g ->
+                Alcotest.(check bool) (g ^ " present") true
+                  (List.mem_assoc g gauges))
+              [ "scale/pool/queue_depth"; "scale/pool/queue_depth_now";
+                "ident/interned"; "gc/major_heap_words" ]);
       ] );
   ]

@@ -484,11 +484,10 @@ let merge_cases =
         let a = Metrics.create () and b = Metrics.create () in
         Metrics.add (Metrics.counter a "serve/requests") 3;
         Metrics.add (Metrics.counter b "scale/cache/hits") 5;
-        Metrics.merge ~into:a b;
         Alcotest.(check (list (pair string int)))
           "disjoint keys union, shared order by name"
           [ ("scale/cache/hits", 5); ("serve/requests", 3) ]
-          (Metrics.counters a));
+          (Metrics.counters (Metrics.fold [ a; b ])));
     case "merge adds shared counters and maxes gauges" (fun () ->
         let a = Metrics.create () and b = Metrics.create () in
         Metrics.add (Metrics.counter a "reqs") 3;
@@ -496,13 +495,13 @@ let merge_cases =
         Metrics.set (Metrics.gauge a "depth") 9;
         Metrics.set (Metrics.gauge b "depth") 2;
         Metrics.set (Metrics.gauge b "only-b") 6;
-        Metrics.merge ~into:a b;
+        let ab = Metrics.fold [ a; b ] in
         Alcotest.(check int) "counters add" 7
-          (Metrics.counter_value (Metrics.counter a "reqs"));
+          (Metrics.counter_value (Metrics.counter ab "reqs"));
         Alcotest.(check (list (pair string int)))
           "gauges take max; new gauges appear"
           [ ("depth", 9); ("only-b", 6) ]
-          (Metrics.gauges a));
+          (Metrics.gauges ab));
     case "merging an empty registry is the identity" (fun () ->
         let a = Metrics.create () in
         Metrics.add (Metrics.counter a "reqs") 2;
@@ -511,19 +510,15 @@ let merge_cases =
         Metrics.span_pop a;
         Metrics.span_record a "compile" ~ns:10 ~words:1;
         let before = Json.to_string (Metrics.snapshot a) in
-        Metrics.merge ~into:a (Metrics.create ());
-        Alcotest.(check string) "into unchanged" before
-          (Json.to_string (Metrics.snapshot a));
-        (* ... and merging into an empty registry copies the source. *)
-        let fresh = Metrics.create () in
-        Metrics.merge ~into:fresh a;
-        Alcotest.(check string) "copy into empty" before
-          (Json.to_string (Metrics.snapshot fresh));
-        (* Disabled on either side is a no-op, not a crash. *)
-        Metrics.merge ~into:Metrics.disabled a;
-        Metrics.merge ~into:a Metrics.disabled;
+        let snap ts = Json.to_string (Metrics.snapshot (Metrics.fold ts)) in
+        Alcotest.(check string) "with an empty one" before
+          (snap [ a; Metrics.create () ]);
+        Alcotest.(check string) "into an empty one" before
+          (snap [ Metrics.create (); a ]);
+        Alcotest.(check string) "alone, a copy" before (snap [ a ]);
+        (* A disabled registry folds in as nothing, not a crash. *)
         Alcotest.(check string) "disabled no-op" before
-          (Json.to_string (Metrics.snapshot a)));
+          (snap [ Metrics.disabled; a; Metrics.disabled ]));
     case "histogram merge preserves quantile monotonicity" (fun () ->
         let a = Metrics.create () and b = Metrics.create () in
         let ha = Metrics.histogram a "lat" and hb = Metrics.histogram b "lat" in
@@ -535,7 +530,7 @@ let merge_cases =
         let href = Metrics.histogram all "lat" in
         List.iter (Metrics.observe href)
           [ 1; 2; 3; 4; 5; 6; 7; 8; 1000; 2000; 4000; 1 lsl 30 ];
-        Metrics.merge ~into:a b;
+        let ha = List.assoc "lat" (Metrics.histograms (Metrics.fold [ a; b ])) in
         Alcotest.(check int) "count sums" 12 (Metrics.hist_count ha);
         List.iter
           (fun q ->
@@ -561,8 +556,7 @@ let merge_cases =
         enter b "exec";
         Metrics.span_record b "compile" ~ns:50 ~words:5;
         Metrics.span_record b "exec" ~ns:7 ~words:1;
-        Metrics.merge ~into:a b;
-        match Metrics.spans a with
+        match Metrics.spans (Metrics.fold [ a; b ]) with
         | [ c; e ] ->
             Alcotest.(check string) "into's span first" "compile" c.sp_name;
             Alcotest.(check int) "counts add" 2 c.sp_count;

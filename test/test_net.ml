@@ -640,6 +640,72 @@ let satellite_cases =
           (report.Loadgen.cache_hits >= 0));
   ]
 
+(* ------------------------------------------------------------------ *)
+(* One live view over TCP.                                             *)
+(* ------------------------------------------------------------------ *)
+
+let less name n l =
+  List.filter_map
+    (fun (k, v) ->
+      if k <> name then Some (k, v) else if v > n then Some (k, v - n) else None)
+    l
+
+let json_ints j =
+  match j with
+  | Some (Json.Obj kvs) ->
+      List.map
+        (fun (k, v) ->
+          match v with
+          | Json.Int n -> (k, n)
+          | _ -> (k, Option.value ~default:0 (Option.bind (Json.member "count" v) Json.to_int)))
+        kvs
+  | _ -> Alcotest.fail "not an object"
+
+let view_cases =
+  [
+    case "a live metrics equals the drained view, less itself and its \
+          connection"
+      (fun () ->
+        let live, summary =
+          with_server ~workers:2 @@ fun _srv port ->
+          let fd, ic = connect port in
+          Fun.protect ~finally:(fun () -> close_client fd) @@ fun () ->
+          for i = 1 to 20 do
+            send fd
+              (req ~id:i "check"
+                 [ ("src", Json.Str (Printf.sprintf "k%d = %d + 1" i i)) ]);
+            ignore (got (recv ic))
+          done;
+          send fd (req "metrics" []);
+          match Json.parse (got (recv ic)) with
+          | Ok r -> Option.get (Json.member "metrics" r)
+          | Error e -> Alcotest.fail e
+        in
+        let drained = Metrics.snapshot summary.Pool.metrics in
+        let part name j = List.sort compare (json_ints (Json.member name j)) in
+        let counters = part "counters" and hists = part "histograms" in
+        let gauges j =
+          less "gc/major_heap_words" max_int (part "gauges" j)
+        in
+        Alcotest.(check (list (pair string int))) "counters, less itself"
+          (less "serve/requests" 1 (counters drained))
+          (counters live);
+        Alcotest.(check (option int)) "the listener counted" (Some 1)
+          (List.assoc_opt "net/accepted" (counters live));
+        (* the metrics request's own connection is open while it reads
+           the view, and closed (its lifetime observed) at the drain *)
+        Alcotest.(check (list (pair string int))) "gauges, less the connection"
+          (less "net/conns" max_int (gauges drained))
+          (less "net/conns" max_int (gauges live));
+        Alcotest.(check (option int)) "open while reading" (Some 1)
+          (List.assoc_opt "net/conns" (gauges live));
+        Alcotest.(check (list (pair string int)))
+          "histogram counts, less itself and its connection"
+          (less "net/conn_lifetime_ms" 1
+             (less "serve/latency/metrics" 1 (hists drained)))
+          (hists live));
+  ]
+
 let tests =
   [
     ("net over tcp", e2e_cases);
@@ -647,4 +713,5 @@ let tests =
     ("net injection", inject_cases);
     ("net bounded lines", bounded_next_cases);
     ("net satellites", satellite_cases);
+    ("net live view", view_cases);
   ]

@@ -846,6 +846,204 @@ let loadgen_cases =
         | Ok _ -> Alcotest.fail "expected a JSON array");
   ]
 
+(* ------------------------------------------------------------------ *)
+(* One live view: every reading of a pool folds every registry.        *)
+(* ------------------------------------------------------------------ *)
+
+(* Feed [batches] through a pool, each batch only once every response
+   to the earlier ones is out — so the first request of a batch is
+   handled at quiescence. Returns the summary, the responses and the
+   out-of-band lines. *)
+let run_batches ?(config = { Serve.default_config with Serve.sleep = ignore })
+    ~workers batches =
+  let m = Mutex.create () and answered = Condition.create () in
+  let emitted = ref 0 and fed = ref 0 in
+  let out = ref [] and oob = ref [] in
+  let pending = ref batches and current = ref [] in
+  let rec next () =
+    match !current with
+    | line :: rest ->
+        current := rest;
+        incr fed;
+        Some line
+    | [] -> (
+        match !pending with
+        | [] -> None
+        | batch :: rest ->
+            Mutex.protect m (fun () ->
+                while !emitted < !fed do
+                  Condition.wait answered m
+                done);
+            pending := rest;
+            current := batch;
+            next ())
+  in
+  let emit line =
+    Mutex.protect m (fun () ->
+        out := line :: !out;
+        incr emitted;
+        Condition.broadcast answered)
+  in
+  let emit_oob line = Mutex.protect m (fun () -> oob := line :: !oob) in
+  let summary = Pool.run ~workers ~config ~next ~emit ~emit_oob () in
+  (summary, List.rev !out, List.rev !oob)
+
+let metrics_req = Json.to_line (Json.Obj [ ("op", Json.Str "metrics") ])
+
+let field name j =
+  match Json.member name j with
+  | Some v -> v
+  | None -> Alcotest.failf "no %S field" name
+
+let ints = function
+  | Json.Obj kvs ->
+      List.map
+        (fun (k, v) ->
+          (k, match v with Json.Int n -> n | _ -> Alcotest.failf "%s" k))
+        kvs
+  | _ -> Alcotest.fail "not an object"
+
+(* The serve telemetry invariant on one rendered snapshot. *)
+let snapshot_invariant (snap : Json.t) =
+  let requests =
+    Option.value ~default:0
+      (List.assoc_opt "serve/requests" (ints (field "counters" snap)))
+  in
+  let latency =
+    match field "histograms" snap with
+    | Json.Obj hs ->
+        List.fold_left
+          (fun n (name, h) ->
+            if String.starts_with ~prefix:"serve/latency/" name then
+              n + Option.value ~default:0 (Option.bind (Json.member "count" h) Json.to_int)
+            else n)
+          0 hs
+    | _ -> Alcotest.fail "histograms not an object"
+  in
+  (requests, latency)
+
+let run_src i =
+  Json.to_line
+    (Json.Obj
+       [
+         ("op", Json.Str "run");
+         ("backend", Json.Str (if i mod 2 = 0 then "tree" else "vm"));
+         ( "src",
+           Json.Str
+             (Printf.sprintf
+                "sumTo :: Int -> Int\n\
+                 sumTo n = if n == 0 then 0 else n + sumTo (n - 1)\n\
+                 main = sumTo %d" (200 + i)) );
+       ])
+
+let decode line =
+  match Json.parse line with
+  | Ok j -> j
+  | Error e -> Alcotest.failf "not JSON (%s): %s" e line
+
+let view_cases =
+  [
+    case "every snapshot holds the invariant while 4 workers are busy"
+      (fun () ->
+        (* runs and checks with metrics requests among them, fed without
+           waiting, and a snapshot line after every 5th response; then,
+           at quiescence, one more metrics request *)
+        let busy =
+          List.init 80 (fun i ->
+              if i mod 4 = 3 then metrics_req
+              else if i mod 3 = 0 then
+                Json.to_line
+                  (Json.Obj
+                     [ ("op", Json.Str "check");
+                       ("src", Json.Str (Printf.sprintf "g%d x = x * %d" i i)) ])
+              else run_src i)
+        in
+        let config =
+          { Serve.default_config with Serve.sleep = ignore; snapshot_every = 5 }
+        in
+        let _, out, oob =
+          run_batches ~config ~workers:4 [ busy; [ metrics_req ] ]
+        in
+        let in_band =
+          List.filter_map
+            (fun l -> Json.member "metrics" (decode l))
+            out
+        in
+        Alcotest.(check int) "21 in-band snapshots" 21 (List.length in_band);
+        Alcotest.(check int) "16 out-of-band snapshots" 16 (List.length oob);
+        List.iter
+          (fun snap ->
+            let requests, latency = snapshot_invariant snap in
+            Alcotest.(check int) "latency counts sum to serve/requests"
+              requests latency)
+          in_band;
+        List.iter
+          (fun line ->
+            let e = decode line in
+            let after =
+              Option.get (Option.bind (Json.member "after_requests" e) Json.to_int)
+            in
+            let requests, latency = snapshot_invariant (field "metrics" e) in
+            Alcotest.(check int) "out-of-band: latency sums to requests"
+              requests latency;
+            Alcotest.(check bool)
+              (Printf.sprintf "the line after response %d sees them all" after)
+              true (requests >= after))
+          oob;
+        let last = List.nth in_band 20 in
+        Alcotest.(check int) "at quiescence every worker's requests count" 80
+          (fst (snapshot_invariant last)));
+    case "stats.counters is the sum of every run's counters across workers"
+      (fun () ->
+        let programs =
+          [ "primes"; "matrix"; "set"; "calculator" ]
+          |> List.map (fun p ->
+                 In_channel.with_open_bin
+                   (Printf.sprintf "../examples/programs/%s.mhs" p)
+                   In_channel.input_all)
+        in
+        let runs =
+          List.concat_map
+            (fun src ->
+              List.map
+                (fun backend ->
+                  Json.to_line
+                    (Json.Obj
+                       [ ("op", Json.Str "run"); ("backend", Json.Str backend);
+                         ("src", Json.Str src) ]))
+                [ "tree"; "vm"; "tree"; "vm" ])
+            programs
+        in
+        let stats_req = Json.to_line (Json.Obj [ ("op", Json.Str "stats") ]) in
+        let _, out, _ = run_batches ~workers:2 [ runs; [ stats_req ] ] in
+        let responses = List.map decode out in
+        let sum = Hashtbl.create 16 in
+        List.iter
+          (fun r ->
+            match Json.member "counters" r with
+            | Some c ->
+                List.iter
+                  (fun (k, v) ->
+                    Hashtbl.replace sum k
+                      (v + Option.value ~default:0 (Hashtbl.find_opt sum k)))
+                  (ints c)
+            | None -> ())
+          responses;
+        let stats = field "stats" (List.nth responses (List.length runs)) in
+        let reported = ints (field "counters" stats) in
+        Alcotest.(check int) "every field" 9 (List.length reported);
+        List.iter
+          (fun (k, v) ->
+            Alcotest.(check int) ("stats.counters." ^ k)
+              (Option.value ~default:0 (Hashtbl.find_opt sum k))
+              v)
+          reported;
+        Alcotest.(check bool) "the runs selected" true
+          (List.assoc "selections" reported > 0);
+        Alcotest.(check bool) "memory gauges shown" true
+          (List.mem_assoc "ident/interned" (ints (field "memory" stats))));
+  ]
+
 let tests =
   [
     ("scale cache", cache_cases);
@@ -854,4 +1052,5 @@ let tests =
     ("scale persist", persist_cases);
     ("scale oversize", oversize_cases);
     ("scale loadgen", loadgen_cases);
+    ("scale live view", view_cases);
   ]

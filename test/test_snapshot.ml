@@ -248,7 +248,7 @@ let tests =
           (fun () ->
             let builds () =
               Metrics.counter_value
-                (Metrics.counter (Pipeline.snapshot_metrics ())
+                (Metrics.counter Pipeline.process_metrics
                    "prelude/snapshot_builds")
             in
             ignore (Helpers.compile "main = 0");
