@@ -896,7 +896,8 @@ let workers_arg =
     & info [ "workers" ] ~docv:"N"
         ~doc:
           "Handle requests on $(docv) parallel worker domains (responses \
-           stay in request order); $(b,1) keeps the sequential loop.")
+           stay in request order); with $(b,1) the thread that reads a \
+           request handles it.")
 
 let cache_mb_arg =
   Arg.(
@@ -994,9 +995,8 @@ let serve_cmd =
              requests ($(b,0) disables). Each line reads the same view as \
              the $(b,metrics) op and the $(b,--metrics) summary: every \
              worker, the pool, the compile cache and the listener. \
-             Snapshot lines are out-of-band: with $(b,--workers) > 1 \
-             they ride the emitter thread, and with $(b,--listen) each \
-             one is broadcast to every connected client — responses \
+             Snapshot lines are out-of-band: each follows the response \
+             it counts, and with $(b,--listen) each one is broadcast to every connected client — responses \
              stay strictly one-per-request.")
   in
   let trace_sample_arg =
@@ -1098,13 +1098,12 @@ let serve_cmd =
         Rtrace.create ~sample:(max 1 trace_sample) ()
       else Rtrace.disabled
     in
+    (* [--cache-mb 0] without [--cache-dir] still goes through the cache:
+       a zero budget sizes nothing and inserts nothing *)
     let cache =
-      if cache_mb <= 0 && cache_dir = None then None
-      else
-        Some
-          (Tc_scale.Cache.create
-             ~max_bytes:(max 0 cache_mb * 1024 * 1024)
-             ~verify_every:cache_verify ?dir:cache_dir ())
+      Tc_scale.Cache.create
+        ~max_bytes:(max 0 cache_mb * 1024 * 1024)
+        ~verify_every:cache_verify ?dir:cache_dir ()
     in
     (* The server's spec profile is part of [base_opts], so the cache key
        ([Pipeline.spec_signature]) covers it and the cache stores the
@@ -1112,10 +1111,7 @@ let serve_cmd =
        on every hit. Passes default as in [mhc run --spec-profile]. *)
     let compile ~opts ~passes ~src =
       let passes = spec_default_passes ~spec_profile passes in
-      match cache with
-      | Some c -> Tc_scale.Cache.compile_run c ~opts ~passes ~src
-      | None ->
-          Pipeline.optimize passes (Pipeline.compile ~opts ~file:"<serve>" src)
+      Tc_scale.Cache.compile_run cache ~opts ~passes ~src
     in
     let config =
       {
@@ -1136,7 +1132,7 @@ let serve_cmd =
           {
             Serve.no_hooks with
             compile = Some compile;
-            check = Option.map Tc_scale.Cache.check cache;
+            check = Some (Tc_scale.Cache.check cache);
           };
       }
     in
@@ -1144,10 +1140,10 @@ let serve_cmd =
        folds: the pool's, with the compile cache's registry joined in
        (and, under --listen, the listener's). *)
     let view, config = Tc_scale.Pool.view config in
-    Option.iter (fun c -> Metrics.join view (Tc_scale.Cache.metrics c)) cache;
+    Metrics.join view (Tc_scale.Cache.metrics cache);
     (* Shared postlude: write the metrics file, print the stderr recap. *)
     let finish (summary : Tc_scale.Pool.summary) =
-      Option.iter Tc_scale.Cache.close cache;
+      Tc_scale.Cache.close cache;
       let merged = summary.Tc_scale.Pool.metrics in
       write_metrics mfile merged;
       write_rtrace tfile rtrace;

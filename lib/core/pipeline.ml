@@ -88,7 +88,6 @@ type options = {
   overloaded_literals : bool;  (* integer literals via fromInt (Num a => a) *)
   defaulting : bool;           (* resolve ambiguous numeric contexts *)
   include_prelude : bool;
-  lint : bool;
   max_errors : int;            (* accumulating-mode error cap; <= 0 unlimited *)
   specialise : spec_options;   (* drives the Specialise optimizer pass *)
   trace : Trace.t;             (* compile-time event sink; off by default *)
@@ -101,7 +100,6 @@ let default_options =
     overloaded_literals = true;
     defaulting = true;
     include_prelude = true;
-    lint = true;
     max_errors = 100;
     specialise = default_spec;
     trace = Trace.none;
@@ -611,9 +609,7 @@ let extend ~sink ~faults ~(opts : options) ~(base : base) ~names
             }
           in
           let own = Core.regroup (Core.squash_program own) in
-          if opts.lint then
-            Lint.check_program ~scope:base.b_globals ~primitives:Prims.names
-              own;
+          Lint.check_program ~scope:base.b_globals ~primitives:Prims.names own;
           { own with p_binds = base.b_core.p_binds @ own.p_binds })
   in
   let own_schemes = List.rev schemes_rev in
@@ -712,7 +708,6 @@ let build_prelude (opts : options) : base =
   let opts =
     {
       opts with
-      lint = true;
       max_errors = 0;
       metrics = Metrics.disabled;
     }
@@ -856,7 +851,7 @@ let tag_translate (checked : compiled) fr : compiled =
     Tc_tagdispatch.Tagdispatch.translate_program checked.env
       (checked.base.b_groups @ fr.f_groups)
   in
-  if opts.lint then Lint.check_program ~primitives:Prims.names core;
+  Lint.check_program ~primitives:Prims.names core;
   { checked with core }
 
 (* The one compile path: the dictionary-passing check of [files] on [base] —
@@ -1113,7 +1108,7 @@ let optimize (passes : Tc_opt.Opt.pass list) (c : compiled) : compiled =
         else run_pass pass core)
       c.core passes
   in
-  if c.options.lint then Lint.check_program ~primitives:Prims.names core;
+  Lint.check_program ~primitives:Prims.names core;
   { c with core; spec_report = !spec_report; names }
 
 let ident (c : compiled) (name : string) : Ident.t =

@@ -65,7 +65,6 @@ type options = {
       (** integer literals via [fromInt] ([Num a => a]) *)
   defaulting : bool;  (** resolve ambiguous numeric contexts *)
   include_prelude : bool;
-  lint : bool;
   max_errors : int;
       (** cap on errors recorded by {!compile_collect} before it gives up
           on the file; [<= 0] means unlimited (default 100) *)

@@ -452,10 +452,9 @@ let account t ~op ~cls us =
 let handle_line ?(queued_us = 0) ?trace_id t line =
   let t0 = t.config.clock () in
   let rt = t.config.rtrace in
-  (* The trace ID is minted here (stdio ingress) unless the pool already
-     minted it when the line was read off the socket/queue. Every
-     response built during handling carries it; span events record under
-     it while it is the domain's current trace. *)
+  (* The trace ID is minted here unless the pool already minted it at
+     admission. Every response built during handling carries it; span
+     events record under it while it is the domain's current trace. *)
   let trace = match trace_id with Some tr -> tr | None -> Rtrace.mint rt in
   t.cur_trace <- trace;
   let traced = Rtrace.sampled rt trace in
@@ -549,8 +548,8 @@ let handle_line ?(queued_us = 0) ?trace_id t line =
 
 (* A response manufactured on behalf of a request that never (fully)
    reached [handle_line]: the pool supervisor answers for a request
-   whose worker died mid-flight ([worker-crash]) and the coordinator
-   rejects requests at admission when the queue has been full past the
+   whose worker died mid-flight ([worker-crash]) and its admission
+   control rejects requests when the queue has been full past the
    grace window ([shed]). It is accounted like any answered request,
    with latency 0 (the request did no work here), so the merged-registry
    invariant (per-op latency counts summing exactly to [serve/requests])
@@ -576,10 +575,9 @@ let synthetic_failure ?trace_id t ~cls ~message line =
   t.cur_trace <- 0;
   resp
 
-(* A spontaneous (not request/response) snapshot line, emitted every
-   [snapshot_every] requests; distinguished by its ["event"] field. The
-   shared rendering is exposed so the pool coordinator can frame its own
-   out-of-band snapshots identically. *)
+(* A spontaneous (not request/response) snapshot line, which the pool
+   sends after every [snapshot_every]-th response; distinguished by its
+   ["event"] field. *)
 let snapshot_event_line ~after_requests m =
   Json.to_line
     (Json.Obj
@@ -588,9 +586,6 @@ let snapshot_event_line ~after_requests m =
          ("after_requests", Json.Int after_requests);
          ("metrics", Metrics.snapshot m);
        ])
-
-let snapshot_line t =
-  snapshot_event_line ~after_requests:(requests t.metrics) (view t)
 
 (* The line-cap rule, shared with the TCP reader: bytes past
    [max_bytes] are discarded as they stream in, keeping exactly one
@@ -658,24 +653,3 @@ let bounded_next ?(max_bytes = default_config.max_line_bytes) ic =
           next ()
   in
   next
-
-let run ?(config = default_config) ?server ?(stop = fun () -> false)
-    ?emit_oob ~next ~emit () =
-  let t = match server with Some t -> t | None -> create ~config () in
-  let every = t.config.snapshot_every in
-  (* Spontaneous lines go out-of-band: on stdio that is the same channel
-     as responses, but a front end that routes responses to their
-     requesting connection (the TCP emitter) supplies its own broadcast
-     here so a snapshot never consumes a response's routing slot. *)
-  let emit_oob = match emit_oob with Some f -> f | None -> emit in
-  let rec loop n =
-    if not (stop ()) then
-      match next () with
-      | None -> ()
-      | Some line ->
-          emit (handle_line t line);
-          if every > 0 && n mod every = 0 then emit_oob (snapshot_line t);
-          loop (n + 1)
-  in
-  loop 1;
-  t.metrics

@@ -1,9 +1,10 @@
 (** [mhc serve] — a crash-proof, long-running request loop.
 
-    The server reads newline-delimited JSON requests from a source and
-    writes exactly one newline-delimited JSON response per request, in
-    order. Every request is handled in complete isolation: a fresh
-    compile (fresh diagnostic sinks, fresh evaluator state), its own
+    The server answers each newline-delimited JSON request line with
+    exactly one JSON response line ({!handle_line}); {!Tc_scale.Pool}
+    drives it for every front end, in order. Every request is handled
+    in complete isolation: a fresh compile (fresh diagnostic sinks,
+    fresh evaluator state), its own
     {!Tc_resilience.Budget.t} (the per-request fields override the
     server default), and a containment boundary that classifies any
     escape — compile errors, runtime errors, resource exhaustion
@@ -129,8 +130,8 @@ type config = {
           and uptime in tests); the monotonic [Tc_support.Mono.now_s] by
           default, so latencies survive system-clock steps *)
   snapshot_every : int;
-      (** emit a spontaneous metrics-snapshot line every N requests;
-          [0] (default) disables *)
+      (** send a spontaneous metrics-snapshot line after every N-th
+          response ({!snapshot_event_line}); [0] (default) disables *)
   base_opts : Pipeline.options;
       (** compile options; the request's [strategy] field overrides the
           strategy, and the server's metrics registry overrides [metrics] *)
@@ -214,7 +215,7 @@ val latency_total : Tc_obs.Metrics.t -> Tc_obs.Metrics.histogram
     drives deadline shedding: if it exceeds the request's [deadline_ms]
     (or [config.default_deadline_ms]), the response is a cheap [shed]
     failure with no compile work. [trace_id] is the ID minted for this
-    request at an earlier ingress point (the pool coordinator); absent,
+    request at an earlier ingress point (the pool, at admission); absent,
     one is minted here. *)
 val handle_line : ?queued_us:int -> ?trace_id:int -> t -> string -> string
 
@@ -229,7 +230,7 @@ val classify : ?stage:string -> exn -> string * string
 (** [synthetic_failure t ~cls ~message line] manufactures the response
     for a request that never (fully) reached {!handle_line}: the pool
     supervisor answers for the request a dying worker held
-    ([cls = "worker-crash"]) and the coordinator refuses admission
+    ([cls = "worker-crash"]) and its admission control refuses requests
     under sustained overload ([cls = "shed"]). [line] is parsed only
     for [id]/[op] echo (malformed lines answer under op ["invalid"]).
     Bookkeeping mirrors {!handle_line} — the requests/latency/failure
@@ -268,24 +269,6 @@ val take_line : max_bytes:int -> Buffer.t -> string
 val snapshot_event_line : after_requests:int -> Tc_obs.Metrics.t -> string
 (** The spontaneous metrics-snapshot framing
     ([{"event":"metrics-snapshot", "after_requests":N, "metrics":...}])
-    rendered to one line — shared with the pool coordinator so
-    out-of-band snapshots look the same from every mode. *)
-
-(** Drive the loop: read lines from [next] until it returns [None] (or
-    [stop] returns [true] — checked between requests, for signal-driven
-    drain), passing each response line to [emit]. Returns the server's
-    registry ({!metrics}). Never raises. [server] reuses a
-    caller-created server (whose config then governs the loop); by
-    default a fresh one is created from [config]. Spontaneous snapshot lines ([snapshot_every] > 0) go
-    to [emit_oob] (default: [emit]) — a response-routing front end
-    supplies a broadcast there so snapshots never consume a response's
-    routing slot. *)
-val run :
-  ?config:config ->
-  ?server:t ->
-  ?stop:(unit -> bool) ->
-  ?emit_oob:(string -> unit) ->
-  next:(unit -> string option) ->
-  emit:(string -> unit) ->
-  unit ->
-  Tc_obs.Metrics.t
+    rendered to one line: the line {!Tc_scale.Pool} sends out-of-band
+    after every [snapshot_every]-th response, [N] being the responses
+    answered so far. *)

@@ -1,17 +1,15 @@
 (** TCP front end (see the interface for the contract).
 
-    Thread layout: one accept thread (also the drain-flag poller), one
-    reader thread per connection, and the caller's thread driving
-    {!Pool.run} as coordinator. Workers are the pool's domains and
-    never touch a socket. Locks: [t.lock] (connection set, ingest queue,
-    drain state); a connection's [wlock] (serializing writes to its fd)
-    is never taken under it.
-
-    Response routing needs no map: the pool contract says [emit] calls
-    mirror [next] pops one-to-one in order, so a FIFO of connection
-    references pushed at [next] and popped at [emit] suffices. [next]
-    runs on the pool coordinator and [emit] on the pool's emitter
-    thread, so the FIFO carries its own small lock.
+    Thread layout: the caller's thread runs the accept loop (also the
+    drain-flag poller); one reader thread per connection reads request
+    lines and submits each one to the {!Pool} with a [reply] closure
+    that writes to that connection. With one worker the reader handles
+    the request itself, inside [Pool.submit]; with more, the pool's
+    worker domains handle it and the pool's emitter thread replies.
+    Every thread that touches a socket runs on the caller's domain.
+    Locks: [t.lock] (connection set, owed counts, drain state); a
+    connection's [wlock] (serializing writes to its fd) is never taken
+    under it.
 
     Never [Unix.close] a socket that may still be written: a closed
     descriptor number is immediately reusable by [accept], so a late
@@ -32,9 +30,11 @@ type conn = {
   fd : Unix.file_descr;
   wlock : Mutex.t;               (* serializes writes to [fd] *)
   opened_at : float;             (* Mono.now_s at accept *)
-  mutable last_activity : float; (* Mono.now_s of the last byte read *)
+  mutable last_activity : float;
+      (* Mono.now_s of the last byte read or line written: the client's
+         deadlines count from here *)
   mutable alive : bool;          (* false once shut down: stop writing *)
-  mutable owing : int;           (* requests read, responses not yet written *)
+  mutable owing : int;           (* lines submitted or broadcast, unwritten *)
   mutable reader_done : bool;
   mutable released : bool;       (* fd closed, gauges settled *)
 }
@@ -52,9 +52,7 @@ type t = {
          none interleaves with another, and a new name registers under
          the registry's own lock *)
   lock : Mutex.t;
-  ingest_nonempty : Condition.t;
-  ingest_room : Condition.t;
-  ingest : (conn * string) Queue.t;
+  quiet : Condition.t;            (* a reader exited *)
   mutable peers : conn list;      (* live connections, for OOB broadcast *)
   mutable conns : int;
   mutable readers : int;          (* live reader threads *)
@@ -119,7 +117,7 @@ let create ?(max_conns = 256) ?(read_timeout_ms = 10_000)
            (Printf.sprintf "cannot bind %s:%d: %s" host port
               (Unix.error_message e))));
   Unix.listen fd backlog;
-  (* Accept never blocks: the accept thread selects first, but a
+  (* Accept never blocks: the accept loop selects first, but a
      connection can vanish between select and accept (RST), and a
      blocking accept there would stall drain polling. *)
   Unix.set_nonblock fd;
@@ -132,9 +130,7 @@ let create ?(max_conns = 256) ?(read_timeout_ms = 10_000)
     on_drain_deadline;
     reg = Metrics.create ();
     lock = Mutex.create ();
-    ingest_nonempty = Condition.create ();
-    ingest_room = Condition.create ();
-    ingest = Queue.create ();
+    quiet = Condition.create ();
     peers = [];
     conns = 0;
     readers = 0;
@@ -149,7 +145,7 @@ let port t =
   | Unix.ADDR_INET (_, p) -> p
   | _ -> 0
 
-(* Async-signal-safe: one unlocked bool store. The accept thread polls
+(* Async-signal-safe: one unlocked bool store. The accept loop polls
    it every select tick and performs the actual (lock-taking) drain. *)
 let drain t = t.drain_flag <- true
 let draining t = t.draining || t.drain_flag
@@ -176,7 +172,7 @@ let shutdown_conn conn =
 (* SO_SNDTIMEO bounds each individual [Unix.write], but a client that
    drains a byte every few seconds keeps every write making partial
    progress, so the per-write timeout alone never fires — a write-side
-   slowloris wedging the emitter thread (and with it every other
+   slowloris wedging the replying thread (and with it every other
    connection's responses). Bound the whole response too. *)
 let write_deadline_s = 5.0
 
@@ -192,32 +188,73 @@ let write_all conn s =
     off := !off + Unix.write conn.fd b !off (len - !off)
   done
 
+(* Write one line the caller counted in [conn.owing]: a response from
+   its [reply], or a broadcast. A client that is gone (or too slow to
+   keep) loses only its own lines; its neighbours and the pool's
+   accounting don't notice. The write restarts the client's deadlines. *)
+let deliver t conn line =
+  (if conn.alive then
+     try write_all conn (line ^ "\n")
+     with
+     | Unix.Unix_error
+         ( ( Unix.EPIPE | Unix.ECONNRESET | Unix.EBADF | Unix.ENOTCONN
+           | Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.ETIMEDOUT ),
+           _,
+           _ )
+     | Sys_error _
+     ->
+       bump t "write_drops";
+       shutdown_conn conn);
+  Mutex.lock t.lock;
+  conn.owing <- conn.owing - 1;
+  conn.last_activity <- Mono.now_s ();
+  maybe_release t conn;
+  Mutex.unlock t.lock
+
+(* Out-of-band lines (spontaneous metrics snapshots) go to every live
+   connection, under the same owing discipline as responses, so a
+   connection's fd cannot be closed (and its descriptor number reused by
+   a new accept) while a broadcast write to it is still in flight. The
+   pool never calls this concurrently with a reply, so responses and
+   broadcasts never interleave mid-line. *)
+let broadcast t line =
+  let targets =
+    Mutex.protect t.lock (fun () ->
+        let live = List.filter (fun c -> c.alive && not c.released) t.peers in
+        List.iter (fun c -> c.owing <- c.owing + 1) live;
+        live)
+  in
+  if targets <> [] then bump t "oob_broadcasts";
+  List.iter (fun conn -> deliver t conn line) targets
+
 (* ---- per-connection reader ---- *)
+
+(* Wait up to one poll tick for [fd] to become readable. A signal (the
+   CLI's SIGTERM or SIGUSR1 handler) interrupting the wait is an empty
+   tick, not an error. *)
+let readable fd =
+  match Unix.select [ fd ] [] [] 0.1 with
+  | [], _, _ -> false
+  | _ -> true
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> false
 
 exception Conn_dropped  (* injected Conn_drop *)
 exception Conn_stalled  (* injected Slow_read: jump to the reap path *)
 
-let reader t ~max_bytes conn =
+let reader t ~max_bytes pool conn =
   let chunk = Bytes.create 4096 in
   let line = Buffer.create 256 in
-  let enqueue l =
-    Mutex.lock t.lock;
-    (* Backpressure: a firehose connection blocks here (its socket then
-       fills and the client blocks), bounding server-side buffering.
-       Drain lifts the bound so exiting readers can never wedge. *)
-    while Queue.length t.ingest >= Pool.queue_depth && not t.draining do
-      Condition.wait t.ingest_room t.lock
-    done;
-    conn.owing <- conn.owing + 1;
-    Queue.push (conn, l) t.ingest;
-    Condition.signal t.ingest_nonempty;
-    Mutex.unlock t.lock
+  let submit l =
+    Mutex.protect t.lock (fun () -> conn.owing <- conn.owing + 1);
+    (* blocks while the request waits for its turn (one worker) or for
+       queue room (more): backpressure reaches the client's socket *)
+    Pool.submit pool l ~reply:(deliver t conn)
   in
   (* [Serve.bounded_next]'s cap and CRLF rules, a run of bytes at a time *)
   let rec scan pos n =
     let nl = Serve.scan_line ~max_bytes line chunk pos n in
     if nl < n then begin
-      enqueue (Serve.take_line ~max_bytes line);
+      submit (Serve.take_line ~max_bytes line);
       scan (nl + 1) n
     end
   in
@@ -227,31 +264,32 @@ let reader t ~max_bytes conn =
         if t.draining || t.drain_flag || not conn.alive then `Drained
         else begin
           let age_ms = (Mono.now_s () -. conn.last_activity) *. 1000. in
-          (* mid-line, the (tight) read deadline applies — a slowloris
-             trickles bytes forever; between requests, the (loose) idle
-             deadline — parked keep-alive connections are fine for a
-             while, not forever *)
+          (* Only the client's time counts: no deadline while a response
+             is owed, and the age runs from the later of the last byte
+             read and the last line written. Mid-line, the (tight) read
+             deadline applies — a slowloris trickles bytes forever;
+             between requests, the (loose) idle deadline — parked
+             keep-alive connections are fine for a while, not forever. *)
           let limit =
-            if Buffer.length line > 0 then t.read_timeout_ms
+            if conn.owing > 0 then 0
+            else if Buffer.length line > 0 then t.read_timeout_ms
             else t.idle_timeout_ms
           in
           if limit > 0 && age_ms > float_of_int limit then `Deadline
+          else if not (readable conn.fd) then loop ()
           else
-            match Unix.select [ conn.fd ] [] [] 0.1 with
-            | [], _, _ -> loop ()
-            | _ -> (
-                match Unix.read conn.fd chunk 0 (Bytes.length chunk) with
-                | 0 -> `Eof
-                | n ->
-                    conn.last_activity <- Mono.now_s ();
-                    if !Inject.live then begin
-                      (try Inject.hit ~detail:"net conn" Inject.Conn_drop
-                       with Inject.Fault _ -> raise Conn_dropped);
-                      try Inject.hit ~detail:"net conn" Inject.Slow_read
-                      with Inject.Fault _ -> raise Conn_stalled
-                    end;
-                    scan 0 n;
-                    loop ())
+            match Unix.read conn.fd chunk 0 (Bytes.length chunk) with
+            | 0 -> `Eof
+            | n ->
+                conn.last_activity <- Mono.now_s ();
+                if !Inject.live then begin
+                  (try Inject.hit ~detail:"net conn" Inject.Conn_drop
+                   with Inject.Fault _ -> raise Conn_dropped);
+                  try Inject.hit ~detail:"net conn" Inject.Slow_read
+                  with Inject.Fault _ -> raise Conn_stalled
+                end;
+                scan 0 n;
+                loop ()
         end
       in
       loop ()
@@ -281,8 +319,8 @@ let reader t ~max_bytes conn =
   conn.reader_done <- true;
   t.readers <- t.readers - 1;
   maybe_release t conn;
-  (* the coordinator may be waiting for "no readers left" at drain *)
-  Condition.broadcast t.ingest_nonempty;
+  (* [run] waits for the last reader at drain *)
+  Condition.broadcast t.quiet;
   Mutex.unlock t.lock
 
 (* ---- accept loop (and drain poller) ---- *)
@@ -309,8 +347,6 @@ let do_drain t =
   if t.draining then Mutex.unlock t.lock
   else begin
     t.draining <- true;
-    Condition.broadcast t.ingest_nonempty;
-    Condition.broadcast t.ingest_room;
     Mutex.unlock t.lock;
     (* Drain watchdog: a bounded exit is part of the contract — if the
        in-flight tail outlives the timeout (a wedged compile, a worker
@@ -324,8 +360,8 @@ let do_drain t =
          ())
   end
 
-let handle_accept t ~max_bytes fd =
-  (* A non-reading client must not wedge the coordinator mid-[emit]:
+let handle_accept t ~max_bytes pool fd =
+  (* A non-reading client must not wedge the thread replying to it:
      bound blocking writes, then treat the timeout as a vanished peer. *)
   (try Unix.setsockopt_float fd Unix.SO_SNDTIMEO 5.0 with _ -> ());
   Mutex.lock t.lock;
@@ -358,39 +394,43 @@ let handle_accept t ~max_bytes fd =
     set_conns_gauges t;
     Mutex.unlock t.lock;
     bump t "accepted";
-    ignore (Thread.create (reader t ~max_bytes) conn)
+    ignore (Thread.create (reader t ~max_bytes pool) conn)
   end
 
-let accept_loop t ~max_bytes () =
+let accept_loop t ~max_bytes pool =
   let rec loop () =
     if t.drain_flag && not t.draining then do_drain t;
     if t.draining then (try Unix.close t.listen_fd with _ -> ())
     else begin
-      (match Unix.select [ t.listen_fd ] [] [] 0.1 with
-      | [], _, _ -> ()
-      | _ -> (
-          match
-            if !Inject.live then
-              Inject.hit ~detail:"accept" Inject.Accept_fail;
-            Unix.accept t.listen_fd
-          with
-          | fd, _ -> handle_accept t ~max_bytes fd
-          | exception Inject.Fault _ ->
-              bump t "accept_fails";
-              Thread.delay 0.01
-          | exception
-              Unix.Unix_error
-                ( ( Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR
-                  | Unix.ECONNABORTED ),
-                  _,
-                  _ ) ->
-              ()));
+      (if readable t.listen_fd then
+         match
+           if !Inject.live then Inject.hit ~detail:"accept" Inject.Accept_fail;
+           Unix.accept t.listen_fd
+         with
+         | fd, _ -> handle_accept t ~max_bytes pool fd
+         | exception
+             ( Inject.Fault _
+             | Unix.Unix_error
+                 ( (Unix.EMFILE | Unix.ENFILE | Unix.ENOBUFS | Unix.ENOMEM),
+                   _,
+                   _ ) ) ->
+             (* out of descriptors or memory: back off, keep serving the
+                connections already open *)
+             bump t "accept_fails";
+             Thread.delay 0.01
+         | exception
+             Unix.Unix_error
+               ( ( Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR
+                 | Unix.ECONNABORTED ),
+                 _,
+                 _ ) ->
+             ());
       loop ()
     end
   in
   loop ()
 
-(* ---- the pool bridge ---- *)
+(* ---- serving ---- *)
 
 let run t ?(workers = 1) ?max_restarts ?shed_grace_ms
     ?(config = Serve.default_config) () =
@@ -410,98 +450,20 @@ let run t ?(workers = 1) ?max_restarts ?shed_grace_ms
           caller_ready () && (not (draining t)) && not t.lame);
     }
   in
-  let accept_thr = Thread.create (accept_loop t ~max_bytes) () in
-  (* Response routing (see the header comment): pushed by the pool
-     coordinator at [next], popped by the pool's emitter thread at
-     [emit] — one-to-one in order, but from two threads, hence the
-     lock. *)
-  let pending : conn Queue.t = Queue.create () in
-  let pending_lock = Mutex.create () in
-  let next () =
-    Mutex.lock t.lock;
-    let rec wait () =
-      if not (Queue.is_empty t.ingest) then begin
-        let conn, line = Queue.pop t.ingest in
-        Condition.signal t.ingest_room;
-        Mutex.unlock t.lock;
-        Mutex.protect pending_lock (fun () -> Queue.push conn pending);
-        Some line
-      end
-      else if t.draining && t.readers = 0 then begin
-        Mutex.unlock t.lock;
-        None
-      end
-      else begin
-        Condition.wait t.ingest_nonempty t.lock;
-        wait ()
-      end
-    in
-    wait ()
-  in
-  let emit resp =
-    let conn = Mutex.protect pending_lock (fun () -> Queue.pop pending) in
-    (if conn.alive then
-       try write_all conn (resp ^ "\n")
-       with
-       | Unix.Unix_error
-           ( ( Unix.EPIPE | Unix.ECONNRESET | Unix.EBADF | Unix.ENOTCONN
-             | Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.ETIMEDOUT ),
-             _,
-             _ )
-       | Sys_error _
-       ->
-         (* this client is gone (or too slow to keep): its remaining
-            responses drop, its neighbors and the pool's accounting
-            don't notice *)
-         bump t "write_drops";
-         shutdown_conn conn);
-    Mutex.lock t.lock;
-    conn.owing <- conn.owing - 1;
-    maybe_release t conn;
-    Mutex.unlock t.lock
-  in
-  (* Out-of-band lines (spontaneous metrics snapshots) never pop the
-     routing FIFO — they broadcast to every live connection instead,
-     under the same owing/release discipline as [emit] so a connection's
-     fd cannot be closed (and its descriptor number reused by a new
-     accept) while a broadcast write to it is still in flight. Both run
-     on the pool's emitter thread, so responses and broadcasts never
-     interleave mid-line. *)
-  let emit_oob line =
-    let targets =
-      Mutex.protect t.lock (fun () ->
-          let live =
-            List.filter (fun c -> c.alive && not c.released) t.peers
-          in
-          List.iter (fun c -> c.owing <- c.owing + 1) live;
-          live)
-    in
-    if targets <> [] then bump t "oob_broadcasts";
-    List.iter
-      (fun conn ->
-        (if conn.alive then
-           try write_all conn (line ^ "\n")
-           with
-           | Unix.Unix_error
-               ( ( Unix.EPIPE | Unix.ECONNRESET | Unix.EBADF | Unix.ENOTCONN
-                 | Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.ETIMEDOUT ),
-                 _,
-                 _ )
-           | Sys_error _
-           ->
-             bump t "write_drops";
-             shutdown_conn conn);
-        Mutex.lock t.lock;
-        conn.owing <- conn.owing - 1;
-        maybe_release t conn;
-        Mutex.unlock t.lock)
-      targets
-  in
-  let summary =
-    Pool.run ~workers ~config ?max_restarts ?shed_grace_ms
+  let pool =
+    Pool.start ~workers ~config ?max_restarts ?shed_grace_ms
       ~on_lame_duck:(fun () -> t.lame <- true)
-      ~emit_oob ~next ~emit ()
+      ~emit_oob:(broadcast t) ()
   in
+  accept_loop t ~max_bytes pool;
+  (* Draining, with the listener closed: once the last reader exits, no
+     request is being submitted, and the pool answers the ones it
+     holds. *)
+  Mutex.lock t.lock;
+  while t.readers > 0 do
+    Condition.wait t.quiet t.lock
+  done;
+  Mutex.unlock t.lock;
+  let summary = Pool.close pool in
   t.finished <- true;
-  Thread.join accept_thr;
   summary

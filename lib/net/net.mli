@@ -13,17 +13,19 @@
     closed]. One reader thread per connection scans its bytes into
     request lines (bounded buffering: bytes past the line cap are
     discarded as they stream, retaining one byte so the request still
-    answers [bad-request]/oversized) and pushes them onto a bounded
-    ingest queue — the backpressure seam between sockets and the pool.
-    The pool coordinator alone pops the queue ([next]) and the pool's
-    emitter thread alone writes responses ([emit]); since the pool
-    emits exactly one response per request in pop order, a FIFO of
-    per-request connection references is enough to route every response
-    to the right socket — no response can ever be delivered to the
-    wrong connection. A connection's socket is never closed while
-    responses are still owed to it: teardown shuts the file descriptor
-    down and defers [close] until the owed count reaches zero, so a
-    freshly-accepted connection can never reuse the descriptor early.
+    answers [bad-request]/oversized) and submits each line to the pool
+    ({!Tc_scale.Pool.submit}) with a [reply] closure that writes to this
+    connection. The response therefore carries its own destination: no
+    response can be delivered to the wrong connection, and the listener
+    holds no request queue. With one worker the reader thread handles
+    the request itself, taking turns with the other connections' readers
+    in arrival order; with more, the pool queues it (a full queue blocks
+    the reader, so a firehose client's socket fills and the client
+    blocks) and the pool's emitter thread replies. A connection's socket
+    is never closed while lines are still owed to it: teardown shuts the
+    file descriptor down and defers [close] until the owed count reaches
+    zero, so a freshly-accepted connection can never reuse the
+    descriptor early.
 
     {2 Robustness}
 
@@ -33,7 +35,10 @@
     - {b Deadlines}: a connection mid-line longer than
       [read_timeout_ms] (a slowloris trickling bytes), or quiet between
       requests longer than [idle_timeout_ms], is reaped ([net/reaped])
-      without affecting its neighbors.
+      without affecting its neighbors. Only the client's time counts:
+      neither clock runs while a response is owed to the connection,
+      and both restart when a line is written to it, so the time a
+      request spends waiting or being handled is never the client's.
     - {b Fault isolation}: a client that vanishes (EPIPE on write,
       ECONNRESET on read) loses only its own in-flight responses
       ([net/write_drops]); the pool's one-response-per-request
@@ -63,15 +68,12 @@
     {2 Out-of-band lines}
 
     Spontaneous metrics snapshots ([config.snapshot_every] > 0) work
-    over TCP: the pool routes them through its emitter thread as
-    out-of-band lines, and the front end {e broadcasts} each one to
-    every live connection instead of popping the response-routing FIFO
-    — responses stay strictly paired with requests (the PR 9
-    [Queue.Empty] regression stays fixed with snapshots {e on}).
-    Broadcast writes follow the same bounded-write/owing discipline as
-    responses: a slow or vanished client only loses its own lines.
-    In-band [trace] requests dump the shared flight recorder (see
-    {!Tc_obs.Rtrace}) like any other op.
+    over TCP: the pool hands them to the listener out-of-band, never to
+    a request's [reply], and the listener {e broadcasts} each one to
+    every live connection. Broadcast writes follow the same
+    bounded-write/owing discipline as responses: a slow or vanished
+    client only loses its own lines. In-band [trace] requests dump the
+    shared flight recorder (see {!Tc_obs.Rtrace}) like any other op.
 
     Fault injection: {!Tc_resilience.Inject.Accept_fail} (accept loop
     counts and continues), [Conn_drop] (abrupt connection teardown
@@ -123,9 +125,10 @@ val run :
   ?config:Serve.config ->
   unit ->
   Pool.summary
-(** Serve until drained: accept connections, pump their requests
-    through a {!Pool.run} with the given knobs (same defaults), and
-    block until the drain completes — every request read before the
+(** Serve until drained: start a pool with the given knobs (the
+    defaults of {!Tc_scale.Pool.start}), accept connections on the
+    calling thread, submit their requests, and block until the drain
+    completes — every request read before the
     drain has its response written (or counted [net/write_drops]) and
     all connections are closed. The given [config]'s [ready] is composed
     with (not replaced by) the listener's own: readiness additionally

@@ -80,7 +80,7 @@ val record_as :
   t -> trace:int -> name:string -> ts_ns:int -> dur_ns:int -> words:int -> unit
 (** Like {!record} but charged to an explicit ID (for events recorded
     outside the request's ambient window: queue wait measured by the
-    worker, emit measured by the emitter thread). No-op unless
+    worker, emit measured by the replying thread). No-op unless
     [sampled t trace]. *)
 
 (** {2 Dump: Chrome trace-event JSON} *)

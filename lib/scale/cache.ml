@@ -125,10 +125,10 @@ let bytes t = Mutex.protect t.lock (fun () -> t.total_bytes)
    budgets, via [Pipeline.spec_signature]) — is part of the key. *)
 let key kind ~(opts : Pipeline.options) ~src =
   let opt_fields =
-    Printf.sprintf "strategy=%s;lits=%b;defaulting=%b;prelude=%b;lint=%b"
+    Printf.sprintf "strategy=%s;lits=%b;defaulting=%b;prelude=%b"
       (Pipeline.strategy_name opts.Pipeline.strategy)
       opts.Pipeline.overloaded_literals opts.Pipeline.defaulting
-      opts.Pipeline.include_prelude opts.Pipeline.lint
+      opts.Pipeline.include_prelude
   in
   let head =
     match kind with

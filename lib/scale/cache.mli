@@ -18,7 +18,7 @@
       different values for the same source: an optimized artifact, or a
       {!Typeclasses.Serve.check_answer};
     - the output-relevant option fields — strategy,
-      [overloaded_literals], [defaulting], [include_prelude], [lint],
+      [overloaded_literals], [defaulting], [include_prelude],
       and (for the accumulating check path only) [max_errors];
     - the optimizer pass list, in order, and the specializer options
       ({!Typeclasses.Pipeline.spec_signature}: profile digest, hotness

@@ -58,29 +58,50 @@ let request ~op ~variant =
 let invariant_holds (m : Metrics.t) =
   Metrics.hist_count (Serve.latency_total m) = Serve.requests m
 
+(* rank = ceil (pct * n / 100), at least 1; exact, never interpolated *)
+let quantile_us (lat : int array) pct =
+  let xs = Array.of_list (List.filter (fun v -> v >= 0) (Array.to_list lat)) in
+  let n = Array.length xs in
+  if n = 0 then 0
+  else begin
+    Array.sort compare xs;
+    xs.(max 1 (((pct * n) + 99) / 100) - 1)
+  end
+
+(* Each line is timed from the moment the driver hands it to the pool to
+   the moment its response comes back. Responses come back in admission
+   order, so response [k] answers line [k]: the start times are a FIFO
+   indexed by admission order. The pool's lock orders each start before
+   its response's read of it. *)
 let run_phase ~label ~workers ~config (lines : string array) =
-  let i = ref 0 in
+  let n = Array.length lines in
+  let started = Array.make n 0 and lat = Array.make n (-1) in
+  let i = ref 0 and answered = ref 0 in
   let next () =
-    if !i >= Array.length lines then None
+    if !i >= n then None
     else begin
       let l = lines.(!i) in
+      started.(!i) <- Mono.now_ns ();
       incr i;
       Some l
     end
   in
+  let emit _ =
+    let k = !answered in
+    lat.(k) <- (Mono.now_ns () - started.(k)) / 1000;
+    answered := k + 1
+  in
   let t0 = Mono.now_s () in
-  let summary = Pool.run ~workers ~config ~next ~emit:(fun _ -> ()) () in
+  let summary = Pool.run ~workers ~config ~next ~emit () in
   let dt = Mono.now_s () -. t0 in
   let m = summary.Pool.metrics in
-  let acc = Serve.latency_total m in
-  let n = Array.length lines in
   ( {
       ph_label = label;
       ph_requests = n;
       ph_elapsed_s = dt;
       ph_rps = (if dt > 0. then float_of_int n /. dt else 0.);
-      ph_p50_us = Metrics.quantile acc 0.5;
-      ph_p99_us = Metrics.quantile acc 0.99;
+      ph_p50_us = quantile_us lat 50;
+      ph_p99_us = quantile_us lat 99;
       ph_ok = Serve.requests m - Serve.failed m;
       ph_failed = Serve.failed m;
     },
@@ -160,7 +181,7 @@ let run ?(clients = 4) ?(requests = 64) ?(workers = 1) ?(op = `Run)
 
 (* The same cold/hot experiment, but measured end-to-end through a
    running [mhc serve --listen] — socket transit, reader threads and
-   ingest queueing included. Each client thread owns one connection and
+   the pool's admission included. Each client thread owns one connection and
    runs a closed loop (send, await response, repeat); latencies are
    client-side wall time. Threads write disjoint slots of the shared
    result arrays, so no locking. *)
@@ -173,15 +194,6 @@ let connect ~host ~port =
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.connect fd (Unix.ADDR_INET (inet, port));
   fd
-
-let quantile_us (lat : int array) p =
-  let xs = Array.of_list (List.filter (fun v -> v >= 0) (Array.to_list lat)) in
-  let n = Array.length xs in
-  if n = 0 then 0
-  else begin
-    Array.sort compare xs;
-    xs.(min (n - 1) (int_of_float (p *. float_of_int n)))
-  end
 
 (* One request over an open connection: send the line, read the
    response line. Returns the raw response. *)
@@ -242,8 +254,8 @@ let socket_phase ~label ~clients ~requests ~op ~host ~port ~variant_of
       ph_requests = requests;
       ph_elapsed_s = dt;
       ph_rps = (if dt > 0. then float_of_int requests /. dt else 0.);
-      ph_p50_us = quantile_us lat 0.5;
-      ph_p99_us = quantile_us lat 0.99;
+      ph_p50_us = quantile_us lat 50;
+      ph_p99_us = quantile_us lat 99;
       ph_ok = ok;
       ph_failed = requests - ok;
     },

@@ -1,9 +1,9 @@
 (** [mhc bench serve] — a load generator for the serve loop.
 
     Drives the NDJSON request/response contract in-process through
-    {!Pool.run} (so the numbers include queueing, re-sequencing and
-    per-worker registry merging, not just raw compiles) in two phases
-    over the same compile cache:
+    {!Pool.run} (so the numbers include admission, queueing and
+    re-sequencing, not just raw compiles) in two phases over the same
+    compile cache:
 
     - {b cold}: every request carries a distinct generated program —
       all cache misses; the front end runs for each.
@@ -12,17 +12,19 @@
       the front end.
 
     The report carries throughput (requests/s) and p50/p99 latency per
-    phase (quantiles of the merged [serve/latency] histograms, so they
-    are the same numbers the serve telemetry exports), the hot/cold
-    speedup, cache hit/miss totals, and whether the telemetry
-    invariant — per-op latency counts summing exactly to
-    [serve/requests] — held in the merged multi-worker registry.
+    phase, the hot/cold speedup, cache hit/miss totals, and whether the
+    telemetry invariant — per-op latency counts summing exactly to
+    [serve/requests] — held in the merged multi-worker registry. Each
+    latency is exact: from the moment the driver hands the line to the
+    pool to the moment its response comes back. Quantiles are nearest
+    rank (the smallest sample with at least p% of the samples at or
+    below it) in both modes, as in [perfbench/run.py].
 
     {!run_socket} runs the same experiment end-to-end against a running
     [mhc serve --listen] server: client threads each own one TCP
     connection and run a closed loop, so the numbers additionally
-    include socket transit, the reader threads and ingest queueing, and
-    latencies are client-side wall time. The invariant and the
+    include socket transit and the reader threads, and latencies are
+    client-side wall time. The invariant and the
     cache/pool tallies come from an in-band [metrics] snapshot probe. *)
 
 type phase = {
@@ -57,6 +59,13 @@ val invariant_holds : Tc_obs.Metrics.t -> bool
 (** [sum over serve/latency histograms of count = serve/requests]
     in the given registry — the telemetry invariant, checkable on any
     (including merged) registry. *)
+
+val quantile_us : int array -> int -> int
+(** [quantile_us lat pct]: the nearest-rank [pct]th percentile of the
+    non-negative entries of [lat] (negative slots were never recorded),
+    i.e. the smallest sample with at least [pct]% of the samples at or
+    below it; [0] when there are none. The definition of
+    [perfbench/run.py]'s [percentile]. *)
 
 val run :
   ?clients:int ->

@@ -1,24 +1,15 @@
 (** Supervised domain worker pool (see the interface for the contract).
 
-    Concurrency layout: one mutex guards the work queue, the reorder
-    buffer, the sequence counters, the pool's instruments and the
-    supervision state (restart budget, live-worker count). Workers wait
-    on [nonempty] (work arrived, or EOF); the coordinator waits on
-    [progress] (queue room opened, or a response completed). Request
-    handling, [next] and [emit] all run outside the lock.
-
-    Supervision: the worker loop runs under a catch-all. An escaped
-    exception — the wedge that used to hang the coordinator forever on
-    the dead worker's sequence number — now posts a synthetic
-    [worker-crash] response for the in-flight request (order
-    preserved), leaves the dead incarnation's registry in the view, and
-    respawns a replacement domain after an exponential backoff, up to
-    [max_restarts] across the pool's lifetime. When the budget is spent,
-    the worker count just shrinks; if the {e last} worker dies over
-    budget, it stays behind as a lame-duck drainer answering every
-    remaining request with a synthetic [worker-crash] — degraded
-    service, but every request still gets exactly one response and the
-    coordinator always drains. *)
+    Concurrency layout (more than one worker): one mutex guards the work
+    queue, the reorder buffer, the sequence counters, the pool's
+    instruments and the supervision state (restart budget, live-worker
+    count). Workers wait on [nonempty] (work arrived, or the pool
+    closed); submitters and the emitter wait on [progress] (queue room
+    opened, or a response completed). Request handling and replies run
+    outside the lock. A worker's catch-all turns an escaped exception
+    into a synthetic [worker-crash] response at the held request's own
+    sequence number, then respawns the worker, within the restart
+    budget, or leaves the last one as a lame-duck drainer. *)
 
 module Serve = Typeclasses.Serve
 module Pipeline = Typeclasses.Pipeline
@@ -49,36 +40,117 @@ let server_in view config =
   Metrics.join view (Serve.metrics server);
   server
 
-let sequential ~config ?stop ?emit_oob ~next ~emit () =
+type t = {
+  submit : string -> reply:(string -> unit) -> unit;
+  close : unit -> summary;
+}
+
+let submit t line ~reply = t.submit line ~reply
+let close t = t.close ()
+
+(* The monotonic admission time of a sampled request, the start of its
+   [queue] event; 0 for an unsampled one. *)
+let admitted rt trace = if Rtrace.sampled rt trace then Mono.now_ns () else 0
+
+let record_queue rt ~trace admitted_ns =
+  if admitted_ns > 0 then
+    Rtrace.record_as rt ~trace ~name:"queue" ~ts_ns:admitted_ns
+      ~dur_ns:(max 0 (Mono.now_ns () - admitted_ns))
+      ~words:0
+
+(* The last step of every response, taken by one thread at a time in
+   admission order: [reply] writes it, charged to the request's own
+   trace as its [emit] event, so a slow client shows up in its
+   requests' timelines. Every [snapshot_every]-th response is followed
+   by an out-of-band snapshot of the view, read before the response is
+   written, so the snapshot after response N never holds a request its
+   client sent after reading response N. *)
+let answerer ~config ~view ~emit_oob =
+  let rt = config.Serve.rtrace and every = config.Serve.snapshot_every in
+  let answered = ref 0 in
+  fun ~trace ~reply resp ->
+    incr answered;
+    let snapshot =
+      if every > 0 && !answered mod every = 0 then
+        Some (Serve.snapshot_event_line ~after_requests:!answered view)
+      else None
+    in
+    (if Rtrace.sampled rt trace then begin
+       let ts0 = Mono.now_ns () in
+       reply resp;
+       Rtrace.record_as rt ~trace ~name:"emit" ~ts_ns:ts0
+         ~dur_ns:(Mono.now_ns () - ts0) ~words:0
+     end
+     else reply resp);
+    Option.iter emit_oob snapshot
+
+(* One worker: the submitting thread handles its own request. Turns go
+   out by ticket, in admission order, so concurrent submitters (one TCP
+   reader per connection) take turns FIFO; a bare mutex is not fair and
+   would let one pipelining connection starve the others. *)
+let one_worker ~config ~emit_oob =
   let view, config = view config in
   let server = server_in view config in
-  ignore (Serve.run ~server ?stop ?emit_oob ~next ~emit ());
-  { metrics = view; workers = 1; restarts = 0 }
+  let rt = config.Serve.rtrace in
+  let answer = answerer ~config ~view ~emit_oob in
+  let lock = Mutex.create () and turn = Condition.create () in
+  let tickets = ref 0 and serving = ref 0 in
+  let submit line ~reply =
+    Mutex.lock lock;
+    let ticket = !tickets in
+    incr tickets;
+    let trace = Rtrace.mint rt in
+    let admitted_ns = admitted rt trace in
+    while !serving <> ticket do
+      Condition.wait turn lock
+    done;
+    Mutex.unlock lock;
+    Fun.protect
+      ~finally:(fun () ->
+        Mutex.lock lock;
+        incr serving;
+        Condition.broadcast turn;
+        Mutex.unlock lock)
+      (fun () ->
+        record_queue rt ~trace admitted_ns;
+        answer ~trace ~reply (Serve.handle_line ~trace_id:trace server line))
+  in
+  {
+    submit;
+    close = (fun () -> { metrics = view; workers = 1; restarts = 0 });
+  }
 
-(* How far the coordinator reads ahead of the slowest worker, before
-   the clamp to the pool size. *)
+(* How far admission runs ahead of the slowest worker, before the clamp
+   to the pool size. *)
 let queue_depth = 64
 
 (* The base respawn delay after a worker crash; it doubles per restart,
    capped at 64x. *)
 let restart_backoff_ms = 1.
 
-let parallel ~workers ~config ~queue_depth ~max_restarts ~shed_grace_ms
-    ~on_lame_duck ~stop ~snapshot_every ~emit_oob ~next ~emit () =
+(* An admitted request: its place in the response order, its trace, its
+   admission times and where its response goes. *)
+type job = {
+  seq : int;
+  line : string;
+  trace : int;
+  enqueued : float;  (* config clock: the queue age behind deadline shedding *)
+  admitted_ns : int;  (* the [queue] event's start, sampled traces only *)
+  reply : string -> unit;
+}
+
+let parallel ~workers ~config ~max_restarts ~shed_grace_ms ~on_lame_duck
+    ~emit_oob =
+  (* a queue shallower than the pool would idle workers by construction *)
+  let queue_depth = max workers queue_depth in
   let lock = Mutex.create () in
   let nonempty = Condition.create () in
   let progress = Condition.create () in
   let rt = config.Serve.rtrace in
-  (* Queue entries carry their enqueue time (config clock) so workers
-     can compute the queue age that drives deadline shedding, plus the
-     trace ID minted at admission and — for sampled requests only — the
-     monotonic enqueue time that becomes the "queue" trace event. *)
-  let queue : (int * string * float * int * int) Queue.t = Queue.create () in
-  (* seq -> (response, trace): the emitter charges its write to the
-     response's own trace *)
-  let ready : (int, string * int) Hashtbl.t = Hashtbl.create 64 in
-  let eof = ref false in
-  (* Both counters are written by the coordinator only. *)
+  let queue : job Queue.t = Queue.create () in
+  (* seq -> (job, response), re-sequenced by the emitter *)
+  let ready : (int, job * string) Hashtbl.t = Hashtbl.create 64 in
+  let closed = ref false in
   let next_seq = ref 0 in
   let next_emit = ref 0 in
 
@@ -99,24 +171,29 @@ let parallel ~workers ~config ~queue_depth ~max_restarts ~shed_grace_ms
   let replacements : unit Domain.t list ref = ref [] in
   let clock = config.Serve.clock in
 
-  let post seq ~trace resp =
+  (* Caller holds [lock]. The emitter and blocked submitters both wait
+     on [progress]; a single signal could wake the wrong one. *)
+  let post_locked job resp =
+    Hashtbl.add ready job.seq (job, resp);
+    Condition.broadcast progress
+  in
+  let post job resp =
     Mutex.lock lock;
-    Hashtbl.add ready seq (resp, trace);
-    (* both the emitter and a backpressure-blocked coordinator wait on
-       [progress]; a single signal could wake the wrong one *)
-    Condition.broadcast progress;
+    post_locked job resp;
     Mutex.unlock lock
   in
 
-  (* Dequeue under [lock] (the caller holds it); [None] only at EOF with
-     an empty queue, i.e. no request will ever arrive again. *)
+  (* Dequeue under [lock] (the caller holds it); [None] only once the
+     pool is closed with an empty queue, i.e. no request will ever
+     arrive again. Queue room opened: a submitter may be blocked. *)
   let rec take () =
     if not (Queue.is_empty queue) then begin
-      let entry = Queue.pop queue in
+      let job = Queue.pop queue in
       Metrics.set depth_now_gauge (Queue.length queue);
-      Some entry
+      Condition.broadcast progress;
+      Some job
     end
-    else if !eof then None
+    else if !closed then None
     else begin
       Condition.wait nonempty lock;
       take ()
@@ -135,27 +212,22 @@ let parallel ~workers ~config ~queue_depth ~max_restarts ~shed_grace_ms
           | None ->
               Mutex.unlock lock;
               `Done
-          | Some (seq, line, enqueued, trace, enq_ns) ->
-              (* Queue room opened: the coordinator may be blocked. *)
-              Condition.broadcast progress;
+          | Some job ->
               Mutex.unlock lock;
-              inflight := Some (seq, line, trace);
+              inflight := Some job;
               let queued_us =
-                int_of_float (Float.max 0. ((clock () -. enqueued) *. 1e6))
+                int_of_float
+                  (Float.max 0. ((clock () -. job.enqueued) *. 1e6))
               in
-              (* the queue-wait event, measured on the monotonic clock
-                 from admission to this dequeue *)
-              if enq_ns > 0 then
-                Rtrace.record_as rt ~trace ~name:"queue" ~ts_ns:enq_ns
-                  ~dur_ns:(max 0 (Mono.now_ns () - enq_ns))
-                  ~words:0;
+              record_queue rt ~trace:job.trace job.admitted_ns;
               if !Inject.live then
                 Inject.hit ~detail:"pool worker" Inject.Worker_crash;
               let resp =
-                Serve.handle_line ~queued_us ~trace_id:trace server line
+                Serve.handle_line ~queued_us ~trace_id:job.trace server
+                  job.line
               in
               inflight := None;
-              post seq ~trace resp;
+              post job resp;
               loop ()
         in
         loop ()
@@ -168,19 +240,19 @@ let parallel ~workers ~config ~queue_depth ~max_restarts ~shed_grace_ms
         Mutex.unlock lock
     | `Crashed exn -> (
         (* The request this incarnation held gets a synthetic response at
-           its own sequence number — the coordinator's reorder buffer
-           never waits on a dead worker. *)
+           its own sequence number — the reorder buffer never waits on a
+           dead worker. *)
         (match !inflight with
         | None -> ()
-        | Some (seq, line, trace) ->
+        | Some job ->
             let cls, msg = Serve.classify exn in
-            post seq ~trace
-              (Serve.synthetic_failure ~trace_id:trace server
+            post job
+              (Serve.synthetic_failure ~trace_id:job.trace server
                  ~cls:"worker-crash"
                  ~message:
                    (Printf.sprintf "worker crashed mid-request (%s: %s)" cls
                       msg)
-                 line));
+                 job.line));
         Mutex.lock lock;
         if !restarts < max_restarts then begin
           incr restarts;
@@ -217,85 +289,50 @@ let parallel ~workers ~config ~queue_depth ~max_restarts ~shed_grace_ms
     (* Restart budget exhausted and no live worker remains: become a
        lame-duck drainer so liveness survives total worker loss. Every
        queued (and still-arriving) request is answered with a synthetic
-       worker-crash failure until EOF. The caller is told ([on_lame_duck])
-       so it can flip its readiness probe off — a load balancer should
-       stop routing here once every answer is a synthetic failure. *)
+       worker-crash failure until the pool closes. The caller is told
+       ([on_lame_duck]) so it can flip its readiness probe off — a load
+       balancer should stop routing here once every answer is a
+       synthetic failure. *)
     on_lame_duck ();
     let server = server_in view config in
     let rec loop () =
       Mutex.lock lock;
       match take () with
       | None -> Mutex.unlock lock
-      | Some (seq, line, _, trace, _) ->
-          Condition.broadcast progress;
+      | Some job ->
           Mutex.unlock lock;
-          post seq ~trace
-            (Serve.synthetic_failure ~trace_id:trace server
+          post job
+            (Serve.synthetic_failure ~trace_id:job.trace server
                ~cls:"worker-crash"
                ~message:
                  (Printf.sprintf
                     "worker pool degraded: restart budget (%d) exhausted"
                     max_restarts)
-               line);
+               job.line);
           loop ()
     in
     loop ()
   in
   let domains = List.init workers (fun _ -> Domain.spawn worker) in
 
-  (* Admission control: the coordinator owns a server solely to account
-     for requests it sheds before they ever reach a worker. *)
+  (* Admission control owns a server solely to account for requests it
+     sheds before they ever reach a worker; it is used under [lock]. *)
   let ctl = server_in view config in
 
-  (* Emit every response as soon as it is next in sequence, from a
-     dedicated thread. The coordinator cannot do this between [next]
-     calls: a closed-loop client (the TCP front end's normal case)
-     sends its next request only after reading its response, so a
-     coordinator blocked in [next] while the response sat in [ready]
-     would deadlock the connection. [emit] is still called from exactly
-     one thread, in sequence order. Collects under the lock, emits
-     outside it; exits when the coordinator has seen EOF and every
-     sequenced response is out.
-
-     Spontaneous snapshots ride this thread too, as in the sequential
-     loop: one after every [snapshot_every]-th response, reading the
-     view. They go to [emit_oob] and never consume a sequence number,
-     so response routing downstream stays strictly one [next] per
-     [emit]. *)
+  (* Call each response's [reply] as soon as it is next in sequence, from
+     a dedicated thread, so a submitter never waits on a reply: a
+     closed-loop client sends its next request only after reading its
+     response. Collects under the lock, answers outside it; exits when
+     the pool is closed and every admitted request is answered. *)
+  let answer = answerer ~config ~view ~emit_oob in
   let emitter =
     Thread.create
       (fun () ->
-        (* Write one response, charging the write to the response's own
-           trace so a slow/backpressured client shows up as a long
-           [emit] event in its requests' timelines. *)
-        let emit_traced (resp, trace) =
-          if Rtrace.sampled rt trace then begin
-            let ts0 = Mono.now_ns () in
-            emit resp;
-            Rtrace.record_as rt ~trace ~name:"emit" ~ts_ns:ts0
-              ~dur_ns:(Mono.now_ns () - ts0) ~words:0
-          end
-          else emit resp
-        in
-        (* the view is read before the response is written, so the
-           snapshot after response N never holds a request its client
-           sent after reading response N *)
-        let emitted = ref 0 in
-        let emit_one entry =
-          incr emitted;
-          let snapshot =
-            if snapshot_every > 0 && !emitted mod snapshot_every = 0 then
-              Some (Serve.snapshot_event_line ~after_requests:!emitted view)
-            else None
-          in
-          emit_traced entry;
-          Option.iter emit_oob snapshot
-        in
         let rec loop () =
           Mutex.lock lock;
           while
             (not (Hashtbl.mem ready !next_emit))
-            && not (!eof && !next_emit >= !next_seq)
+            && not (!closed && !next_emit >= !next_seq)
           do
             Condition.wait progress lock
           done;
@@ -310,109 +347,114 @@ let parallel ~workers ~config ~queue_depth ~max_restarts ~shed_grace_ms
                 collect ()
           in
           collect ();
-          let finished = !eof && !next_emit >= !next_seq in
+          let finished = !closed && !next_emit >= !next_seq in
           Mutex.unlock lock;
-          List.iter emit_one (List.rev !batch);
+          List.iter
+            (fun (job, resp) -> answer ~trace:job.trace ~reply:job.reply resp)
+            (List.rev !batch);
           if not finished then loop ()
         in
         loop ())
       ()
   in
 
-  let rec feed () =
+  let submit line ~reply =
+    Mutex.lock lock;
+    (* Backpressure with a grace window: wait for queue room, but if the
+       queue stays full past [shed_grace_ms] of (progress-signalled)
+       waiting, reject at admission — cheaper than letting the request
+       age out in the queue, and bounded because supervision guarantees
+       workers keep signalling. A negative grace disables admission
+       shedding (pure backpressure). *)
+    let full_since = ref None in
+    let shed = ref false in
+    while (not !shed) && Queue.length queue >= queue_depth do
+      (match !full_since with
+      | None -> full_since := Some (clock ())
+      | Some t0 ->
+          if shed_grace_ms >= 0. && (clock () -. t0) *. 1000. > shed_grace_ms
+          then shed := true);
+      if not !shed then Condition.wait progress lock
+    done;
+    (* Admission: the sequence number and the trace ID are minted here,
+       under the lock, so both follow admission order. *)
+    let seq = !next_seq in
+    incr next_seq;
+    let trace = Rtrace.mint rt in
+    let job =
+      { seq; line; trace; enqueued = clock (); admitted_ns = 0; reply }
+    in
+    if !shed then begin
+      Metrics.incr shed_ctr;
+      post_locked job
+        (Serve.synthetic_failure ~trace_id:trace ctl ~cls:"shed"
+           ~message:
+             (Printf.sprintf
+                "shed at admission: queue full past the %.0fms grace window"
+                shed_grace_ms)
+           line)
+    end
+    else begin
+      Queue.push { job with admitted_ns = admitted rt trace } queue;
+      (* high-water queue depth; gauges merge by max *)
+      let d = Queue.length queue in
+      Metrics.set depth_now_gauge d;
+      if d > Metrics.gauge_value depth_gauge then Metrics.set depth_gauge d;
+      Condition.signal nonempty
+    end;
+    Mutex.unlock lock
+  in
+
+  let close () =
+    Mutex.lock lock;
+    closed := true;
+    Condition.broadcast nonempty;
+    (* the emitter's exit condition just became decidable *)
+    Condition.broadcast progress;
+    Mutex.unlock lock;
+    (* the emitter answers the in-flight tail, in order, then exits *)
+    Thread.join emitter;
+    List.iter Domain.join domains;
+    (* Replacement domains spawned by crashing workers: joining one may
+       race a still-crashing worker spawning another, so drain the list
+       to a fixed point. *)
+    let rec join_replacements () =
+      Mutex.lock lock;
+      let ds = !replacements in
+      replacements := [];
+      Mutex.unlock lock;
+      match ds with
+      | [] -> ()
+      | ds ->
+          List.iter Domain.join ds;
+          join_replacements ()
+    in
+    join_replacements ();
+    { metrics = view; workers; restarts = !restarts }
+  in
+  { submit; close }
+
+let start ?(workers = 1) ?(config = Serve.default_config) ?(max_restarts = 8)
+    ?(shed_grace_ms = -1.) ?(on_lame_duck = fun () -> ()) ~emit_oob () =
+  if workers <= 1 then one_worker ~config ~emit_oob
+  else
+    parallel ~workers ~config ~max_restarts ~shed_grace_ms ~on_lame_duck
+      ~emit_oob
+
+let run ?workers ?config ?max_restarts ?shed_grace_ms ?on_lame_duck
+    ?(stop = fun () -> false) ?emit_oob ~next ~emit () =
+  let pool =
+    start ?workers ?config ?max_restarts ?shed_grace_ms ?on_lame_duck
+      ~emit_oob:(Option.value emit_oob ~default:emit)
+      ()
+  in
+  let rec loop () =
     if not (stop ()) then
       match next () with
       | None -> ()
       | Some line ->
-          let seq = !next_seq in
-          incr next_seq;
-          let trace = Rtrace.mint rt in
-          Mutex.lock lock;
-          (* Backpressure with a grace window: wait for queue room, but
-             if the queue stays full past [shed_grace_ms] of (progress-
-             signalled) waiting, reject at admission — cheaper than
-             letting the request age out in the queue, and bounded
-             because supervision guarantees workers keep signalling. A
-             negative grace disables admission shedding (pure
-             backpressure, the pre-supervision behaviour). *)
-          let full_since = ref None in
-          let shed = ref false in
-          while (not !shed) && Queue.length queue >= queue_depth do
-            (match !full_since with
-            | None -> full_since := Some (clock ())
-            | Some t0 ->
-                if
-                  shed_grace_ms >= 0.
-                  && (clock () -. t0) *. 1000. > shed_grace_ms
-                then shed := true);
-            if not !shed then Condition.wait progress lock
-          done;
-          if !shed then begin
-            Metrics.incr shed_ctr;
-            Mutex.unlock lock;
-            post seq ~trace
-              (Serve.synthetic_failure ~trace_id:trace ctl ~cls:"shed"
-                 ~message:
-                   (Printf.sprintf
-                      "shed at admission: queue full past the %.0fms grace \
-                       window"
-                      shed_grace_ms)
-                 line)
-          end
-          else begin
-            let enq_ns = if Rtrace.sampled rt trace then Mono.now_ns () else 0 in
-            Queue.push (seq, line, clock (), trace, enq_ns) queue;
-            (* high-water queue depth; gauges merge by max *)
-            let d = Queue.length queue in
-            Metrics.set depth_now_gauge d;
-            if d > Metrics.gauge_value depth_gauge then
-              Metrics.set depth_gauge d;
-            Condition.signal nonempty;
-            Mutex.unlock lock
-          end;
-          feed ()
+          submit pool line ~reply:emit;
+          loop ()
   in
-  feed ();
-
-  Mutex.lock lock;
-  eof := true;
-  Condition.broadcast nonempty;
-  (* the emitter's exit condition just became decidable *)
-  Condition.broadcast progress;
-  Mutex.unlock lock;
-
-  (* Input exhausted: the emitter writes out the in-flight tail, in
-     order, then exits. *)
-  Thread.join emitter;
-
-  List.iter Domain.join domains;
-  (* Replacement domains spawned by crashing workers: joining one may
-     race a still-crashing worker spawning another, so drain the list
-     to a fixed point. *)
-  let rec join_replacements () =
-    Mutex.lock lock;
-    let ds = !replacements in
-    replacements := [];
-    Mutex.unlock lock;
-    match ds with
-    | [] -> ()
-    | ds ->
-        List.iter Domain.join ds;
-        join_replacements ()
-  in
-  join_replacements ();
-  { metrics = view; workers; restarts = !restarts }
-
-let run ?(workers = 1) ?(config = Serve.default_config) ?(max_restarts = 8)
-    ?(shed_grace_ms = -1.) ?(on_lame_duck = fun () -> ())
-    ?(stop = fun () -> false) ?emit_oob ~next ~emit () =
-  if workers <= 1 then sequential ~config ~stop ?emit_oob ~next ~emit ()
-  else
-    (* a queue shallower than the pool would idle workers by
-       construction, so the depth is clamped to at least [workers] *)
-    parallel ~workers ~config
-      ~queue_depth:(max workers queue_depth)
-      ~max_restarts ~shed_grace_ms ~on_lame_duck ~stop
-      ~snapshot_every:config.Serve.snapshot_every
-      ~emit_oob:(match emit_oob with Some f -> f | None -> emit)
-      ~next ~emit ()
+  loop ();
+  close pool

@@ -18,6 +18,7 @@
 open Helpers
 module Pipeline = Typeclasses.Pipeline
 module Serve = Typeclasses.Serve
+module Pool = Tc_scale.Pool
 module Inject = Tc_resilience.Inject
 module Metrics = Tc_obs.Metrics
 module Span = Tc_obs.Span
@@ -441,7 +442,6 @@ let serve_cases =
     case "run emits a spontaneous snapshot line every N requests"
       (fun () ->
         let config = { test_config with Serve.snapshot_every = 2 } in
-        let server = Serve.create ~config () in
         let inputs =
           ref (List.init 5 (fun _ -> req [ ("op", Json.Str "ping") ]))
         in
@@ -454,7 +454,10 @@ let serve_cases =
         in
         let emitted = ref [] in
         let m =
-          Serve.run ~server ~next ~emit:(fun l -> emitted := l :: !emitted) ()
+          (Pool.run ~config ~next
+             ~emit:(fun l -> emitted := l :: !emitted)
+             ())
+            .Pool.metrics
         in
         Alcotest.(check int) "five responses" 5 (Serve.requests m);
         let events =

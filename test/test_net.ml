@@ -706,8 +706,82 @@ let view_cases =
           (hists live));
   ]
 
+(* ------------------------------------------------------------------ *)
+(* One admission path: the reader thread submits into the pool.        *)
+(* ------------------------------------------------------------------ *)
+
+(* Every request takes at least [ms]: its first attempt hits an armed
+   transient fault, and the retry waits out a real [ms] backoff (and
+   faults again, so the request answers [transient]). *)
+let slow_config ms =
+  { Serve.default_config with Serve.retries = 1; backoff_ms = float_of_int ms }
+
+let admission_cases =
+  [
+    case "the read deadline does not count the time a request is handled"
+      (fun () ->
+        let (first, second), summary =
+          with_server ~read_timeout_ms:300 ~config:(slow_config 600)
+          @@ fun _srv port ->
+          armed [ Inject.Serve_transient ] @@ fun () ->
+          let fd, ic = connect port in
+          Fun.protect ~finally:(fun () -> close_client fd) @@ fun () ->
+          let next = ping ~id:2 () in
+          let half = String.length next / 2 in
+          (* one complete slow request, and half of the next line *)
+          send fd (ping ~id:1 () ^ String.sub next 0 half);
+          let first = got (recv ic) in
+          send fd (String.sub next half (String.length next - half));
+          let second = got (recv ic) in
+          (first, second)
+        in
+        Alcotest.(check bool) "first answered" true
+          (contains ~needle:"\"id\":1" first);
+        Alcotest.(check bool) "second answered" true
+          (contains ~needle:"\"id\":2" second);
+        Alcotest.(check int) "nobody reaped" 0
+          (counter_of summary.Pool.metrics "net/reaped"));
+    case "one worker: a pipelining connection does not starve another"
+      (fun () ->
+        let (b_at, a_last_at), summary =
+          with_server ~config:(slow_config 100) @@ fun _srv port ->
+          armed [ Inject.Serve_transient ] @@ fun () ->
+          let fd_a, ic_a = connect port in
+          let fd_b, ic_b = connect port in
+          Fun.protect
+            ~finally:(fun () ->
+              close_client fd_a;
+              close_client fd_b)
+          @@ fun () ->
+          send fd_a (String.concat "" (List.init 10 (fun i -> ping ~id:i ())));
+          let a_last_at = ref 0. in
+          let reader_a =
+            Thread.create
+              (fun () ->
+                for _ = 1 to 10 do
+                  ignore (got (recv ic_a))
+                done;
+                a_last_at := Mono.now_s ())
+              ()
+          in
+          Thread.delay 0.05;
+          send fd_b (ping ~id:100 ());
+          let b = got (recv ic_b) in
+          let b_at = Mono.now_s () in
+          Thread.join reader_a;
+          Alcotest.(check bool) "B's own response" true
+            (contains ~needle:"\"id\":100" b);
+          (b_at, !a_last_at)
+        in
+        Alcotest.(check bool) "B answered before A's last response" true
+          (b_at < a_last_at);
+        Alcotest.(check int) "every request answered" 11
+          (Serve.requests summary.Pool.metrics));
+  ]
+
 let tests =
   [
+    ("net one admission path", admission_cases);
     ("net over tcp", e2e_cases);
     ("net supervision", supervision_cases);
     ("net injection", inject_cases);

@@ -15,6 +15,7 @@
 open Helpers
 module Pipeline = Typeclasses.Pipeline
 module Serve = Typeclasses.Serve
+module Pool = Tc_scale.Pool
 module Budget = Tc_resilience.Budget
 module Inject = Tc_resilience.Inject
 module Json = Tc_obs.Json
@@ -490,8 +491,8 @@ let serve_cases =
     case "graceful drain on EOF returns the tally" (fun () ->
         let inputs = ref [ run_req clean_src; {|{"op":"ping"}|} ] in
         let outputs = ref [] in
-        let m =
-          Serve.run ~config:test_config
+        let { Pool.metrics = m; _ } =
+          Pool.run ~config:test_config
             ~next:(fun () ->
               match !inputs with
               | [] -> None
@@ -506,8 +507,8 @@ let serve_cases =
         Alcotest.(check int) "ok" 2 (Serve.requests m - Serve.failed m));
     case "stop flag drains between requests" (fun () ->
         let served = ref 0 in
-        let m =
-          Serve.run ~config:test_config
+        let { Pool.metrics = m; _ } =
+          Pool.run ~config:test_config
             ~stop:(fun () -> !served >= 2)
             ~next:(fun () -> Some {|{"op":"ping"}|})
             ~emit:(fun _ -> incr served)
@@ -636,8 +637,8 @@ let soak_cases =
         in
         let n = 2400 in
         let sent = ref 0 and received = ref 0 in
-        let m =
-          Serve.run ~config:test_config
+        let { Pool.metrics = m; _ } =
+          Pool.run ~config:test_config
             ~next:(fun () ->
               if !sent >= n then None
               else begin
@@ -662,7 +663,7 @@ let soak_cases =
             let n = 50 in
             let sent = ref 0 and received = ref 0 in
             ignore
-              (Serve.run ~config:test_config
+              (Pool.run ~config:test_config
                  ~next:(fun () ->
                    if !sent >= n then None
                    else begin

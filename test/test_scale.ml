@@ -844,6 +844,15 @@ let loadgen_cases =
                    Json.member "metric" row = Some (Json.Str "hot_speedup"))
                  items)
         | Ok _ -> Alcotest.fail "expected a JSON array");
+    case "quantiles are nearest rank over the recorded samples" (fun () ->
+        let lat = [| 40; -1; 10; 30; 20 |] in
+        Alcotest.(check int) "p50 of four is the second" 20
+          (Loadgen.quantile_us lat 50);
+        Alcotest.(check int) "p99 is the largest" 40
+          (Loadgen.quantile_us lat 99);
+        Alcotest.(check int) "p1 is the smallest" 10
+          (Loadgen.quantile_us lat 1);
+        Alcotest.(check int) "no samples" 0 (Loadgen.quantile_us [| -1 |] 50));
   ]
 
 (* ------------------------------------------------------------------ *)
