@@ -316,11 +316,15 @@ let handle_errors f =
 let print_warnings (c : Pipeline.compiled) =
   List.iter (fun w -> Fmt.epr "%a@." Diagnostic.pp w) c.warnings
 
-(* Compile [file], optimize it and report its warnings. *)
-let compile opts passes file =
-  let c = Pipeline.optimize passes (Pipeline.compile ~opts ~file (read_file file)) in
+(* Optimize a compile and report its warnings. *)
+let optimize passes c =
+  let c = Pipeline.optimize passes c in
   print_warnings c;
   c
+
+(* Compile [file], optimize it and report its warnings. *)
+let compile opts passes file =
+  optimize passes (Pipeline.compile ~opts ~file (read_file file))
 
 (* ---- subcommands ---- *)
 
@@ -501,12 +505,29 @@ let trace_cmd =
     Arg.(
       value & flag
       & info [ "full" ]
-          ~doc:"Include events arising from the prelude's own declarations.")
+          ~doc:
+            "Include events arising from the prelude's own declarations, by \
+             checking the prelude as the first file along with $(i,FILE).")
   in
   let run opts passes json full file =
     handle_errors @@ fun () ->
     let trace, events = Trace.collector () in
-    ignore (compile { opts with Pipeline.trace } passes file);
+    let opts = { opts with Pipeline.trace } in
+    (if full && opts.Pipeline.include_prelude then begin
+       (* the reference path: the shared prelude snapshot is built
+          untraced, so check the prelude afresh, as the first file *)
+       let ck =
+         Pipeline.compile_collect_files ~opts ~base:(Pipeline.empty_base ())
+           [ ("<prelude>", Tc_prelude.Prelude.source); (file, read_file file) ]
+       in
+       match ck.Pipeline.artifact with
+       | Some c -> ignore (optimize passes c)
+       | None ->
+           raise
+             (Diagnostic.Error
+                (List.find Diagnostic.is_error ck.Pipeline.diagnostics))
+     end
+     else ignore (compile opts passes file));
     let keep (e : Trace.event) =
       full
       ||
@@ -1092,6 +1113,13 @@ let serve_cmd =
       spec_profile deadline_ms cache_dir max_restarts shed_grace listen
       max_conns conn_read_timeout conn_idle_timeout drain_timeout =
     handle_errors @@ fun () ->
+    (* the worker-crash point lives in the multi-worker loop only *)
+    (match inject with
+     | Some { Inject.points; _ }
+       when workers <= 1 && List.mem Inject.Worker_crash points ->
+         Fmt.epr "mhc serve: --inject worker-crash needs --workers 2 or more@.";
+         exit 2
+     | _ -> ());
     arm_inject inject;
     let rtrace =
       if tfile <> None || trace_sample > 0 then

@@ -573,6 +573,8 @@ let extend ~sink ~faults ~(opts : options) ~(base : base) ~names
               instances))
   in
   Span.wrap metrics "resolve" (fun () -> Infer.final_resolve st);
+  (* checking is over: the artifact keeps no sink, so it stays plain data *)
+  env.Class_env.trace <- Trace.none;
   let program : Core.program =
     if Diagnostic.Sink.has_errors sink then
       (* diagnostics were recorded; the caller discards the artifact, so
@@ -702,15 +704,12 @@ let freeze (c : compiled) (fr : front) (sink : Diagnostic.Sink.sink) : base =
   }
 
 (* Check the prelude on the empty snapshot and freeze the result. The
-   build reports no phase spans and arms no fault injection: it belongs to
-   the process, not to the request that happens to trigger it. *)
+   build reports no events or phase spans and arms no fault injection: it
+   belongs to the process, not to the request that happens to trigger
+   it. *)
 let build_prelude (opts : options) : base =
   let opts =
-    {
-      opts with
-      max_errors = 0;
-      metrics = Metrics.disabled;
-    }
+    { opts with max_errors = 0; trace = Trace.none; metrics = Metrics.disabled }
   in
   let sink = Diagnostic.Sink.create () in
   let c, fr =
@@ -745,12 +744,10 @@ let () =
       (Gc.quick_stat ()).Gc.heap_words)
 
 (** The snapshot a compile under [opts] extends: the empty one without
-    the prelude; a fresh, unshared build when [opts.trace] is on (so the
-    trace lists the prelude's events too); else the process's memoized
-    prelude snapshot for [opts]. *)
+    the prelude, else the process's memoized prelude snapshot for
+    [opts]. *)
 let base_for (opts : options) : base =
   if not opts.include_prelude then empty_base ()
-  else if Trace.is_on opts.trace then build_prelude opts
   else
     let key =
       ((infer_options opts).Infer.strategy, opts.overloaded_literals,
@@ -775,8 +772,8 @@ let shared_base (c : compiled) : (base * int) option =
     !snapshots
 
 (** Words reachable from [c] that it does not share with its snapshot:
-    the whole artifact when the snapshot is private (traced, unmarshaled
-    or empty), else the compile's own core, schemes, diagnostics and its
+    the whole artifact when the snapshot is private (unmarshaled or
+    empty), else the compile's own core, schemes, diagnostics and its
     entries in the environments. *)
 let own_words (c : compiled) : int =
   match shared_base c with
@@ -983,9 +980,12 @@ let exec ?(backend = `Tree) ?(mode = `Lazy) ?(budget = Budget.unlimited)
   | `Tree -> (
       let st = Eval.create_state ~mode ~budget ?profile:prt cons in
       try
-        let v = Span.wrap metrics "eval" (fun () -> Eval.run ?entry st c.core) in
-        Inject.hit Inject.Render;
-        let rendered = Span.wrap metrics "render" (fun () -> Eval.render st v) in
+        let v, rendered =
+          Span.wrap metrics "eval" (fun () ->
+              let v = Eval.run ?entry st c.core in
+              Inject.hit Inject.Render;
+              (v, Eval.render st v))
+        in
         finish ~meter:st.Eval.budget ~rendered ~counters:(Eval.counters st)
           ~value:(Some v)
       with Stack_overflow ->
@@ -998,9 +998,12 @@ let exec ?(backend = `Tree) ?(mode = `Lazy) ?(budget = Budget.unlimited)
             Tc_vm.Compile.program ~mode ~cons c.core)
       in
       let st = Tc_vm.Vm.create_state ~budget ?profile:prt cons in
-      let v = Span.wrap metrics "eval" (fun () -> Tc_vm.Vm.run ?entry st prog) in
-      Inject.hit Inject.Render;
-      let rendered = Span.wrap metrics "render" (fun () -> Tc_vm.Vm.render st v) in
+      let rendered =
+        Span.wrap metrics "eval" (fun () ->
+            let v = Tc_vm.Vm.run ?entry st prog in
+            Inject.hit Inject.Render;
+            Tc_vm.Vm.render st v)
+      in
       finish ~meter:(Tc_vm.Vm.meter st) ~rendered
         ~counters:(Tc_vm.Vm.counters st) ~value:None
 
@@ -1094,12 +1097,12 @@ let optimize (passes : Tc_opt.Opt.pass list) (c : compiled) : compiled =
       (fun core pass ->
         Inject.hit ~detail:(Tc_opt.Opt.pass_name pass) Inject.Optimize;
         if Trace.is_on tr then begin
-          let size_before = Profile.program_size core in
-          let sels_before, dicts_before = Profile.static_dict_ops core in
+          let size_before = Core.program_size core in
+          let sels_before, dicts_before = Core.static_dict_ops core in
           let core' = run_pass pass core in
           Trace.emit tr (fun () ->
-              let size_after = Profile.program_size core' in
-              let sels_after, dicts_after = Profile.static_dict_ops core' in
+              let size_after = Core.program_size core' in
+              let sels_after, dicts_after = Core.static_dict_ops core' in
               Trace.Opt_pass
                 { pass = Tc_opt.Opt.pass_name pass; size_before; size_after;
                   sels_before; sels_after; dicts_before; dicts_after });

@@ -77,7 +77,8 @@ type options = {
       (** metrics registry every stage reports phase spans into — lex,
           layout, parse, fixity, static analysis, desugaring, inference,
           dictionary construction, final resolution, normalization, each
-          optimizer pass, VM lowering, evaluation and rendering — as
+          optimizer pass, VM lowering, evaluation (rendering, which
+          forces the value, included) — as
           wall-clock nanoseconds and allocated words under nested paths
           like ["compile/infer"]; {!Tc_obs.Metrics.disabled} (off, and
           allocation-free) by default. A registry created with a flight
@@ -134,11 +135,11 @@ type compiled = {
     The program extends the process's prelude snapshot for [opts]: checked
     once per process for each combination of layout, literal overloading
     and defaulting, then shared; with [include_prelude] off, the
-    {!empty_base}; with [opts.trace] on, built afresh with the trace
-    attached, so the trace lists the prelude's events too. Its
-    [checker_stats] count the program's own work only. Its own names are
-    in a fresh {!Tc_support.Ident.scope}, whatever the process compiled
-    before. *)
+    {!empty_base}. A snapshot build reports no trace events and no
+    phase spans, so [opts.trace] receives the program's own events only.
+    The artifact keeps no trace sink. Its [checker_stats] count the
+    program's own work only. Its own names are in a fresh
+    {!Tc_support.Ident.scope}, whatever the process compiled before. *)
 val compile : ?opts:options -> ?file:string -> string -> compiled
 
 (** Builtin types and constructors and the primitives, nothing else.
@@ -156,14 +157,17 @@ val empty_base : unit -> base
 val process_metrics : Tc_obs.Metrics.t
 
 (** The memoized snapshot [c] extended, with its size in words, when [c]
-    shares one (not after unmarshaling, nor for a traced or prelude-less
-    compile). *)
+    shares one: every compile with the prelude does, until it is
+    unmarshaled. The process holds each memoized snapshot for its whole
+    life; [prelude/snapshot_words] reports their size. *)
 val shared_base : compiled -> (base * int) option
 
 (** Words reachable from [c] that it does not share with its snapshot:
-    everything when {!shared_base} is [None], else the compile's own core,
-    schemes and diagnostics and its own entries in the environments —
-    what a cache entry holding [c] actually keeps alive. *)
+    everything when {!shared_base} is [None] (a prelude-less compile, or
+    an unmarshaled one, whose snapshot is a private copy), else the
+    compile's own core, schemes and diagnostics and its own entries in
+    the environments — what a cache entry holding [c] actually keeps
+    alive, and all that evicting it can free. *)
 val own_words : compiled -> int
 
 (** The outcome of an accumulating compile: every diagnostic recorded (in

@@ -244,6 +244,24 @@ let rec size (e : expr) : int =
   iter_sub (fun sub -> n := !n + size sub) e;
   !n
 
+let program_size (p : program) : int =
+  List.fold_left
+    (fun acc g ->
+      List.fold_left (fun acc (b : bind) -> acc + size b.b_expr) acc
+        (binds_of_group g))
+    0 p.p_binds
+
+let static_dict_ops (p : program) : int * int =
+  let sels = ref 0 and dicts = ref 0 in
+  let rec go (e : expr) =
+    (match e with Sel _ -> incr sels | MkDict _ -> incr dicts | _ -> ());
+    iter_sub go e
+  in
+  List.iter
+    (fun g -> List.iter (fun (b : bind) -> go b.b_expr) (binds_of_group g))
+    p.p_binds;
+  (!sels, !dicts)
+
 (* ------------------------------------------------------------------ *)
 (* Capture-avoiding substitution of variables by expressions.          *)
 (* ------------------------------------------------------------------ *)

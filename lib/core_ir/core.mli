@@ -116,5 +116,11 @@ val regroup : program -> program
 
 val size : expr -> int
 
+(** The summed {!size} of every top-level binding. *)
+val program_size : program -> int
+
+(** Static [(Sel, MkDict)] node counts of a program. *)
+val static_dict_ops : program -> int * int
+
 (** Capture-avoiding substitution of variables by expressions. *)
 val subst : expr Ident.Map.t -> expr -> expr

@@ -64,31 +64,6 @@ let site_table (p : Core.program) : site_info list =
   Hashtbl.fold (fun _ i acc -> i :: acc) tbl []
   |> List.sort (fun a b -> compare a.s_id b.s_id)
 
-(** Static dictionary-operation counts of a program: (Sel nodes, MkDict
-    nodes). Used for the optimizer's per-pass deltas. *)
-let static_dict_ops (p : Core.program) : int * int =
-  let sels = ref 0 and dicts = ref 0 in
-  let rec go (e : Core.expr) =
-    (match e with
-     | Core.Sel _ -> incr sels
-     | Core.MkDict _ -> incr dicts
-     | _ -> ());
-    Core.iter_sub go e
-  in
-  List.iter
-    (fun g ->
-      List.iter (fun (b : Core.bind) -> go b.Core.b_expr) (Core.binds_of_group g))
-    p.Core.p_binds;
-  (!sels, !dicts)
-
-let program_size (p : Core.program) : int =
-  List.fold_left
-    (fun acc g ->
-      List.fold_left
-        (fun acc (b : Core.bind) -> acc + Core.size b.Core.b_expr)
-        acc (Core.binds_of_group g))
-    0 p.Core.p_binds
-
 (* ------------------------------------------------------------------ *)
 (* Run-time: per-site hit counts.                                      *)
 (* ------------------------------------------------------------------ *)

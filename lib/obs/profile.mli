@@ -23,11 +23,6 @@ type site_info = {
 (** All distinct sites of a program, ascending id. *)
 val site_table : Core.program -> site_info list
 
-(** Static (Sel, MkDict) node counts, for optimizer deltas. *)
-val static_dict_ops : Core.program -> int * int
-
-val program_size : Core.program -> int
-
 (** {2 Run-time counts} *)
 
 (** Per-site hit counts for one execution. *)

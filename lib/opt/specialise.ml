@@ -54,31 +54,6 @@ let growth (r : report) : float =
   if r.sr_size_before = 0 then 1.
   else float_of_int r.sr_size_after /. float_of_int r.sr_size_before
 
-(* static program measurements, for the report (this library cannot see
-   [Tc_obs.Profile], which has the same helpers for the trace layer) *)
-let program_size (p : Core.program) : int =
-  List.fold_left
-    (fun acc g ->
-      List.fold_left
-        (fun acc (b : Core.bind) -> acc + Core.size b.Core.b_expr)
-        acc (Core.binds_of_group g))
-    0 p.Core.p_binds
-
-let static_dict_ops (p : Core.program) : int * int =
-  let sels = ref 0 and dicts = ref 0 in
-  let rec go (e : Core.expr) =
-    (match e with
-     | Core.Sel _ -> incr sels
-     | Core.MkDict _ -> incr dicts
-     | _ -> ());
-    Core.iter_sub go e
-  in
-  List.iter
-    (fun g ->
-      List.iter (fun (b : Core.bind) -> go b.Core.b_expr) (Core.binds_of_group g))
-    p.Core.p_binds;
-  (!sels, !dicts)
-
 type ctx = {
   policy : policy;
   (* top-level overloaded bindings: name -> (dict params, other params, body) *)
@@ -312,8 +287,8 @@ let profiled_hits (counts : (int, int) Hashtbl.t) (e : Core.expr) : int =
   !total
 
 let empty_report ~profile_guided (p : Core.program) : report =
-  let size = program_size p in
-  let sels, dicts = static_dict_ops p in
+  let size = Core.program_size p in
+  let sels, dicts = Core.static_dict_ops p in
   {
     sr_clones = 0;
     sr_call_sites = 0;
@@ -338,8 +313,8 @@ let program ?(policy = default_policy) (p : Core.program) :
        comes back untouched *)
     (p, empty_report ~profile_guided p)
   else begin
-  let size_before = program_size p in
-  let sels_before, dicts_before = static_dict_ops p in
+  let size_before = Core.program_size p in
+  let sels_before, dicts_before = Core.static_dict_ops p in
   let ctx =
     {
       policy;
@@ -443,7 +418,7 @@ let program ?(policy = default_policy) (p : Core.program) :
   let p' = { p with p_binds = rewritten @ clones } in
   let p' = Tc_core_ir.Core.regroup p' in
   let p' = Simplify.program p' in
-  let sels_after, dicts_after = static_dict_ops p' in
+  let sels_after, dicts_after = Core.static_dict_ops p' in
   ( p',
     {
       sr_clones = ctx.clone_count;
@@ -452,7 +427,7 @@ let program ?(policy = default_policy) (p : Core.program) :
       sr_cold_binds = !cold_binds;
       sr_budget_skips = ctx.budget_skips;
       sr_size_before = size_before;
-      sr_size_after = program_size p';
+      sr_size_after = Core.program_size p';
       sr_sels_before = sels_before;
       sr_sels_after = sels_after;
       sr_dicts_before = dicts_before;

@@ -1,8 +1,7 @@
 (** Content-addressed compile cache (see the interface for semantics).
 
     Layout: one table, one mutex, one LRU. The mutex guards the entry
-    table, the LRU order, the byte total, the charged prelude snapshots
-    and the telemetry registry, so the whole byte budget applies to the
+    table, the LRU order, the byte total and the telemetry registry, so the whole byte budget applies to the
     whole table and eviction always takes the globally least recently
     used entry. The LRU is an ordered map from tick to key, each entry
     queued at a tick no later than its last touch. A hit only bumps the
@@ -23,7 +22,6 @@ module Serve = Typeclasses.Serve
 module Metrics = Tc_obs.Metrics
 module Ident = Tc_support.Ident
 module Core = Tc_core_ir.Core
-module Trace = Tc_obs.Trace
 module Ticks = Map.Make (Int)
 
 type value =
@@ -33,27 +31,17 @@ type value =
 type entry = {
   e_value : value;
   e_bytes : int;          (* estimated size of its own part, at insert *)
-  e_base : Pipeline.base option;  (* the shared snapshot an artifact extends *)
   mutable e_tick : int;   (* LRU clock value of the last touch *)
   mutable e_queued : int; (* its key in the LRU: [e_tick] when last queued *)
   mutable e_hits : int;   (* per-entry, drives sampled verification *)
 }
 
-(* A shared prelude snapshot the entries extend, charged to the cache
-   once while any entry holds it. *)
-type charged = {
-  c_base : Pipeline.base;
-  c_bytes : int;
-  mutable c_refs : int;  (* entries holding it *)
-}
-
 type t = {
-  lock : Mutex.t;  (* guards the table, the LRU, the bytes, [bases], [reg] *)
+  lock : Mutex.t;  (* guards the table, the LRU, the bytes, [reg] *)
   table : (string, entry) Hashtbl.t;
   mutable lru : string Ticks.t;  (* queued tick -> key *)
   mutable tick : int;
-  mutable total_bytes : int;  (* entries' own parts + charged snapshots *)
-  mutable bases : charged list;
+  mutable total_bytes : int;  (* the entries' own parts *)
   max_bytes : int;  (* total byte budget; 0 = the memory tier holds nothing *)
   verify_every : int;
   reg : Metrics.t;
@@ -88,7 +76,6 @@ let create ?(max_bytes = 64 * 1024 * 1024) ?(verify_every = 0) ?dir () =
       lru = Ticks.empty;
       tick = 0;
       total_bytes = 0;
-      bases = [];
       max_bytes = max 0 max_bytes;
       verify_every;
       reg = Metrics.create ();
@@ -167,19 +154,12 @@ let no_sinks = Pipeline.default_options
 (* ---- the disk tier ---- *)
 
 (* Marshaled values must be closure-free. A stored artifact's options
-   carry no sinks; its type environment additionally carries its own
-   trace sink on a mutable field, cleared here on a copy (the stored
-   env keeps its sink). [Diagnostic.Sink], [Stats.t] and everything else
-   reachable is plain data. Marshaling WITHOUT [Closures] is the safety
-   net: a closure sneaking into the artifact raises here and the entry
-   simply isn't persisted, rather than producing bytes no other process
-   could trust. *)
-let persist_strip = function
-  | Artifact c ->
-      let env = { c.Pipeline.env with Tc_types.Class_env.trace = Trace.none } in
-      Artifact { c with Pipeline.env }
-  | Checked _ as v -> v
-
+   carry no sinks, and [Pipeline] clears its type environment's trace
+   sink once checking is over; [Diagnostic.Sink], [Stats.t] and
+   everything else reachable is plain data. Marshaling WITHOUT [Closures]
+   is the safety net: a closure sneaking into the artifact raises here
+   and the entry simply isn't persisted, rather than producing bytes no
+   other process could trust. *)
 (* Disk IO runs outside the cache lock (like compiles); only the counter
    bumps take it. *)
 let persist_read t k : value option =
@@ -212,7 +192,7 @@ let persist_write t k (v : value) =
   match t.persist with
   | None -> ()
   | Some p -> (
-      match Marshal.to_string (persist_strip v) [] with
+      match Marshal.to_string v [] with
       | payload -> (
           match Persist.write p ~key:k ~payload with
           | `Written | `Torn ->
@@ -260,49 +240,23 @@ let agrees a b =
 
 (* ---- the table ---- *)
 
-(* An entry's own size in bytes, and the shared snapshot an artifact
-   extends with that snapshot's size: walking the snapshot on every insert
-   would cost more than the rest of the entry, and would charge every
-   entry for memory they all share. A check answer extends nothing. *)
-let size_of (v : value) : int * (Pipeline.base * int) option =
-  let bytes words = words * (Sys.word_size / 8) in
-  match v with
-  | Artifact c ->
-      ( bytes (Pipeline.own_words c),
-        Option.map (fun (b, w) -> (b, bytes w)) (Pipeline.shared_base c) )
-  | Checked _ -> (bytes (Obj.reachable_words (Obj.repr v)), None)
-
-(* Charge [base] once, however many entries extend it: the first entry
-   holding it adds its size, the last one to go takes it away. Caller
-   holds the lock. *)
-let charge t = function
-  | None -> ()
-  | Some (b, bytes) -> (
-      match List.find_opt (fun c -> c.c_base == b) t.bases with
-      | Some c -> c.c_refs <- c.c_refs + 1
-      | None ->
-          t.bases <- { c_base = b; c_bytes = bytes; c_refs = 1 } :: t.bases;
-          t.total_bytes <- t.total_bytes + bytes)
-
-let uncharge t = function
-  | None -> ()
-  | Some b -> (
-      match List.find_opt (fun c -> c.c_base == b) t.bases with
-      | Some c ->
-          c.c_refs <- c.c_refs - 1;
-          if c.c_refs = 0 then begin
-            t.bases <- List.filter (fun c' -> c' != c) t.bases;
-            t.total_bytes <- t.total_bytes - c.c_bytes
-          end
-      | None -> ())
+(* An entry's own size in bytes: what evicting it can free. A run
+   artifact's shared prelude snapshot is the process's, held for its
+   whole life, so no entry is charged for it. *)
+let size_of (v : value) : int =
+  let words =
+    match v with
+    | Artifact c -> Pipeline.own_words c
+    | Checked _ -> Obj.reachable_words (Obj.repr v)
+  in
+  words * (Sys.word_size / 8)
 
 (* Unlink [k]'s entry [e] from the table, the LRU and the byte total.
    Caller holds the lock. *)
 let remove t k e =
   Hashtbl.remove t.table k;
   t.lru <- Ticks.remove e.e_queued t.lru;
-  t.total_bytes <- t.total_bytes - e.e_bytes;
-  uncharge t e.e_base
+  t.total_bytes <- t.total_bytes - e.e_bytes
 
 (* Evict least-recently-used entries until the byte budget holds. Caller
    holds the lock. *)
@@ -340,7 +294,7 @@ let lookup t k =
 (* Insert after an out-of-lock compile. First-writer-wins: if a racing
    worker inserted the same key meanwhile, keep theirs. *)
 let insert t k v =
-  let sz, base = size_of v in
+  let sz = size_of v in
   Mutex.protect t.lock @@ fun () ->
   if not (Hashtbl.mem t.table k) then begin
     t.tick <- t.tick + 1;
@@ -348,14 +302,12 @@ let insert t k v =
       {
         e_value = v;
         e_bytes = sz;
-        e_base = Option.map fst base;
         e_tick = t.tick;
         e_queued = t.tick;
         e_hits = 0;
       };
     t.lru <- Ticks.add t.tick k t.lru;
     t.total_bytes <- t.total_bytes + sz;
-    charge t base;
     bump t "inserts";
     evict_over_budget t
   end;

@@ -41,13 +41,17 @@
       propagates and leaves no entry, so error responses always reflect
       a fresh compile.
     - Bounded LRU: entries are evicted least-recently-used-first once
-      the byte budget is exceeded. A run entry is charged for what its
-      artifact holds itself ({!Typeclasses.Pipeline.own_words}); the
-      prelude snapshot the artifact extends is charged once, however
-      many entries share it, for as long as any of them is cached. A
-      check entry is charged the words its answer reaches, and charges
-      no snapshot. The whole budget applies to the whole table, and
-      eviction always takes the globally least recently used entry.
+      the byte budget is exceeded. Each entry is charged its own part
+      only — what evicting it can free: a run entry what its artifact
+      holds itself ({!Typeclasses.Pipeline.own_words}), a check entry
+      the words its answer reaches. The prelude snapshot a run artifact
+      extends belongs to the process, which holds it for life and
+      reports it as [prelude/snapshot_words]
+      ({!Typeclasses.Pipeline.process_metrics}); no entry is charged for
+      it. A run artifact read back from the disk tier holds a private
+      copy of the snapshot, which its own part counts whole. The whole
+      budget applies to the whole table, and eviction always takes the
+      globally least recently used entry.
     - Verification mode: with [verify_every = n > 0], every [n]-th hit
       on an entry recompiles from source and compares the result with
       the cached value: a run artifact by a gensym-invariant
@@ -56,10 +60,9 @@
       drops the entry, counts [scale/cache/verify_fail], and answers
       with the fresh compile.
     - Thread-safe: one mutex guards the table, the LRU order, the byte
-      total, the charged snapshots and the telemetry registry. Compiles,
-      sizing and disk IO run outside it, so a slow compile never stalls
-      another worker's hit. One cache can be shared by every worker in
-      a {!Pool}.
+      total and the telemetry registry. Compiles, sizing and disk IO run
+      outside it, so a slow compile never stalls another worker's hit.
+      One cache can be shared by every worker in a {!Pool}.
 
     {2 The persistent tier}
 
@@ -139,8 +142,8 @@ val check :
 
 val entries : t -> int
 val bytes : t -> int
-(** Current occupancy (also exported as gauges): bytes count every
-    entry's own part plus each snapshot a run artifact shares, once. *)
+(** Current occupancy (also exported as gauges): bytes sum every
+    entry's own part. *)
 
 val fingerprint : Pipeline.compiled -> string
 (** The gensym-invariant digest verification mode compares: sorted

@@ -17,12 +17,12 @@ type scope = {
 (* The process-wide names: module initialisation's and prelude snapshot
    builds'. Snapshots are built lazily on whichever domain asks first, so
    the table is guarded by one mutex. A compile's own names live in its
-   domain-local scope, whose stamps count up from [scope_base]: above
+   domain-local scope, whose stamps count up from [first_scoped]: above
    every process-wide stamp, in creation order, as in a fresh process. *)
 let global = { names = Hashtbl.create 512; next = 1 }
 let lock = Mutex.create ()
-let scope_base = 1 lsl 40
-let scope () = { names = Hashtbl.create 64; next = scope_base }
+let first_scoped = 1 lsl 40
+let scope () = { names = Hashtbl.create 64; next = first_scoped }
 let copy s = { names = Hashtbl.copy s.names; next = s.next }
 
 (* The calling domain's scope; [None] interns process-wide. *)
@@ -40,7 +40,7 @@ let unscoped f = in_scope None f
 
 let next_stamp s =
   let n = s.next in
-  if s == global && n >= scope_base then
+  if s == global && n >= first_scoped then
     failwith "Ident: process-wide stamps reached the scope range";
   s.next <- n + 1;
   n

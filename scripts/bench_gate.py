@@ -39,8 +39,14 @@ that crashed mid-run, a partial artifact download) is a warning and a
 skipped experiment, never an abort: one broken experiment must not mask
 the comparison of the others.
 
+--new-dir may be given more than once, one directory per fresh run. Each
+(experiment, backend, metric) then takes the median over the runs that
+recorded it, for the trajectory ratios and the SLO bounds alike, so one
+run slowed by a noisy neighbour cannot fail the gate on its own: with
+three runs, a row fails only when two of them are slow.
+
 Usage:
-  python3 scripts/bench_gate.py [--baseline-dir .] [--new-dir bench-new]
+  python3 scripts/bench_gate.py [--baseline-dir .] [--new-dir bench-new ...]
                                 [--gate e2 --gate e11] [--threshold 1.25]
                                 [--slo EXPR ...]
 """
@@ -68,6 +74,18 @@ def load(path):
         return None
 
 
+def load_runs(new_dirs, name):
+    """BENCH file [name] in every fresh run -> {key: median over the runs
+    that recorded key}, or None when no run has a readable copy."""
+    runs = [rows for rows in (load(os.path.join(d, name)) for d in new_dirs)
+            if rows is not None]
+    if not runs:
+        return None
+    keys = set().union(*runs)
+    return {key: statistics.median(r[key] for r in runs if key in r)
+            for key in keys}
+
+
 def parse_slo(expr):
     """'exp/metric<=bound' or 'exp/metric>=bound' ->
     (experiment, metric, op, bound)."""
@@ -81,21 +99,22 @@ def parse_slo(expr):
     raise ValueError(f"malformed SLO {expr!r}: want <= or >=")
 
 
-def check_slos(slos, new_dir):
-    """Absolute bounds against the fresh run. Returns failure count;
-    metrics absent from the run warn and skip (the tolerance rule)."""
+def check_slos(slos, new_dirs):
+    """Absolute bounds against the fresh runs' medians. Returns failure
+    count; metrics absent from every run warn and skip (the tolerance
+    rule)."""
     failures = 0
     for expr in slos:
         exp, metric, op, bound = parse_slo(expr)
-        path = os.path.join(new_dir, f"BENCH_{exp.upper()}.json")
-        rows = load(path)
+        name = f"BENCH_{exp.upper()}.json"
+        rows = load_runs(new_dirs, name)
         if rows is None:
             continue
         values = [(b, v) for (e, b, m), v in rows.items()
                   if e == exp and m == metric]
         if not values:
             print(f"bench-gate: WARNING — SLO {expr}: metric "
-                  f"{exp}/{metric} not in {path}; skipping")
+                  f"{exp}/{metric} not in {name}; skipping")
             continue
         # a metric recorded for several backends must hold on every one
         # (the E2 specialization SLO covers tree and vm with one bound)
@@ -112,29 +131,32 @@ def check_slos(slos, new_dir):
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--baseline-dir", default=".")
-    ap.add_argument("--new-dir", default="bench-new")
+    ap.add_argument("--new-dir", action="append", default=[],
+                    help="a fresh run's directory (repeatable: each metric "
+                         "takes the median over the runs; default "
+                         "bench-new)")
     ap.add_argument("--gate", action="append", default=[],
                     help="experiment that can fail the gate (repeatable; "
                          "default: e2 e11)")
     ap.add_argument("--threshold", type=float, default=1.25,
                     help="max allowed normalized new/old ratio (default 1.25)")
     ap.add_argument("--slo", action="append", default=[],
-                    help="absolute bound on the fresh run, e.g. "
+                    help="absolute bound on the fresh runs' median, e.g. "
                          "'serve/p99_ms/hot<=2000' or 'serve/hot_speedup>=2' "
                          "(repeatable)")
     args = ap.parse_args()
     gated = [g.lower() for g in (args.gate or ["e2", "e11"])]
-    slo_failures = check_slos(args.slo, args.new_dir)
+    new_dirs = args.new_dir or ["bench-new"]
+    slo_failures = check_slos(args.slo, new_dirs)
 
     # pair up BENCH_<EXP>.json files present on both sides
     pairs = []
-    for name in sorted(os.listdir(args.new_dir)):
+    for name in sorted(set().union(*map(os.listdir, new_dirs))):
         if not (name.startswith("BENCH_") and name.endswith(".json")):
             continue
         base = os.path.join(args.baseline_dir, name)
-        new = os.path.join(args.new_dir, name)
         if os.path.exists(base):
-            pairs.append((name, base, new))
+            pairs.append((name, base))
         else:
             print(f"bench-gate: no committed baseline {name}; skipping it")
 
@@ -146,8 +168,8 @@ def main():
     # ratios over every shared wall-clock metric, for the machine-speed
     # medians; tiny baselines are noise, not signal
     ratios = {}
-    for name, base, new in pairs:
-        b, n = load(base), load(new)
+    for name, base in pairs:
+        b, n = load(base), load_runs(new_dirs, name)
         if b is None or n is None:
             continue
         for key in sorted(set(b) & set(n)):

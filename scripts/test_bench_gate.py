@@ -39,13 +39,22 @@ def baseline():
 class BenchGateTest(unittest.TestCase):
     def gate(self, base, new, *extra):
         """Exit code and output of the gate over two directories."""
-        with tempfile.TemporaryDirectory() as b, \
-                tempfile.TemporaryDirectory() as n:
-            for d, rs in ((b, base), (n, new)):
+        return self.gate_runs(base, [new], *extra)
+
+    def gate_runs(self, base, news, *extra):
+        """Exit code and output of the gate over a baseline directory and
+        one directory per fresh run."""
+        with tempfile.TemporaryDirectory() as root:
+            dirs = []
+            for i, rs in enumerate([base] + news):
+                d = os.path.join(root, str(i))
+                os.mkdir(d)
                 with open(os.path.join(d, "BENCH_E2.json"), "w") as f:
                     json.dump(rs, f)
+                dirs.append(d)
+            new_args = [a for d in dirs[1:] for a in ("--new-dir", d)]
             p = subprocess.run(
-                [sys.executable, GATE, "--baseline-dir", b, "--new-dir", n,
+                [sys.executable, GATE, "--baseline-dir", dirs[0], *new_args,
                  *extra],
                 capture_output=True, text=True)
             return p.returncode, p.stdout
@@ -94,6 +103,36 @@ class BenchGateTest(unittest.TestCase):
                               "--slo", f"e2/{TREE_ROWS[0]}<=1")
         self.assertEqual(code, 1, out)
         self.assertIn("SLO", out)
+
+    def slow_runs(self, slow):
+        """Three fresh runs of an unchanged baseline, the first [slow] of
+        them with one tree row 1.5x slower."""
+        tree, vm = baseline()
+        slower = dict(tree)
+        slower[TREE_ROWS[1]] *= 1.5
+        return [rows(slower if i < slow else tree, vm) for i in range(3)]
+
+    def test_row_slow_in_one_run_of_three_passes(self):
+        tree, vm = baseline()
+        code, out = self.gate_runs(rows(tree, vm), self.slow_runs(1))
+        self.assertEqual(code, 0, out)
+        self.assertNotIn("REGRESSION", out)
+
+    def test_row_slow_in_two_runs_of_three_fails(self):
+        tree, vm = baseline()
+        code, out = self.gate_runs(rows(tree, vm), self.slow_runs(2))
+        self.assertEqual(code, 1, out)
+        self.assertIn(f"e2/tree/{TREE_ROWS[1]}", out)
+
+    def test_slo_missed_in_one_run_of_three_holds(self):
+        tree, vm = baseline()
+        low = dict(tree)
+        low[TREE_ROWS[0]] = 0.5
+        news = [rows(low, vm), rows(tree, vm), rows(tree, vm)]
+        code, out = self.gate_runs(rows(tree, vm), news,
+                                   "--slo", f"e2/{TREE_ROWS[0]}>=1")
+        self.assertEqual(code, 0, out)
+        self.assertNotIn("FAIL", out)
 
 
 if __name__ == "__main__":

@@ -37,11 +37,12 @@ module Pipeline = Typeclasses.Pipeline
 
 (** Pipe [requests] (one JSON object each) through [mhc serve args];
     returns the exit code and the response lines. *)
-let serve_lines args (requests : Json.t list) : int * string list =
+let serve_run args (requests : Json.t list) : int * string list * string =
   let input = Filename.temp_file "serve" ".in" in
   let output = Filename.temp_file "serve" ".out" in
+  let errors = Filename.temp_file "serve" ".err" in
   Fun.protect
-    ~finally:(fun () -> Sys.remove input; Sys.remove output)
+    ~finally:(fun () -> List.iter Sys.remove [ input; output; errors ])
     (fun () ->
       Out_channel.with_open_bin input (fun oc ->
           List.iter
@@ -49,13 +50,20 @@ let serve_lines args (requests : Json.t list) : int * string list =
             requests);
       let code =
         Sys.command
-          (Printf.sprintf "%s serve %s < %s > %s 2>/dev/null"
+          (Printf.sprintf "%s serve %s < %s > %s 2> %s"
              (Filename.quote mhc)
              (String.concat " " (List.map Filename.quote args))
-             (Filename.quote input) (Filename.quote output))
+             (Filename.quote input) (Filename.quote output)
+             (Filename.quote errors))
       in
-      let text = In_channel.with_open_bin output In_channel.input_all in
-      (code, List.filter (( <> ) "") (String.split_on_char '\n' text)))
+      let read f = In_channel.with_open_bin f In_channel.input_all in
+      ( code,
+        List.filter (( <> ) "") (String.split_on_char '\n' (read output)),
+        read errors ))
+
+let serve_lines args requests =
+  let code, lines, _ = serve_run args requests in
+  (code, lines)
 
 let json_field name line =
   match Json.parse line with
@@ -504,6 +512,73 @@ let tests =
                 Alcotest.(check int) "exit" 3 code;
                 Alcotest.(check bool) "classified" true
                   (Helpers.contains ~needle:"resource exhausted: memory" out)));
+        case "serve refuses --inject worker-crash under one worker (exit 2)"
+          (fun () ->
+            List.iter
+              (fun args ->
+                let what = String.concat " " args in
+                let code, lines, err =
+                  serve_run args [ Json.Obj [ ("op", Json.Str "ping") ] ]
+                in
+                Alcotest.(check int) (what ^ ": exit") 2 code;
+                Alcotest.(check (list string)) (what ^ ": no response") []
+                  lines;
+                Alcotest.(check bool) (what ^ ": one line naming the point")
+                  true
+                  (Helpers.contains ~needle:"worker-crash" err
+                  && List.length (String.split_on_char '\n' (String.trim err))
+                     = 1))
+              [
+                [ "--inject"; "worker-crash" ];
+                [ "--workers"; "1"; "--inject"; "infer,worker-crash:0" ];
+              ]);
+        case "serve accepts other fault points, or worker-crash with workers"
+          (fun () ->
+            List.iter
+              (fun args ->
+                let what = String.concat " " args in
+                let code, lines, _ =
+                  serve_run args [ Json.Obj [ ("op", Json.Str "ping") ] ]
+                in
+                Alcotest.(check int) (what ^ ": exit") 0 code;
+                Alcotest.(check int) (what ^ ": answered") 1
+                  (List.length lines))
+              [
+                [ "--inject"; "conn-drop" ];
+                [ "--workers"; "2"; "--inject"; "worker-crash:0" ];
+              ]);
+        case "trace --full adds the prelude's events to the default's" (fun () ->
+            (* placeholder numbers depend on what was checked before *)
+            let events args =
+              let code, out = run_mhc args in
+              Alcotest.(check int) (String.concat " " args) 0 code;
+              String.split_on_char '\n' out
+              |> List.filter (( <> ) "")
+              |> List.map (fun l ->
+                     match String.split_on_char ' ' l with
+                     | "placeholder" :: _ :: rest ->
+                         String.concat " " ("placeholder" :: "#" :: rest)
+                     | _ -> l)
+              |> List.sort compare
+            in
+            with_program demo (fun path ->
+                let default = events [ "trace"; path ]
+                and full = events [ "trace"; "--full"; path ] in
+                let rec sub xs ys =
+                  match (xs, ys) with
+                  | [], _ -> true
+                  | _, [] -> false
+                  | x :: xs', y :: ys' ->
+                      if x = y then sub xs' ys'
+                      else if y < x then sub xs ys'
+                      else false
+                in
+                Alcotest.(check bool) "the default's events, all of them" true
+                  (default <> [] && sub default full);
+                Alcotest.(check bool) "and the prelude's" true
+                  (List.exists
+                     (Helpers.contains ~needle:"<prelude>")
+                     full)));
         case "check --inject contains a front-end fault as one ICE (exit 2)"
           (fun () ->
             with_program demo (fun path ->

@@ -197,7 +197,7 @@ let span_cases =
             "compile/desugar"; "compile/infer"; "compile/methods";
             "compile/dicts"; "compile/resolve"; "compile/normalize";
             "optimize"; "optimize/simplify"; "optimize/specialise";
-            "exec"; "exec/eval"; "exec/lower"; "exec/render";
+            "exec"; "exec/eval"; "exec/lower";
           ];
         let index n =
           let rec go i = function
@@ -215,6 +215,33 @@ let span_cases =
         let eval = List.find (fun s -> s.Metrics.sp_name = "exec/eval")
             (Metrics.spans m) in
         Alcotest.(check int) "eval ran twice" 2 eval.Metrics.sp_count);
+    case "exec/eval covers forcing the value" (fun () ->
+        (* lazy evaluation stops at weak head normal form; rendering
+           forces the rest, and that work is evaluation *)
+        let m = Metrics.create () in
+        let opts =
+          { Pipeline.default_options with
+            Pipeline.metrics = m; strategy = Pipeline.Dicts_flat }
+        in
+        let src =
+          In_channel.with_open_bin "../examples/programs/nqueens.mhs"
+            In_channel.input_all
+        in
+        ignore
+          (Pipeline.exec ~backend:`Vm
+             (Pipeline.compile ~opts ~file:"nqueens.mhs" src));
+        let ns name =
+          match
+            List.find_opt (fun s -> s.Metrics.sp_name = name) (Metrics.spans m)
+          with
+          | Some s -> s.Metrics.sp_ns
+          | None -> Alcotest.failf "span %s missing" name
+        in
+        let exec = ns "exec" and eval = ns "exec/eval" in
+        Alcotest.(check bool)
+          (Printf.sprintf "exec/eval %d of %d ns" eval exec)
+          true
+          (2 * eval >= exec));
     case "span order and stable snapshots are deterministic across runs"
       (fun () ->
         let shot () =

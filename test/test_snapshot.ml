@@ -228,24 +228,27 @@ let tests =
                   (Printf.sprintf "own %d words, snapshot %d" own base_words)
                   true
                   (own > 0 && own * 4 < base_words));
-        case "the cache charges a shared snapshot once" (fun () ->
+        case "the cache charges each entry its own part only" (fun () ->
             let cache = Cache.create () in
             let run src =
-              ignore
-                (Cache.compile_run cache ~opts:Pipeline.default_options
-                   ~passes:[] ~src)
+              Cache.compile_run cache ~opts:Pipeline.default_options
+                ~passes:[] ~src
             in
-            run "main = 1";
-            let one = Cache.bytes cache in
-            run "main = 2";
-            let two = Cache.bytes cache in
+            let c1 = run "main = 1" and c2 = run "main = 2" in
+            let bytes c = Pipeline.own_words c * (Sys.word_size / 8) in
+            let snapshot =
+              match Pipeline.shared_base c1 with
+              | Some (_, w) -> w * (Sys.word_size / 8)
+              | None -> Alcotest.fail "no shared snapshot"
+            in
+            Alcotest.(check int) "the entries' own parts" (bytes c1 + bytes c2)
+              (Cache.bytes cache);
             Alcotest.(check bool)
-              (Printf.sprintf "second entry adds %d of %d bytes" (two - one)
-                 one)
+              (Printf.sprintf "%d bytes, under one %d-byte snapshot"
+                 (Cache.bytes cache) snapshot)
               true
-              (two > one && (two - one) * 4 < one));
-        case "a traced compile checks the prelude with the trace attached"
-          (fun () ->
+              (Cache.bytes cache < snapshot));
+        case "a traced compile extends the shared snapshot" (fun () ->
             let builds () =
               Metrics.counter_value
                 (Metrics.counter Pipeline.process_metrics
@@ -259,20 +262,36 @@ let tests =
                 ~opts:{ Pipeline.default_options with trace }
                 "main = 1 == 1"
             in
-            let from_prelude =
+            let located_in file =
               List.filter
                 (fun e ->
                   match Trace.loc_of_event e with
-                  | Some l -> l.Tc_support.Loc.file = "<prelude>"
+                  | Some l -> l.Tc_support.Loc.file = file
                   | None -> false)
                 (events ())
             in
-            Alcotest.(check bool) "prelude events traced" true
-              (from_prelude <> []);
-            Alcotest.(check bool) "on a private snapshot" true
-              (Option.is_none (Pipeline.shared_base c));
+            Alcotest.(check bool) "the program's events traced" true
+              (located_in "test.mhs" <> []);
+            Alcotest.(check int) "none from the prelude" 0
+              (List.length (located_in "<prelude>"));
+            Alcotest.(check bool) "on the shared snapshot" true
+              (Option.is_some (Pipeline.shared_base c));
             Alcotest.(check int) "the memoized snapshot is not rebuilt" before
               (builds ()));
+        case "a traced compile's run artifact persists to disk" (fun () ->
+            let dir = Test_scale.tmpdir () in
+            Fun.protect ~finally:(fun () -> Test_scale.rm_rf dir) @@ fun () ->
+            let cache = Cache.create ~dir () in
+            Fun.protect ~finally:(fun () -> Cache.close cache) @@ fun () ->
+            let trace, _ = Trace.collector () in
+            ignore
+              (Cache.compile_run cache
+                 ~opts:{ Pipeline.default_options with trace }
+                 ~passes:[] ~src:"main = 1 == 1");
+            Alcotest.(check int) "written" 1
+              (Test_scale.cache_counter cache "persist/writes");
+            Alcotest.(check int) "no error" 0
+              (Test_scale.cache_counter cache "persist/errors"));
         case "four domains compile against one snapshot as one would" (fun () ->
             let programs =
               List.init 8 (fun i ->
