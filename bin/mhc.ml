@@ -87,13 +87,13 @@ let opt_arg =
 let mode_arg =
   Arg.(
     value
-    & opt (enum Pipeline.modes) `Lazy
+    & opt (enum Pipeline.modes) Pipeline.default_mode
     & info [ "eval" ] ~docv:"MODE" ~doc:"Evaluation mode: $(b,lazy) or $(b,strict).")
 
 let backend_arg =
   Arg.(
     value
-    & opt (enum Pipeline.backends) `Tree
+    & opt (enum Pipeline.backends) Pipeline.default_backend
     & info [ "backend" ] ~docv:"BACKEND"
         ~doc:
           "Execution backend: $(b,tree) (the instrumented tree-walking \

@@ -74,13 +74,13 @@ type spec_options = {
   spec_max_growth : float;             (* size multiple cap; <= 0 off *)
 }
 
-(* kept in sync with Tc_opt.Specialise.default_policy *)
 let default_spec =
+  let p = Tc_opt.Specialise.default_policy in
   {
     spec_profile = None;
-    spec_threshold = 1;
-    spec_max_clones = 2000;
-    spec_max_growth = 0.;
+    spec_threshold = p.hot_threshold;
+    spec_max_clones = p.max_clones;
+    spec_max_growth = p.max_growth;
   }
 
 type options = {
@@ -139,7 +139,6 @@ type base = {
                                       never written through this record *)
   b_fixities : Fixity.env;
   b_venv : Infer.venv;             (* zonked schemes of the top level *)
-  b_schemes : (Ident.t * Scheme.t) list;  (* top-level bindings, in order *)
   b_core : Core.program;           (* normalized: the default-method,
                                       instance-method and dictionary
                                       bindings included *)
@@ -155,7 +154,6 @@ type base = {
 type compiled = {
   env : Class_env.t;
   core : Core.program;
-  schemes : (Ident.t * Scheme.t) list;  (* all top-level bindings, in order *)
   user_schemes : (Ident.t * Scheme.t) list;  (* excluding the prelude *)
   warnings : Diagnostic.t list;
   checker_stats : Stats.t;
@@ -266,7 +264,6 @@ let empty_base () : base =
     b_env = Class_env.create ();
     b_fixities = Fixity.builtin;
     b_venv = Ident.Map.empty;
-    b_schemes = [];
     b_core = { Core.p_binds = []; p_main = None };
     b_groups = [];
     b_outer = prims;
@@ -614,16 +611,14 @@ let extend ~sink ~faults ~(opts : options) ~(base : base) ~names
           Lint.check_program ~scope:base.b_globals ~primitives:Prims.names own;
           { own with p_binds = base.b_core.p_binds @ own.p_binds })
   in
-  let own_schemes = List.rev schemes_rev in
   let compiled =
     {
       env;
       core = program;
-      schemes = base.b_schemes @ List.map (fun (n, s, _) -> (n, s)) own_schemes;
       user_schemes =
         List.filter_map
           (fun (n, s, f) -> if f = "<prelude>" then None else Some (n, s))
-          own_schemes;
+          (List.rev schemes_rev);
       warnings = Diagnostic.Sink.warnings env.sink;
       checker_stats = Stats.snapshot ();
       options = opts;
@@ -682,14 +677,6 @@ let freeze (c : compiled) (fr : front) (sink : Diagnostic.Sink.sink) : base =
     b_env = env;
     b_fixities = c.fixities;
     b_venv = venv;
-    b_schemes =
-      (* the same schemes, shared with the value environment *)
-      List.map
-        (fun (n, _) ->
-          match Ident.Map.find n venv with
-          | Infer.Poly s -> (n, s)
-          | _ -> assert false)
-        c.schemes;
     b_core = c.core;
     b_groups = c.base.b_groups @ fr.f_groups;
     b_outer = fr.f_outer;
@@ -773,7 +760,7 @@ let shared_base (c : compiled) : (base * int) option =
 
 (** Words reachable from [c] that it does not share with its snapshot:
     the whole artifact when the snapshot is private (unmarshaled or
-    empty), else the compile's own core, schemes, diagnostics and its
+    empty), else the compile's own core, user schemes, diagnostics and its
     entries in the environments. *)
 let own_words (c : compiled) : int =
   match shared_base c with
@@ -800,7 +787,6 @@ let own_words (c : compiled) : int =
           env with
           Class_env.tycons = own_entries benv.tycons env.tycons;
           datacons = own_entries benv.datacons env.datacons;
-          tycon_cons = own_entries benv.tycon_cons env.tycon_cons;
           synonyms = own_entries benv.synonyms env.synonyms;
           classes = own_entries benv.classes env.classes;
           methods = own_entries benv.methods env.methods;
@@ -816,16 +802,14 @@ let own_words (c : compiled) : int =
               env.instances;
         }
       in
-      let groups, s1 = suffix c.core.p_binds b.b_core.p_binds 0 in
-      let schemes, s2 = suffix c.schemes b.b_schemes 0 in
-      s1 + s2
+      let groups, spine = suffix c.core.p_binds b.b_core.p_binds 0 in
+      spine
       + Obj.reachable_words
           (Obj.repr
              ( env,
                own_entries b.b_venv c.venv,
                own_entries b.b_fixities c.fixities,
                groups,
-               schemes,
                c.user_schemes,
                c.names,
                (c.warnings, c.checker_stats, c.options, c.spec_report) ))
@@ -938,18 +922,19 @@ type backend = [ `Tree | `Vm ]
 
 let backends : (string * backend) list = [ ("tree", `Tree); ("vm", `Vm) ]
 let modes = [ ("lazy", `Lazy); ("strict", `Strict) ]
+let default_backend : backend = `Tree
+let default_mode : [ `Lazy | `Strict ] = `Lazy
 
 type result = {
   rendered : string;
   counters : Counters.t;
-  value : Eval.value option;            (* tree backend only *)
   profile : Profile.report option;      (* when requested *)
 }
 
 (** Lower a compiled program to bytecode. The [mode] is baked in at
     compile time: lazy code delays arguments and let bindings, strict code
     evaluates them inline (dictionary fields stay delayed in both). *)
-let bytecode ?(mode = `Lazy) (c : compiled) : Tc_vm.Bytecode.program =
+let bytecode ?(mode = default_mode) (c : compiled) : Tc_vm.Bytecode.program =
   let cons = Eval.con_table_of_env c.env in
   Tc_vm.Compile.program ~mode ~cons c.core
 
@@ -961,33 +946,33 @@ let bytecode ?(mode = `Lazy) (c : compiled) : Tc_vm.Bytecode.program =
     [Frames] exhaustion too). With [~profile:true], every [Sel]/[MkDict]
     executed is also charged to its compile-time dispatch site and the
     result carries the ranked report. *)
-let exec ?(backend = `Tree) ?(mode = `Lazy) ?(budget = Budget.unlimited)
-    ?entry ?(profile = false) (c : compiled) : result =
+let exec ?(backend = default_backend) ?(mode = default_mode)
+    ?(budget = Budget.unlimited) ?entry ?(profile = false) (c : compiled) :
+    result =
   let metrics = c.options.metrics in
   Span.wrap metrics "exec" @@ fun () ->
   let cons = Eval.con_table_of_env c.env in
   let prt = if profile then Some (Profile.create_rt ()) else None in
-  let finish ~meter ~rendered ~counters ~value =
+  let finish ~meter ~rendered ~counters =
     Budget.check_output meter (String.length rendered);
     let report =
       Option.map
         (fun prt -> Profile.make ~sites:(Profile.site_table c.core) prt)
         prt
     in
-    { rendered; counters; value; profile = report }
+    { rendered; counters; profile = report }
   in
   match backend with
   | `Tree -> (
       let st = Eval.create_state ~mode ~budget ?profile:prt cons in
       try
-        let v, rendered =
+        let rendered =
           Span.wrap metrics "eval" (fun () ->
               let v = Eval.run ?entry st c.core in
               Inject.hit Inject.Render;
-              (v, Eval.render st v))
+              Eval.render st v)
         in
         finish ~meter:st.Eval.budget ~rendered ~counters:(Eval.counters st)
-          ~value:(Some v)
       with Stack_overflow ->
         (* the native stack is the tree backend's frame resource; report
            its exhaustion like any configured frame bound *)
@@ -1005,7 +990,7 @@ let exec ?(backend = `Tree) ?(mode = `Lazy) ?(budget = Budget.unlimited)
             Tc_vm.Vm.render st v)
       in
       finish ~meter:(Tc_vm.Vm.meter st) ~rendered
-        ~counters:(Tc_vm.Vm.counters st) ~value:None
+        ~counters:(Tc_vm.Vm.counters st)
 
 (** The qualified type of a standalone expression against a compiled
     program's environment (the REPL's [:type]). The expression is checked

@@ -56,7 +56,8 @@ type spec_options = {
   spec_max_growth : float;
 }
 
-(** No profile, threshold 1, 2000 clones, no growth cap. *)
+(** No profile, and the threshold and budgets of the specializer's
+    {!Tc_opt.Specialise.default_policy}. *)
 val default_spec : spec_options
 
 type options = {
@@ -107,7 +108,6 @@ type base
 type compiled = {
   env : Class_env.t;
   core : Core.program;
-  schemes : (Ident.t * Scheme.t) list;       (** all top-level bindings *)
   user_schemes : (Ident.t * Scheme.t) list;  (** excluding the prelude *)
   warnings : Diagnostic.t list;
   checker_stats : Stats.t;
@@ -165,7 +165,7 @@ val shared_base : compiled -> (base * int) option
 (** Words reachable from [c] that it does not share with its snapshot:
     everything when {!shared_base} is [None] (a prelude-less compile, or
     an unmarshaled one, whose snapshot is a private copy), else the
-    compile's own core, schemes and diagnostics and its own entries in
+    compile's own core, user schemes and diagnostics and its own entries in
     the environments — what a cache entry holding [c] actually keeps
     alive, and all that evicting it can free. *)
 val own_words : compiled -> int
@@ -209,11 +209,16 @@ val backends : (string * backend) list
 
 val modes : (string * [ `Lazy | `Strict ]) list
 
+(** What [exec], [bytecode], [mhc] and [mhc serve] use when no backend or
+    mode is named: [`Tree] and [`Lazy]. *)
+val default_backend : backend
+
+val default_mode : [ `Lazy | `Strict ]
+
 (** What executing a compiled program produced, on either backend. *)
 type result = {
   rendered : string;             (** the rendered value of [main]/[entry] *)
   counters : Counters.t;         (** aggregate dictionary-operation counts *)
-  value : Eval.value option;     (** the raw value ([`Tree] backend only) *)
   profile : Tc_obs.Profile.report option;
       (** per-site dispatch profile, when requested *)
 }
@@ -223,9 +228,10 @@ type result = {
 val bytecode :
   ?mode:[ `Lazy | `Strict ] -> compiled -> Tc_vm.Bytecode.program
 
-(** Backend-agnostic execution: the tree evaluator ([`Tree], the default)
-    or the bytecode VM ([`Vm]). Both produce the same rendered value and
-    dictionary counters. [budget] (default
+(** Backend-agnostic execution: the tree evaluator ([`Tree]) or the
+    bytecode VM ([`Vm]), {!default_backend} and {!default_mode} unless
+    named. Both produce the same result: rendered value and dictionary
+    counters. [budget] (default
     {!Tc_resilience.Budget.unlimited}) bounds steps, frames, wall clock,
     allocations and output size; each backend's unit for steps and frames
     is documented in {!Tc_resilience.Budget}. Exhausting any limit raises

@@ -119,6 +119,22 @@ let require_src req =
   | Some s -> s
   | None -> bad "missing string field \"src\""
 
+(* The ops [handle_line] dispatches, by spelling. A request's op is
+   accounted and traced under its own spelling only when it is one of
+   these (or [missing]); any other is answered [bad-request] and
+   accounted as [unknown], so clients cannot name registry state. *)
+let ops =
+  [
+    ("ping", `Ping); ("health", `Health); ("ready", `Ready);
+    ("stats", `Stats); ("metrics", `Metrics); ("trace", `Trace);
+    ("check", `Check); ("compile", `Check); ("run", `Run);
+  ]
+
+(* A request's op, and the name it is accounted and traced under. *)
+let op_of req =
+  let op = match str_field req "op" with Some s -> s | None -> "missing" in
+  (op, if op = "missing" || List.mem_assoc op ops then op else "unknown")
+
 (* A named field looked up in one of [Pipeline]'s spelling lists;
    [unknown] words the error for a spelling not in it. *)
 let spelled req name spellings ~default ~unknown =
@@ -132,11 +148,12 @@ let strategy_of req (base : Pipeline.options) =
     ~unknown:(bad "unknown strategy %S")
 
 let backend_of req =
-  spelled req "backend" Pipeline.backends ~default:`Tree
+  spelled req "backend" Pipeline.backends
+    ~default:Pipeline.default_backend
     ~unknown:(bad "unknown backend %S (expected \"tree\" or \"vm\")")
 
 let mode_of req =
-  spelled req "mode" Pipeline.modes ~default:`Lazy
+  spelled req "mode" Pipeline.modes ~default:Pipeline.default_mode
     ~unknown:(bad "unknown mode %S (expected \"lazy\" or \"strict\")")
 
 let passes_of req =
@@ -493,9 +510,7 @@ let handle_line ?(queued_us = 0) ?trace_id t line =
            ("invalid JSON: " ^ m))
   | Ok req -> (
       let id = Json.member "id" req in
-      let op =
-        match str_field req "op" with Some s -> s | None -> "missing"
-      in
+      let op, name = op_of req in
       (* Deadline-based shedding: a request that already aged past its
          deadline while queued (the pool passes [queued_us]) is rejected
          here, before any compile work — answering late is worse than
@@ -507,22 +522,22 @@ let handle_line ?(queued_us = 0) ?trace_id t line =
         | None -> t.config.default_deadline_ms
       in
       if deadline_ms > 0 && queued_us > deadline_ms * 1000 then
-        finish ~op ~cls:(Some "shed")
+        finish ~op:name ~cls:(Some "shed")
           (fail_response t ~id ~op ~cls:"shed"
              (Printf.sprintf
                 "shed: aged %dms in queue, past the %dms deadline"
                 (queued_us / 1000) deadline_ms))
       else
       try
-        finish ~op ~cls:None
+        finish ~op:name ~cls:None
           (with_retries t @@ fun () ->
            if !Inject.live then Inject.hit Inject.Serve_transient;
-           match op with
-           | "ping" -> ok_response t ~id ~op:"ping" []
+           match List.assoc_opt op ops with
+           | Some `Ping -> ok_response t ~id ~op:"ping" []
            (* Liveness: the loop is handling requests at all. Always ok
               while the process answers — a monitor that can't get this
               line should restart the process. *)
-           | "health" ->
+           | Some `Health ->
                ok_response t ~id ~op:"health"
                  [
                    ("status", Json.Str "ok");
@@ -532,19 +547,19 @@ let handle_line ?(queued_us = 0) ?trace_id t line =
               [ok:true] — not being ready is a reported state, not a
               failure — with the verdict in the [ready] field. Flips
               false during drain and pool lame-duck. *)
-           | "ready" ->
+           | Some `Ready ->
                ok_response t ~id ~op:"ready"
                  [ ("ready", Json.Bool (t.config.ready ())) ]
-           | "stats" -> do_stats t ~id
-           | "metrics" -> do_metrics t ~id req
-           | "trace" -> do_trace t ~id
-           | "check" | "compile" -> do_check t ~id ~op req
-           | "run" -> do_run t ~id req
-           | "missing" -> bad "missing string field \"op\""
-           | other -> bad "unknown op %S" other)
+           | Some `Stats -> do_stats t ~id
+           | Some `Metrics -> do_metrics t ~id req
+           | Some `Trace -> do_trace t ~id
+           | Some `Check -> do_check t ~id ~op req
+           | Some `Run -> do_run t ~id req
+           | None when op = "missing" -> bad "missing string field \"op\""
+           | None -> bad "unknown op %S" op)
       with exn ->
         let cls, message = classify exn in
-        finish ~op ~cls:(Some cls) (fail_response t ~id ~op ~cls message))
+        finish ~op:name ~cls:(Some cls) (fail_response t ~id ~op ~cls message))
 
 (* A response manufactured on behalf of a request that never (fully)
    reached [handle_line]: the pool supervisor answers for a request
@@ -555,22 +570,22 @@ let handle_line ?(queued_us = 0) ?trace_id t line =
    invariant (per-op latency counts summing exactly to [serve/requests])
    keeps holding when synthetic responses are counted. *)
 let synthetic_failure ?trace_id t ~cls ~message line =
-  let id, op =
+  let id, op, name =
     match Json.parse line with
-    | Error _ -> (None, "invalid")
-    | Ok req -> (
-        ( Json.member "id" req,
-          match str_field req "op" with Some s -> s | None -> "missing" ))
+    | Error _ -> (None, "invalid", "invalid")
+    | Ok req ->
+        let op, name = op_of req in
+        (Json.member "id" req, op, name)
   in
   let rt = t.config.rtrace in
   let trace = match trace_id with Some tr -> tr | None -> Rtrace.mint rt in
   t.cur_trace <- trace;
   let resp = fail_response t ~id ~op ~cls message in
-  account t ~op ~cls:(Some cls) 0;
+  account t ~op:name ~cls:(Some cls) 0;
   (* a zero-duration root event, so shed/crashed requests still show up
      (with their op) in the dump and the slowest-N digest's input *)
   if Rtrace.sampled rt trace then
-    Rtrace.record_as rt ~trace ~name:("request/" ^ op)
+    Rtrace.record_as rt ~trace ~name:("request/" ^ name)
       ~ts_ns:(Mono.now_ns ()) ~dur_ns:0 ~words:0;
   t.cur_trace <- 0;
   resp

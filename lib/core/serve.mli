@@ -17,7 +17,8 @@
 
     Telemetry: every request's latency is observed into a
     {!Tc_obs.Metrics} registry — a histogram per op
-    ([serve/latency/<op>]), a histogram per failure class
+    ([serve/latency/<op>], where an op outside the request schema below
+    is accounted as [unknown]), a histogram per failure class
     ([serve/failures/<class>]) and the [serve/requests] counter, all
     bumped together under the registry's lock after the response is
     built, so in any snapshot, read from any domain, the per-op latency

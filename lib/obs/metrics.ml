@@ -33,15 +33,14 @@
 (* Instruments.                                                        *)
 (* ------------------------------------------------------------------ *)
 
-type counter = { c_name : string; mutable c_value : int }
-type gauge = { g_name : string; mutable g_value : int }
+type counter = { mutable c_value : int }
+type gauge = { mutable g_value : int }
 
 (* 63 buckets cover every OCaml int: bucket 0 for v <= 0, bucket i for
    [2^(i-1), 2^i), bucket 62 (values >= 2^61) clamped at max_int. *)
 let bucket_count = 63
 
 type histogram = {
-  h_name : string;
   h_buckets : int array;  (* length [bucket_count] *)
   mutable h_count : int;
   mutable h_sum : int;    (* saturating *)
@@ -98,12 +97,11 @@ let recorder : t -> Rtrace.t = function
 
 (* Shared dummies handed out by a disabled registry: bumping them is
    harmless (they are never snapshotted) and allocates nothing. *)
-let null_counter = { c_name = ""; c_value = 0 }
-let null_gauge = { g_name = ""; g_value = 0 }
+let null_counter = { c_value = 0 }
+let null_gauge = { g_value = 0 }
 
-let fresh_hist name =
+let fresh_hist () =
   {
-    h_name = name;
     h_buckets = Array.make bucket_count 0;
     h_count = 0;
     h_sum = 0;
@@ -111,7 +109,7 @@ let fresh_hist name =
     h_max = min_int;
   }
 
-let null_hist = fresh_hist ""
+let null_hist = fresh_hist ()
 
 (* A name already registered is found without the lock: only its writer
    adds to a table, and readers never change it. A new name is added
@@ -133,19 +131,18 @@ let counter (t : t) name : counter =
   match t with
   | None -> null_counter
   | Some r ->
-      find_or_add r r.r_counters name (fun () ->
-          { c_name = name; c_value = 0 })
+      find_or_add r r.r_counters name (fun () -> { c_value = 0 })
 
 let gauge (t : t) name : gauge =
   match t with
   | None -> null_gauge
   | Some r ->
-      find_or_add r r.r_gauges name (fun () -> { g_name = name; g_value = 0 })
+      find_or_add r r.r_gauges name (fun () -> { g_value = 0 })
 
 let histogram (t : t) name : histogram =
   match t with
   | None -> null_hist
-  | Some r -> find_or_add r r.r_hists name (fun () -> fresh_hist name)
+  | Some r -> find_or_add r r.r_hists name fresh_hist
 
 let probe (t : t) name (read : unit -> int) : unit =
   match t with
@@ -305,9 +302,7 @@ let closure (roots : registry list) : registry list =
 let add_own ~(dst : registry) (src : registry) : unit =
   let into = Some dst in
   let max_gauge n v =
-    let g =
-      find_or_add dst dst.r_gauges n (fun () -> { g_name = n; g_value = v })
-    in
+    let g = find_or_add dst dst.r_gauges n (fun () -> { g_value = v }) in
     if v > g.g_value then g.g_value <- v
   in
   Mutex.protect src.r_lock @@ fun () ->

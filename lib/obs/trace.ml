@@ -65,8 +65,6 @@ type t = sink option
 
 let none : t = None
 
-let of_fn f : t = Some { emit = f }
-
 let collector () : t * (unit -> event list) =
   let buf = ref [] in
   (Some { emit = (fun e -> buf := e :: !buf) }, fun () -> List.rev !buf)

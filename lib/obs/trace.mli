@@ -53,7 +53,6 @@ type sink = { emit : event -> unit }
 type t = sink option
 
 val none : t
-val of_fn : (event -> unit) -> t
 
 (** A sink that accumulates events; the second component returns them in
     emission order. *)

@@ -37,10 +37,6 @@ let message resource ~spent ~limit =
       (resource_name resource) spent limit
       (match resource with Wall_clock -> " ms" | _ -> "")
 
-let message_of_exn = function
-  | Exhausted { resource; spent; limit } -> Some (message resource ~spent ~limit)
-  | _ -> None
-
 (* The deadline is enforced to within this many steps; a clock read on
    every step would dominate the interpreter loop. *)
 let clock_interval = 4096

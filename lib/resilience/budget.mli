@@ -58,10 +58,6 @@ val exhausted : resource -> spent:int -> limit:int -> 'a
     ["resource exhausted: <resource> (spent N, limit M)"]. *)
 val message : resource -> spent:int -> limit:int -> string
 
-(** Render a caught {!Exhausted} payload (convenience for handlers that
-    matched the exception). *)
-val message_of_exn : exn -> string option
-
 (** How many steps pass between wall-clock checks (the deadline is
     enforced to within this many steps). *)
 val clock_interval : int

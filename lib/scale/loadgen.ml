@@ -6,7 +6,6 @@ module Json = Tc_obs.Json
 module Mono = Tc_support.Mono
 
 type phase = {
-  ph_label : string;
   ph_requests : int;
   ph_elapsed_s : float;
   ph_rps : float;
@@ -73,7 +72,7 @@ let quantile_us (lat : int array) pct =
    order, so response [k] answers line [k]: the start times are a FIFO
    indexed by admission order. The pool's lock orders each start before
    its response's read of it. *)
-let run_phase ~label ~workers ~config (lines : string array) =
+let run_phase ~workers ~config (lines : string array) =
   let n = Array.length lines in
   let started = Array.make n 0 and lat = Array.make n (-1) in
   let i = ref 0 and answered = ref 0 in
@@ -96,7 +95,6 @@ let run_phase ~label ~workers ~config (lines : string array) =
   let dt = Mono.now_s () -. t0 in
   let m = summary.Pool.metrics in
   ( {
-      ph_label = label;
       ph_requests = n;
       ph_elapsed_s = dt;
       ph_rps = (if dt > 0. then float_of_int n /. dt else 0.);
@@ -140,12 +138,8 @@ let run ?(clients = 4) ?(requests = 64) ?(workers = 1) ?(op = `Run)
     Array.init requests (fun i ->
         request ~op:op_name ~variant:(requests + (i mod clients)))
   in
-  let cold, cold_summary =
-    run_phase ~label:"cold" ~workers ~config cold_lines
-  in
-  let hot, hot_summary =
-    run_phase ~label:"hot" ~workers ~config hot_lines
-  in
+  let cold, cold_summary = run_phase ~workers ~config cold_lines in
+  let hot, hot_summary = run_phase ~workers ~config hot_lines in
   let counter name =
     match List.assoc_opt name (Metrics.counters (Cache.metrics cache)) with
     | Some n -> n
@@ -206,8 +200,7 @@ let roundtrip fd ic line =
   done;
   In_channel.input_line ic
 
-let socket_phase ~label ~clients ~requests ~op ~host ~port ~variant_of
-    () =
+let socket_phase ~clients ~requests ~op ~host ~port ~variant_of () =
   let lat = Array.make requests (-1) in
   let cls = Array.make requests "" in  (* failure class, "" = ok *)
   let client c () =
@@ -250,7 +243,6 @@ let socket_phase ~label ~clients ~requests ~op ~host ~port ~variant_of
   let dt = Mono.now_s () -. t0 in
   let ok = Array.fold_left (fun n c -> if c = "" then n + 1 else n) 0 cls in
   ( {
-      ph_label = label;
       ph_requests = requests;
       ph_elapsed_s = dt;
       ph_rps = (if dt > 0. then float_of_int requests /. dt else 0.);
@@ -315,12 +307,11 @@ let run_socket ?(clients = 4) ?(requests = 64) ?(op = `Run) ~host ~port () =
   let requests = max clients requests in
   let op_name = match op with `Run -> "run" | `Check -> "check" in
   let cold, cold_cls =
-    socket_phase ~label:"cold" ~clients ~requests ~op:op_name ~host
-      ~port ~variant_of:Fun.id ()
+    socket_phase ~clients ~requests ~op:op_name ~host ~port
+      ~variant_of:Fun.id ()
   in
   let hot, hot_cls =
-    socket_phase ~label:"hot" ~clients ~requests ~op:op_name ~host
-      ~port
+    socket_phase ~clients ~requests ~op:op_name ~host ~port
       ~variant_of:(fun i -> requests + (i mod clients))
       ()
   in

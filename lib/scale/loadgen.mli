@@ -28,7 +28,6 @@
     cache/pool tallies come from an in-band [metrics] snapshot probe. *)
 
 type phase = {
-  ph_label : string;    (** ["cold"] or ["hot"] *)
   ph_requests : int;
   ph_elapsed_s : float;
   ph_rps : float;

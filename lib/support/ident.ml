@@ -91,10 +91,6 @@ let compare a b = Int.compare a.id b.id
 let hash t = t.id
 let pp ppf t = Fmt.string ppf t.text
 
-(** Print with the unique stamp; useful when dumping IR where distinct
-    identifiers may share a spelling. *)
-let pp_unique ppf t = Fmt.pf ppf "%s/%d" t.text t.id
-
 module Ord = struct
   type nonrec t = t
 

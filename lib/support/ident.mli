@@ -50,9 +50,6 @@ val compare : t -> t -> int
 val hash : t -> int
 val pp : Format.formatter -> t -> unit
 
-(** Print with the unique stamp (for IR dumps where spellings may repeat). *)
-val pp_unique : Format.formatter -> t -> unit
-
 module Map : Map.S with type key = t
 module Set : Set.S with type elt = t
 module Tbl : Hashtbl.S with type key = t

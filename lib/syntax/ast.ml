@@ -158,16 +158,16 @@ type binding =
   | BFun of fun_bind
   | BPat of pat * rhs * Loc.t
 
-(** Declarations of a block, separated into signatures, fixities and
-    bindings, with adjacent equations of the same name merged. *)
+(** Declarations of a block, separated into signatures and bindings,
+    with adjacent equations of the same name merged. Fixity declarations
+    ({!Fixity} has applied them) end a run of equations and are dropped. *)
 type grouped = {
   g_sigs : (id list * sqtyp * Loc.t) list;
-  g_fixes : (assoc * int * id list * Loc.t) list;
   g_binds : binding list;
 }
 
 let group_decls (ds : decl list) : grouped =
-  let sigs = ref [] and fixes = ref [] and binds = ref [] in
+  let sigs = ref [] and binds = ref [] in
   let flush_fun = ref None in
   let flush () =
     match !flush_fun with
@@ -190,16 +190,14 @@ let group_decls (ds : decl list) : grouped =
       | DSig (ns, t, l) ->
           flush ();
           sigs := (ns, t, l) :: !sigs
-      | DFix (a, p, ns, l) ->
-          flush ();
-          fixes := (a, p, ns, l) :: !fixes
+      | DFix _ -> flush ()
       | DFun (name, eq, l) -> add_eq name eq l
       | DPat (p, r, l) ->
           flush ();
           binds := BPat (p, r, l) :: !binds)
     ds;
   flush ();
-  { g_sigs = List.rev !sigs; g_fixes = List.rev !fixes; g_binds = List.rev !binds }
+  { g_sigs = List.rev !sigs; g_binds = List.rev !binds }
 
 (* ------------------------------------------------------------------ *)
 (* Small helpers.                                                      *)

@@ -26,7 +26,6 @@ type con_info = {
 type method_info = {
   mi_name : Ident.t;
   mi_class : Ident.t;
-  mi_index : int;            (* slot among the methods of its class *)
   mi_sig : Ast.sqtyp;        (* declared signature; may add extra context (§8.5) *)
   mi_has_default : bool;
 }
@@ -59,7 +58,6 @@ type inst_info = {
 type t = {
   mutable tycons : Tycon.t Ident.Map.t;
   mutable datacons : con_info Ident.Map.t;
-  mutable tycon_cons : Ident.t list Ident.Map.t; (* tycon -> constructor names *)
   mutable synonyms : (Ident.t list * Ast.styp) Ident.Map.t;
   mutable classes : class_info Ident.Map.t;
   mutable methods : method_info Ident.Map.t;
@@ -129,12 +127,6 @@ let create () =
   {
     tycons;
     datacons;
-    tycon_cons =
-      Ident.Map.of_list
-        [
-          (Tycon.list.Tycon.name, [ Ident.intern "[]"; Ident.intern ":" ]);
-          (Tycon.unit.Tycon.name, [ Ident.intern "()" ]);
-        ];
     synonyms = Ident.Map.empty;
     classes = Ident.Map.empty;
     methods = Ident.Map.empty;
@@ -173,7 +165,6 @@ let tuple_con env n : con_info =
         }
       in
       env.datacons <- Ident.Map.add tc.Tycon.name ci env.datacons;
-      env.tycon_cons <- Ident.Map.add tc.Tycon.name [ tc.Tycon.name ] env.tycon_cons;
       (if not (Ident.Map.mem tc.Tycon.name env.tycons) then
          env.tycons <- Ident.Map.add tc.Tycon.name tc env.tycons);
       ci
@@ -192,11 +183,6 @@ let class_exn env ?(loc = Loc.none) name =
   match find_class env name with
   | Some c -> c
   | None -> Diagnostic.errorf ~loc "unknown class '%a'" Ident.pp name
-
-let constructors_of env tycon_name =
-  match Ident.Map.find_opt tycon_name env.tycon_cons with
-  | Some cs -> cs
-  | None -> []
 
 let find_instance env ~cls ~tycon : inst_info option =
   match Ident.Map.find_opt cls env.instances with

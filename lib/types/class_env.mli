@@ -22,7 +22,6 @@ type con_info = {
 type method_info = {
   mi_name : Ident.t;
   mi_class : Ident.t;
-  mi_index : int;             (** slot among the methods of its class *)
   mi_sig : Ast.sqtyp;         (** declared signature; may add context (§8.5) *)
   mi_has_default : bool;
 }
@@ -55,7 +54,6 @@ type inst_info = {
 type t = {
   mutable tycons : Tycon.t Ident.Map.t;
   mutable datacons : con_info Ident.Map.t;
-  mutable tycon_cons : Ident.t list Ident.Map.t;
   mutable synonyms : (Ident.t list * Ast.styp) Ident.Map.t;
   mutable classes : class_info Ident.Map.t;
   mutable methods : method_info Ident.Map.t;
@@ -87,7 +85,6 @@ val find_synonym : t -> Ident.t -> (Ident.t list * Ast.styp) option
 val find_class : t -> Ident.t -> class_info option
 val find_method : t -> Ident.t -> method_info option
 val class_exn : t -> ?loc:Loc.t -> Ident.t -> class_info
-val constructors_of : t -> Ident.t -> Ident.t list
 val find_instance : t -> cls:Ident.t -> tycon:Ident.t -> inst_info option
 val all_instances : t -> inst_info list
 val all_classes : t -> class_info list

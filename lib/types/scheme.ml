@@ -20,8 +20,6 @@ type t = {
 (** A scheme with no quantified variables (monomorphic environment entry). *)
 let mono ty = { vars = []; ty }
 
-let is_mono s = s.vars = []
-
 (** [instantiate ~level s] returns the body with fresh variables substituted
     for the generic ones, together with the fresh variables in quantifier
     order (used to insert dictionary placeholders at occurrence sites). *)
@@ -49,12 +47,6 @@ let instantiate ~level (s : t) : Ty.t * Ty.tyvar list =
     in
     (copy s.ty, fresh_vars)
   end
-
-(** Total number of dictionary parameters implied by the scheme's context. *)
-let dict_arity (s : t) =
-  List.fold_left
-    (fun n (tv : Ty.tyvar) -> n + List.length (Ty.unbound_exn tv).context)
-    0 s.vars
 
 (** The context of the scheme as (class, quantifier position) pairs, in
     dictionary-parameter order. *)

@@ -14,15 +14,10 @@ type t = {
 (** A scheme with no quantified variables. *)
 val mono : Ty.t -> t
 
-val is_mono : t -> bool
-
 (** [instantiate ~level s] copies the body with fresh variables (inheriting
     contexts) substituted for the generic ones; returns the fresh variables
     in quantifier order, for dictionary-placeholder insertion. *)
 val instantiate : level:int -> t -> Ty.t * Ty.tyvar list
-
-(** Number of dictionary parameters the scheme's context implies. *)
-val dict_arity : t -> int
 
 (** The context as (class, quantifier index) pairs, in dictionary order. *)
 val context : t -> (Ident.t * int) list

@@ -157,11 +157,7 @@ let register_datacons (env : Class_env.t) (g : decl_guard) registered
                 }
               in
               env.datacons <- Ident.Map.add c.cd_name info env.datacons)
-            d.td_cons;
-          env.tycon_cons <-
-            Ident.Map.add d.td_name
-              (List.map (fun (c : Ast.con_decl) -> c.cd_name) d.td_cons)
-              env.tycon_cons
+            d.td_cons
           | _ ->
               (* pass 1 reported this declaration (a duplicate, or a bad
                  one in accumulating mode) — skip it *)
@@ -276,7 +272,6 @@ let register_classes (env : Class_env.t) (g : decl_guard) ~outer
                     {
                       mi_name = m;
                       mi_class = c.tc_name;
-                      mi_index = 0 (* assigned below *);
                       mi_sig = q;
                       mi_has_default = false (* updated below *);
                     }
@@ -315,21 +310,21 @@ let register_classes (env : Class_env.t) (g : decl_guard) ~outer
                       "pattern bindings are not allowed in a class body")
               grouped.g_binds
           in
-          (* record order, defaults, indices *)
+          (* record order and defaults *)
           let ci = Class_env.class_exn env c.tc_name in
           env.classes <-
             Ident.Map.add c.tc_name
               { ci with ci_methods = methods; ci_defaults = defaults }
               env.classes;
-          List.iteri
-            (fun i m ->
+          List.iter
+            (fun m ->
               let mi = Option.get (Class_env.find_method env m) in
               let has_default =
                 List.exists (fun (n, _) -> Ident.equal n m) defaults
               in
               env.methods <-
                 Ident.Map.add m
-                  { mi with mi_index = i; mi_has_default = has_default }
+                  { mi with mi_has_default = has_default }
                   env.methods)
             methods
       | _ -> ())

@@ -111,13 +111,3 @@ let rec unify env ~loc (t1 : Ty.t) (t2 : Ty.t) : unit =
   | Ty.TCon (tc1, args1), Ty.TCon (tc2, args2) ->
       if not (Tycon.equal tc1 tc2) then type_error ~loc t1 t2 "";
       List.iter2 (unify env ~loc) args1 args2
-
-(** Convenience: require [t] to be a function type, returning domain and
-    codomain (unifying with [a -> b] for fresh [a], [b] if needed). *)
-let as_arrow env ~loc ~level t =
-  match Ty.prune t with
-  | Ty.TCon (tc, [ a; b ]) when Tycon.is_arrow tc -> (a, b)
-  | t ->
-      let a = Ty.fresh ~level () and b = Ty.fresh ~level () in
-      unify env ~loc t (Ty.arrow a b);
-      (a, b)

@@ -26,6 +26,3 @@ val instantiate_tyvar : Class_env.t -> loc:Loc.t -> Ty.tyvar -> Ty.t -> unit
     mismatch, occurs-check failure, missing instance, or a signature
     violation. *)
 val unify : Class_env.t -> loc:Loc.t -> Ty.t -> Ty.t -> unit
-
-(** Require [t] to be a function type, returning domain and codomain. *)
-val as_arrow : Class_env.t -> loc:Loc.t -> level:int -> Ty.t -> Ty.t * Ty.t

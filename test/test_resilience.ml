@@ -488,6 +488,27 @@ let serve_cases =
         Alcotest.(check bool) "bad-request tally" true
           (Json.member "bad-request" (field "by_class" stats)
           = Some (Json.Int 1)));
+    case "unknown ops are accounted under one name" (fun () ->
+        (* the registry's histograms after 2,000 unknown-op requests,
+           each answered once by [handle_line] and once synthetically *)
+        let histograms_after op =
+          let t = server () in
+          let answered =
+            List.init 2000 (fun i ->
+                let line = req [ ("op", Json.Str (op i)) ] in
+                ignore
+                  (Serve.synthetic_failure t ~cls:"shed" ~message:"shed" line);
+                let resp = decode (Serve.handle_line t line) in
+                error_class resp = "bad-request"
+                && field "op" resp = Json.Str (op i))
+          in
+          Alcotest.(check bool) "bad-request, op echoed" true
+            (List.for_all Fun.id answered);
+          List.length (Tc_obs.Metrics.histograms (Serve.metrics t))
+        in
+        Alcotest.(check int) "histograms"
+          (histograms_after (fun _ -> "explode"))
+          (histograms_after (Printf.sprintf "explode-%d")));
     case "graceful drain on EOF returns the tally" (fun () ->
         let inputs = ref [ run_req clean_src; {|{"op":"ping"}|} ] in
         let outputs = ref [] in
